@@ -14,8 +14,8 @@ import click
 
 from . import dsl, lie, oracle, sandwich, wick
 from .lie import AlgebraKind
-from .scalars import theta as theta_fn
-from .stepfn import FnSymbol, fn_symbol, step_from_records, step_to_records
+from .scalars import coeff_to_json, theta as theta_fn
+from .stepfn import FnSymbol, fn_symbol, fn_to_json, step_from_records, step_to_records
 
 _KINDS = {
     "rhpwn": AlgebraKind.RHPWN,
@@ -130,7 +130,7 @@ def bracket_cmd(exprs, relaxed, fmt) -> None:
     for line in lines:
         try:
             result = dsl.evaluate(dsl.parse(line, relaxed=relaxed))
-        except (dsl.ParseError, ValueError) as exc:
+        except (ValueError, TypeError) as exc:
             click.echo(f"error: {exc}", err=True)
             raise SystemExit(2)
         click.echo(dsl.render(result, fmt))
@@ -361,13 +361,17 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
     except (ValueError, KeyError) as exc:
         click.echo(f"error: bad step-function file: {exc}", err=True)
         raise SystemExit(2)
-    decomp = wick.smear_bracket(n, k, g, nn, kk, f)
+    try:
+        decomp = wick.smear_bracket(n, k, g, nn, kk, f)
+    except (ValueError, TypeError) as exc:
+        click.echo(f"error: {exc}", err=True)
+        raise SystemExit(2)
     payload = {
         "regular": {
             "coeff": decomp.regular_coeff,
             "n": decomp.regular_index[0],
             "k": decomp.regular_index[1],
-            "testfn": _testfn_json(decomp.regular_testfn),
+            "testfn": fn_to_json(decomp.regular_testfn),
         },
         "singular": [
             {
@@ -375,14 +379,7 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
                 "theta": s.theta,
                 "n": s.index[0],
                 "k": s.index[1],
-                "scalar": None
-                if s.scalar is None
-                else [
-                    s.scalar.re.numerator,
-                    s.scalar.re.denominator,
-                    s.scalar.im.numerator,
-                    s.scalar.im.denominator,
-                ],
+                "scalar": None if s.scalar is None else coeff_to_json(s.scalar),
             }
             for s in decomp.singular
         ],
@@ -415,12 +412,6 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
                 f"singular: L={s.L} theta={s.theta} "
                 f"index=({s.index[0]},{s.index[1]}) scalar={scalar}"
             )
-
-
-def _testfn_json(fn):
-    from .stepfn import fn_to_json
-
-    return fn_to_json(fn)
 
 
 # -- normal-order -------------------------------------------------------------

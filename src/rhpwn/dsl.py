@@ -197,7 +197,7 @@ class _Parser:
         n = self._parse_signed_int()
         self.expect(",", (",",))
         k = self._parse_signed_int()
-        close = self.expect("]", ("]",))
+        self.expect("]", ("]",))
         label = None
         if self.peek()[0] == "@":
             self.advance()
@@ -208,7 +208,6 @@ class _Parser:
                 "(pass --relaxed to admit it)",
                 name_tok[2],
             )
-        del close
         return AtomNode(kind, n, k, label)
 
     def _parse_signed_int(self) -> int:

@@ -13,13 +13,13 @@ import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .scalars import CS_ZERO, CScalar
+from .scalars import CScalar, LinComb, coeff_from_json, coeff_to_json
 from .stepfn import (
-    FnSymbol,
     AnyTestFn,
     fn_conjugate,
     fn_from_json,
     fn_product,
+    fn_sort_key,
     fn_to_json,
 )
 
@@ -44,14 +44,6 @@ def in_domain(kind: AlgebraKind, n: int, k: int) -> bool:
     return n == 2
 
 
-def _label_key(label: Optional[AnyTestFn]):
-    if label is None:
-        return (0,)
-    if isinstance(label, FnSymbol):
-        return (1, label.factors, label.in_S0)
-    return (2, tuple((a, b, v.re, v.im) for a, b, v in label.pieces))
-
-
 @dataclass(frozen=True)
 class Generator:
     """Basis symbol B^n_k, optionally smeared with a test function label."""
@@ -66,7 +58,7 @@ class Generator:
         return in_domain(self.kind, self.n, self.k)
 
     def sort_key(self):
-        return (self.n, self.k, _label_key(self.label))
+        return (self.n, self.k, fn_sort_key(self.label))
 
 
 def generator(
@@ -84,46 +76,31 @@ def generator(
 
 
 @dataclass(frozen=True)
-class Element:
-    """Finite linear combination of generators of a single algebra kind."""
+class Element(LinComb):
+    """Finite linear combination of generators of a single algebra kind.
+
+    Terms are (generator, coefficient) pairs ordered by Generator.sort_key.
+    """
 
     kind: AlgebraKind
     terms: tuple[tuple[Generator, CScalar], ...]
 
+    order = staticmethod(Generator.sort_key)
+
     @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    def head(self) -> tuple:
+        return (self.kind,)
 
     @property
     def certified(self) -> bool:
         return all(g.in_domain for g, _ in self.terms)
 
-    def __add__(self, other: "Element") -> "Element":
-        if self.kind is not other.kind:
-            raise ValueError("algebra kind mismatch")
-        return element(self.kind, self.terms + other.terms)
-
-    def __sub__(self, other: "Element") -> "Element":
-        return self + other.scaled(-1)
-
-    def __neg__(self) -> "Element":
-        return self.scaled(-1)
-
-    def scaled(self, c) -> "Element":
-        c = CScalar.of(c)
-        return element(self.kind, ((g, c * x) for g, x in self.terms))
-
 
 def element(kind: AlgebraKind, items: Iterable[tuple[Generator, CScalar]]) -> Element:
-    acc: dict[Generator, CScalar] = {}
-    for g, c in items:
-        if g.kind is not kind:
-            raise ValueError("algebra kind mismatch")
-        acc[g] = acc.get(g, CS_ZERO) + CScalar.of(c)
-    terms = tuple(
-        (g, acc[g]) for g in sorted(acc, key=Generator.sort_key) if acc[g]
-    )
-    return Element(kind, terms)
+    items = list(items)
+    if any(g.kind is not kind for g, _ in items):
+        raise ValueError("algebra kind mismatch")
+    return Element.canonical(items, kind)
 
 
 def zero(kind: AlgebraKind) -> Element:
@@ -342,43 +319,25 @@ def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> ClosureR
 
 # -- JSON --------------------------------------------------------------------
 
-def _coeff_json(c: CScalar) -> list[int]:
-    return [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-
-
-def _coeff_from_json(v: list) -> CScalar:
-    from fractions import Fraction
-
-    return CScalar(Fraction(v[0], v[1]), Fraction(v[2], v[3]))
-
-
-def _label_json(label: Optional[AnyTestFn]):
-    return None if label is None else fn_to_json(label)
-
-
-def _label_from_json(v) -> Optional[AnyTestFn]:
-    return None if v is None else fn_from_json(v)
-
-
 def element_to_json(x: Element) -> dict:
     terms = []
     for g, c in x.terms:
-        rec = {"n": g.n, "k": g.k, "coeff": _coeff_json(c)}
+        rec = {"n": g.n, "k": g.k, "coeff": coeff_to_json(c)}
         if g.label is not None:
-            rec["label"] = _label_json(g.label)
+            rec["label"] = fn_to_json(g.label)
         terms.append(rec)
     return {"kind": x.kind.value, "terms": terms}
 
 
 def element_from_json(data: dict) -> Element:
+    """Inverse of element_to_json. Generators are built relaxed, as the DSL
+    evaluator builds them, so relaxed output loads again; ``certified`` still
+    flags out-of-domain indices."""
     kind = AlgebraKind(data["kind"])
-    return element(
-        kind,
-        (
-            (
-                generator(kind, rec["n"], rec["k"], _label_from_json(rec.get("label"))),
-                _coeff_from_json(rec["coeff"]),
-            )
-            for rec in data["terms"]
-        ),
-    )
+    items = []
+    for rec in data["terms"]:
+        label = rec.get("label")
+        label = None if label is None else fn_from_json(label)
+        g = generator(kind, rec["n"], rec["k"], label, relaxed=True)
+        items.append((g, coeff_from_json(rec["coeff"])))
+    return element(kind, items)

@@ -13,6 +13,7 @@ two such words normalize back to sandwich shape with delta powers as the only
 residue. Reducing the delta powers (renormalization plus test functions
 vanishing at zero) turns the commutator of two generators into a single
 generator, which is compared structurally against the w-infinity bracket.
+Every sum of words is kept as a canonically sorted sum (scalars.LinComb).
 """
 
 from __future__ import annotations
@@ -22,18 +23,18 @@ from fractions import Fraction
 from typing import Iterable, Literal, Mapping, Optional
 
 from .lie import DomainError
-from .scalars import CS_ZERO, CScalar, binom
+from .scalars import CScalar, LinComb, binom, coeff_to_json
 from .stepfn import (
     AnyTestFn,
-    fn_symbol,
     fn_product,
+    fn_sort_key,
+    fn_symbol,
     fn_to_json,
     fn_vanishes_at_zero,
 )
-from .wick import DeltaAtZeroError, SingularPartError
+from .wick import DeltaAtZeroError, PowMap, SingularPartError, canon_pows
 
 ParamMap = tuple[tuple[str, Fraction], ...]
-PowMap = tuple[tuple[str, int], ...]
 FnMap = tuple[tuple[str, AnyTestFn], ...]
 
 
@@ -44,17 +45,6 @@ def _canon_params(m: Mapping[str, Fraction] | Iterable) -> ParamMap:
         lam = Fraction(lam)
         out[label] = out.get(label, Fraction(0)) + lam
     return tuple(sorted((l, v) for l, v in out.items() if v))
-
-
-def _canon_pows(m: Mapping[str, int] | Iterable) -> PowMap:
-    items = m.items() if isinstance(m, Mapping) else m
-    out: dict[str, int] = {}
-    for label, e in items:
-        if e < 0:
-            raise ValueError(f"negative field power at label {label!r}")
-        if e:
-            out[label] = out.get(label, 0) + e
-    return tuple(sorted(out.items()))
 
 
 @dataclass(frozen=True)
@@ -94,7 +84,7 @@ def eq_term(
     return EQTerm(
         CScalar.of(coeff),
         _canon_params(left_exp),
-        _canon_pows(q_pow),
+        canon_pows(q_pow),
         _canon_params(right_exp),
         delta_L,
         tuple(sorted(fn_items, key=lambda it: it[0])),
@@ -102,57 +92,28 @@ def eq_term(
 
 
 @dataclass(frozen=True)
-class EQExpr:
-    """Canonical sum of sandwich words."""
+class EQExpr(LinComb):
+    """Canonical sum of sandwich words, ordered by EQTerm.word_key with test
+    functions in stepfn's order."""
 
     terms: tuple[EQTerm, ...]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def split(t: EQTerm) -> tuple:
+        return t.word_key(), t.coeff
 
-    def __add__(self, other: "EQExpr") -> "EQExpr":
-        return eq_expr(self.terms + other.terms)
+    @staticmethod
+    def order(key) -> tuple:
+        return key[:4] + (tuple((l, fn_sort_key(fn)) for l, fn in key[4]),)
 
-    def __sub__(self, other: "EQExpr") -> "EQExpr":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "EQExpr":
-        c = CScalar.of(c)
-        return eq_expr(
-            EQTerm(c * t.coeff, t.left_exp, t.q_pow, t.right_exp, t.delta_L, t.testfn)
-            for t in self.terms
-        )
+    @staticmethod
+    def join(key, coeff) -> EQTerm:
+        delta_L, q_pow, left_exp, right_exp, testfn = key
+        return EQTerm(coeff, left_exp, q_pow, right_exp, delta_L, testfn)
 
 
 def eq_expr(terms: Iterable[EQTerm] = ()) -> EQExpr:
-    acc: dict = {}
-    order: dict = {}
-    for t in terms:
-        key = t.word_key()
-        acc[key] = acc.get(key, CS_ZERO) + t.coeff
-        order[key] = t
-    out = []
-    for key in sorted(acc, key=_word_sort_key):
-        if acc[key]:
-            t = order[key]
-            out.append(
-                EQTerm(acc[key], t.left_exp, t.q_pow, t.right_exp, t.delta_L, t.testfn)
-            )
-    return EQExpr(tuple(out))
-
-
-def _word_sort_key(key):
-    from .lie import _label_key  # stable total order over labels/testfns
-
-    delta_L, q_pow, left_exp, right_exp, testfn = key
-    return (
-        delta_L,
-        q_pow,
-        left_exp,
-        right_exp,
-        tuple((l, _label_key(fn)) for l, fn in testfn),
-    )
+    return EQExpr.canonical(map(EQExpr.split, terms))
 
 
 EQ_ZERO = EQExpr(())
@@ -399,13 +360,9 @@ def verify_theorem(
 
 # -- JSON --------------------------------------------------------------------
 
-def _coeff_json(c: CScalar) -> list[int]:
-    return [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-
-
 def eq_term_to_json(t: EQTerm) -> dict:
     return {
-        "coeff": _coeff_json(t.coeff),
+        "coeff": coeff_to_json(t.coeff),
         "left_exp": {l: str(v) for l, v in t.left_exp},
         "q_pow": {l: e for l, e in t.q_pow},
         "right_exp": {l: str(v) for l, v in t.right_exp},

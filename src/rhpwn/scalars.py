@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 # Arbitrary-precision rational in canonical reduced form (gcd 1, positive
 # denominator) -- exactly what the coefficient bookkeeping requires.
@@ -127,3 +128,72 @@ class CScalar:
 CS_ZERO = CScalar()
 CS_ONE = CScalar(Fraction(1))
 CS_I = CScalar(Fraction(0), Fraction(1))
+
+
+def coeff_to_json(c: CScalar) -> list[int]:
+    """The JSON form of a coefficient: [re num, re den, im num, im den]."""
+    return [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
+
+
+def coeff_from_json(v: list) -> CScalar:
+    return CScalar(Fraction(v[0], v[1]), Fraction(v[2], v[3]))
+
+
+class LinComb:
+    """Canonical finite sum of terms with CScalar coefficients.
+
+    Like terms are merged, zero coefficients dropped and the rest sorted, so
+    equal sums are equal dataclasses. A subclass is a frozen dataclass whose
+    last field is ``terms``; it says how a term splits into (key, coeff), how
+    keys are ordered and how a term is rebuilt from a key and a coeff.
+    """
+
+    terms: tuple
+
+    order = None  # sort key over term keys; None sorts the keys themselves
+
+    @staticmethod
+    def split(term) -> tuple:
+        return term
+
+    @staticmethod
+    def join(key, coeff):
+        return key, coeff
+
+    @classmethod
+    def canonical(cls, pairs, *head):
+        """The sum of (key, coeff) pairs; ``head`` fills the fields before ``terms``."""
+        acc: dict = {}
+        for key, c in pairs:
+            acc[key] = acc.get(key, CS_ZERO) + c
+        join = cls.join
+        terms = tuple(join(key, acc[key]) for key in sorted(acc, key=cls.order) if acc[key])
+        return cls(*head, terms)
+
+    @property
+    def head(self) -> tuple:
+        """The fields before ``terms`` (an Element's algebra kind); only sums
+        with equal heads combine."""
+        return ()
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _combine(self, other: "LinComb", other_pairs):
+        if self.head != other.head:
+            raise ValueError("algebra kind mismatch")
+        return self.canonical(chain(map(self.split, self.terms), other_pairs), *self.head)
+
+    def __add__(self, other):
+        return self._combine(other, map(other.split, other.terms))
+
+    def __sub__(self, other):
+        return self._combine(other, ((key, -c) for key, c in map(other.split, other.terms)))
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+    def scaled(self, c):
+        c = CScalar.of(c)
+        return self.canonical(((key, c * x) for key, x in map(self.split, self.terms)), *self.head)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable, Optional, Union
 
 from .scalars import CS_ONE, CS_ZERO, CScalar
 
@@ -154,18 +154,14 @@ def is_in_S0(f: StepFn) -> bool:
 
 # -- JSON records -----------------------------------------------------------
 
-def _frac_str(x: Fraction) -> str:
-    return str(x)
-
-
 def step_to_records(f: StepFn) -> list[dict]:
     """Serialize as [{"from": "a/b", "to": "c/d", "re": "p/q", "im": "r/s"}]."""
     return [
         {
-            "from": _frac_str(a),
-            "to": _frac_str(b),
-            "re": _frac_str(v.re),
-            "im": _frac_str(v.im),
+            "from": str(a),
+            "to": str(b),
+            "re": str(v.re),
+            "im": str(v.im),
         }
         for a, b, v in f.pieces
     ]
@@ -230,6 +226,16 @@ def fn_vanishes_at_zero(x: AnyTestFn) -> bool:
     if isinstance(x, FnSymbol):
         return x.in_S0
     return is_in_S0(x)
+
+
+def fn_sort_key(x: Optional[AnyTestFn]):
+    """The one total order over test functions: none, then symbols, then
+    step functions."""
+    if x is None:
+        return (0,)
+    if isinstance(x, FnSymbol):
+        return (1, x.factors, x.in_S0)
+    return (2, tuple((a, b, v.re, v.im) for a, b, v in x.pieces))
 
 
 def fn_to_json(x: AnyTestFn) -> dict:

@@ -4,7 +4,7 @@ A word is a product of creator powers, annihilator powers, a power of the
 pair delta between the two active labels, and point-evaluation delta markers
 produced by renormalization. Creators commute among themselves and so do
 annihilators, so per-label exponent maps represent words faithfully; every
-expression is kept as a canonically sorted sum of such words.
+expression is a canonically sorted sum of such words (scalars.LinComb).
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .scalars import CS_ZERO, CScalar, binom, epsilon, falling, theta
+from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, epsilon, falling, theta
 from .stepfn import (
     StepFn,
     AnyTestFn,
@@ -34,15 +34,16 @@ class SingularPartError(ValueError):
         self.terms = tuple(terms)
 
 
-ExpMap = tuple[tuple[str, int], ...]
+PowMap = tuple[tuple[str, int], ...]
 
 
-def _canon_exps(exps: Mapping[str, int] | Iterable[tuple[str, int]]) -> ExpMap:
-    items = exps.items() if isinstance(exps, Mapping) else exps
+def canon_pows(pows: Mapping[str, int] | Iterable[tuple[str, int]]) -> PowMap:
+    """Per-label powers summed, zeros dropped, sorted by label."""
+    items = pows.items() if isinstance(pows, Mapping) else pows
     out = {}
     for label, e in items:
         if e < 0:
-            raise ValueError(f"negative exponent {e} at label {label!r}")
+            raise ValueError(f"negative power {e} at label {label!r}")
         if e:
             out[label] = out.get(label, 0) + e
     return tuple(sorted(out.items()))
@@ -53,8 +54,8 @@ class WNTerm:
     """One normally ordered word with an exact complex coefficient."""
 
     coeff: CScalar
-    creators: ExpMap
-    annihilators: ExpMap
+    creators: PowMap
+    annihilators: PowMap
     delta_pair: Optional[tuple[str, str]]
     delta_L: int
     point_evals: tuple[str, ...]
@@ -101,8 +102,8 @@ def wn_term(
             delta_pair = None
     return WNTerm(
         CScalar.of(coeff),
-        _canon_exps(creators),
-        _canon_exps(annihilators),
+        canon_pows(creators),
+        canon_pows(annihilators),
         delta_pair,
         delta_L,
         tuple(sorted(point_evals)),
@@ -110,42 +111,23 @@ def wn_term(
 
 
 @dataclass(frozen=True)
-class WNExpr:
-    """Canonical finite sum of words: like terms merged, zeros dropped."""
+class WNExpr(LinComb):
+    """Canonical finite sum of words, ordered by WNTerm.word_key."""
 
     terms: tuple[WNTerm, ...]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
+    @staticmethod
+    def split(t: WNTerm) -> tuple:
+        return t.word_key(), t.coeff
 
-    def __add__(self, other: "WNExpr") -> "WNExpr":
-        return wn_expr(self.terms + other.terms)
-
-    def __sub__(self, other: "WNExpr") -> "WNExpr":
-        return self + other.scaled(-1)
-
-    def scaled(self, c) -> "WNExpr":
-        c = CScalar.of(c)
-        return wn_expr(
-            WNTerm(c * t.coeff, t.creators, t.annihilators, t.delta_pair, t.delta_L, t.point_evals)
-            for t in self.terms
-        )
+    @staticmethod
+    def join(key, coeff) -> WNTerm:
+        delta_L, creators, annihilators, point_evals, pair = key
+        return WNTerm(coeff, creators, annihilators, pair or None, delta_L, point_evals)
 
 
 def wn_expr(terms: Iterable[WNTerm] = ()) -> WNExpr:
-    acc: dict = {}
-    for t in terms:
-        key = t.word_key()
-        acc[key] = acc.get(key, CS_ZERO) + t.coeff
-    out = []
-    for key in sorted(acc):
-        if acc[key]:
-            delta_L, creators, annihilators, point_evals, pair = key
-            out.append(
-                WNTerm(acc[key], creators, annihilators, pair or None, delta_L, point_evals)
-            )
-    return WNExpr(tuple(out))
+    return WNExpr.canonical(map(WNExpr.split, terms))
 
 
 WN_ZERO = WNExpr(())
@@ -326,13 +308,9 @@ def renormalized_bracket(
 
 # -- JSON rendering ----------------------------------------------------------
 
-def _coeff_json(c: CScalar) -> list[int]:
-    return [c.re.numerator, c.re.denominator, c.im.numerator, c.im.denominator]
-
-
 def wn_term_to_json(t: WNTerm) -> dict:
     return {
-        "coeff": _coeff_json(t.coeff),
+        "coeff": coeff_to_json(t.coeff),
         "creators": {label: e for label, e in t.creators},
         "annihilators": {label: e for label, e in t.annihilators},
         "delta_L": t.delta_L,

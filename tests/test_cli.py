@@ -177,6 +177,23 @@ def test_oracle_command(runner):
     assert len(payload["eq1"]) == 16 and len(payload["exchange_seed"]) == 3
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["bracket", "[B[2,1]@f, B[1,2]]"],
+        ["smear", "--n", "-1", "--k", "0", "--N", "1", "--K", "1"],
+        ["smear", "--n", "2", "--k", "1", "--N", "1", "--K", "2", "--g", "step.json"],
+    ],
+)
+def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
+    (tmp_path / "step.json").write_text(json.dumps([{"from": "1", "to": "2", "re": "1"}]))
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == 2
+    # stdout and stderr together: the error line and nothing else
+    assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
 def test_unknown_option_exits_2(runner):
     result = runner.invoke(main, ["bracket", "--nope"])
     assert result.exit_code == 2

@@ -187,6 +187,9 @@ def test_element_json_round_trip():
     )
     assert element_from_json(json.loads(json.dumps(element_to_json(x)))) == x
     assert element_to_json(zero(RHPWN)) == {"kind": "RHPWN", "terms": []}
+    relaxed = basis(RHPWN, 0, 1, relaxed=True)
+    loaded = element_from_json(json.loads(json.dumps(element_to_json(relaxed))))
+    assert loaded == relaxed and not loaded.certified
 
 
 def test_relaxed_bracket_allows_escapes():

@@ -5,7 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cscalars, nonzero_cscalars
+from rhpwn.lie import AlgebraKind, element, generator
+from rhpwn.sandwich import eq_expr, eq_term
 from rhpwn.scalars import CScalar, binom, epsilon, falling, theta
+from rhpwn.stepfn import fn_symbol, indicator
+from rhpwn.wick import wn_expr, wn_term
 
 
 @pytest.mark.parametrize(
@@ -106,3 +110,69 @@ def test_coercion_and_str():
     assert 2 * CScalar(Fraction(1, 2)) == CScalar.of(1)
     assert str(CScalar(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
     assert str(CScalar(Fraction(0), Fraction(2))) == "2*i"
+
+
+# -- the shared linear-combination core ---------------------------------------
+
+_small_cscalars = st.builds(
+    CScalar, st.integers(-2, 2).map(Fraction), st.integers(-1, 1).map(Fraction)
+)
+_pows = st.dictionaries(st.sampled_from(["s", "t"]), st.integers(0, 2), max_size=2)
+_lams = st.dictionaries(
+    st.sampled_from(["s", "t"]), st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(-1)]),
+    max_size=2,
+)
+_testfns = st.sampled_from(
+    [fn_symbol("f"), fn_symbol("g", in_S0=False), indicator([(0, 1)]), indicator([(-1, 2)])]
+)
+
+
+@st.composite
+def _wn_terms(draw):
+    delta_L = draw(st.integers(0, 2))
+    evals = draw(st.sampled_from([(), ("s",)])) if delta_L < 2 else ()
+    return wn_term(draw(_small_cscalars), draw(_pows), draw(_pows), ("s", "t"), delta_L, evals)
+
+
+@st.composite
+def _eq_terms(draw):
+    fns = draw(st.dictionaries(st.sampled_from(["s", "t"]), _testfns, max_size=2))
+    return eq_term(
+        draw(_small_cscalars), draw(_lams), draw(_pows), draw(_lams), draw(st.integers(0, 2)), fns
+    )
+
+
+_SUMS = {
+    "Element": st.lists(
+        st.tuples(
+            st.builds(
+                generator,
+                st.just(AlgebraKind.RHPWN),
+                st.integers(0, 2),
+                st.integers(0, 2),
+                st.one_of(st.none(), _testfns),
+                st.just(True),
+            ),
+            _small_cscalars,
+        ),
+        max_size=6,
+    ).map(lambda items: element(AlgebraKind.RHPWN, items)),
+    "WNExpr": st.lists(_wn_terms(), max_size=6).map(wn_expr),
+    "EQExpr": st.lists(_eq_terms(), max_size=6).map(eq_expr),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SUMS))
+@given(data=st.data())
+def test_linear_combinations_are_canonical(name, data):
+    a = data.draw(_SUMS[name])
+    b = data.draw(_SUMS[name])
+    cls = type(a)
+    keys = [cls.split(t)[0] for t in a.terms]
+    ranks = [cls.order(key) if cls.order else key for key in keys]
+    assert all(x < y for x, y in zip(ranks, ranks[1:]))
+    assert len(set(keys)) == len(keys)
+    assert all(cls.split(t)[1] for t in a.terms)
+    assert a - b == a + b.scaled(-1)
+    assert -a == a.scaled(-1)
+    assert (a - a).is_zero
