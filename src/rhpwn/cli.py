@@ -292,39 +292,44 @@ def verify_w_cmd(n_range, k_range, fmt) -> None:
     """Grid-check the sandwich realization of the w-infinity relations."""
     if n_range[0] < 2:
         raise click.UsageError("realization indices need n >= 2")
-    reports = []
-    for n in range(n_range[0], n_range[1] + 1):
-        for k in range(k_range[0], k_range[1] + 1):
-            for N in range(n_range[0], n_range[1] + 1):
-                for K in range(k_range[0], k_range[1] + 1):
-                    reports.append(sandwich.verify_theorem(n, k, N, K))
-    failures = sum(1 for r in reports if not r.passed)
-    if fmt == "json":
-        _emit_json(
-            {
-                "reports": [sandwich.theorem_report_to_json(r) for r in reports],
-                "tuples": len(reports),
-                "failures": failures,
-                "pass": failures == 0,
-            }
-        )
-    elif fmt == "latex":
-        rows = [
-            [str(r.n), str(r.k), str(r.N), str(r.K), str(r.expected_coeff), str(r.passed)]
-            for r in reports
-        ]
-        click.echo(_latex_table(["n", "k", "N", "K", "c", "pass"], rows))
-    else:
+    ns = range(n_range[0], n_range[1] + 1)
+    ks = range(k_range[0], k_range[1] + 1)
+    reports = (
+        sandwich.verify_theorem(n, k, N, K) for n in ns for k in ks for N in ns for K in ks
+    )
+    if fmt == "text":
+        # Rows are printed as their tuples are checked.
+        tuples = failures = 0
         for r in reports:
+            tuples += 1
+            failures += not r.passed
             click.echo(
                 f"n={r.n} k={r.k} N={r.N} K={r.K} coeff={r.expected_coeff} "
                 f"dropped={r.dropped_singular} "
                 f"{'PASS' if r.passed else 'FAIL'}"
             )
         click.echo(
-            f"verify-w: tuples={len(reports)} failures={failures} "
+            f"verify-w: tuples={tuples} failures={failures} "
             f"-> {'PASS' if failures == 0 else 'FAIL'}"
         )
+    else:
+        reports = list(reports)
+        failures = sum(1 for r in reports if not r.passed)
+        if fmt == "json":
+            _emit_json(
+                {
+                    "reports": [sandwich.theorem_report_to_json(r) for r in reports],
+                    "tuples": len(reports),
+                    "failures": failures,
+                    "pass": failures == 0,
+                }
+            )
+        else:
+            rows = [
+                [str(r.n), str(r.k), str(r.N), str(r.K), str(r.expected_coeff), str(r.passed)]
+                for r in reports
+            ]
+            click.echo(_latex_table(["n", "k", "N", "K", "c", "pass"], rows))
     if failures:
         raise SystemExit(1)
 

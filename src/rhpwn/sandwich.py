@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Iterable, Literal, Mapping, Optional
 
 from .lie import DomainError
-from .scalars import CScalar, LinComb, binom, coeff_to_json
+from .scalars import CScalar, LinComb, binom, coeff_to_json, rational_to_str
 from .stepfn import (
     AnyTestFn,
     fn_product,
@@ -33,6 +33,25 @@ from .stepfn import (
     fn_vanishes_at_zero,
 )
 from .wick import DeltaAtZeroError, PowMap, SingularPartError, canon_pows
+
+
+class _Block(tuple):
+    """An exponential or test-function block of a word: a sorted tuple of
+    (label, value) pairs that hashes its Fractions and test functions once.
+    Word keys are hashed on every accumulation and a product's terms share
+    their blocks, so the hash is worth keeping; it equals the plain tuple's."""
+
+    def __hash__(self) -> int:
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = tuple.__hash__(self)
+            return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: never carry the cache along.
+        return _Block, (tuple(self),)
+
 
 ParamMap = tuple[tuple[str, Fraction], ...]
 FnMap = tuple[tuple[str, AnyTestFn], ...]
@@ -44,7 +63,7 @@ def _canon_params(m: Mapping[str, Fraction] | Iterable) -> ParamMap:
     for label, lam in items:
         lam = Fraction(lam)
         out[label] = out.get(label, Fraction(0)) + lam
-    return tuple(sorted((l, v) for l, v in out.items() if v))
+    return _Block(sorted((l, v) for l, v in out.items() if v))
 
 
 @dataclass(frozen=True)
@@ -81,13 +100,16 @@ def eq_term(
     if delta_L < 0:
         raise ValueError("delta exponent must be nonnegative")
     fn_items = testfn.items() if isinstance(testfn, Mapping) else testfn
+    fns = _Block(sorted(fn_items, key=lambda it: it[0]))
+    if len({label for label, _ in fns}) < len(fns):
+        raise ValueError("a word takes one test function per label")
     return EQTerm(
         CScalar.of(coeff),
         _canon_params(left_exp),
         canon_pows(q_pow),
         _canon_params(right_exp),
         delta_L,
-        tuple(sorted(fn_items, key=lambda it: it[0])),
+        fns,
     )
 
 
@@ -213,25 +235,32 @@ def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
     lb, beta_l, q, beta_r = pb
     if la == lb:
         raise DeltaAtZeroError("same-label product would create delta(0)")
-    fnmap = dict(a.testfn)
-    fnmap.update(dict(b.testfn))
+    if p < 0 or q < 0:
+        raise ValueError(f"negative power in a product factor: {p}, {q}")
+    a_first = la < lb
+
+    def pair_map(x, y) -> tuple:
+        # {la: x, lb: y} in canonical form: sorted by label, zeros dropped.
+        items = ((la, x), (lb, y)) if a_first else ((lb, y), (la, x))
+        return tuple(item for item in items if item[1])
+
+    # Every term shares the exponential blocks and the test functions.
+    left_exp = _Block(pair_map(alpha_l, beta_l))
+    right_exp = _Block(pair_map(alpha_r, beta_r))
+    testfn = _Block(a.testfn + b.testfn if a_first else b.testfn + a.testfn)
     base = a.coeff * b.coeff
-    terms = []
+    right_factors = [binom(q, i) * (2 * alpha_r) ** (q - i) for i in range(q + 1)]
+    pairs = []
     for j in range(p + 1):
         left_factor = binom(p, j) * (-2 * beta_l) ** (p - j)
-        for i in range(q + 1):
-            right_factor = binom(q, i) * (2 * alpha_r) ** (q - i)
-            terms.append(
-                eq_term(
-                    base * left_factor * right_factor,
-                    {la: alpha_l, lb: beta_l},
-                    {la: j, lb: i},
-                    {la: alpha_r, lb: beta_r},
-                    delta_L=(p - j) + (q - i),
-                    testfn=fnmap,
-                )
-            )
-    return eq_expr(terms)
+        if not left_factor:
+            continue
+        row = base * left_factor
+        for i, right_factor in enumerate(right_factors):
+            if right_factor:
+                key = ((p - j) + (q - i), pair_map(j, i), left_exp, right_exp, testfn)
+                pairs.append((key, row * right_factor))
+    return EQExpr.canonical(pairs)
 
 
 def commutator(a: EQTerm, b: EQTerm) -> EQExpr:
@@ -363,9 +392,9 @@ def verify_theorem(
 def eq_term_to_json(t: EQTerm) -> dict:
     return {
         "coeff": coeff_to_json(t.coeff),
-        "left_exp": {l: str(v) for l, v in t.left_exp},
+        "left_exp": {l: rational_to_str(v) for l, v in t.left_exp},
         "q_pow": {l: e for l, e in t.q_pow},
-        "right_exp": {l: str(v) for l, v in t.right_exp},
+        "right_exp": {l: rational_to_str(v) for l, v in t.right_exp},
         "delta_L": t.delta_L,
         "testfn": {l: fn_to_json(fn) for l, fn in t.testfn},
     }

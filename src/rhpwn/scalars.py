@@ -11,6 +11,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import itemgetter
 
 # Arbitrary-precision rational in canonical reduced form (gcd 1, positive
 # denominator) -- exactly what the coefficient bookkeeping requires.
@@ -55,54 +56,72 @@ def theta(L: int, n: int, k: int, N: int, K: int) -> int:
     ) * epsilon(n, 0) * binom(K, L) * falling(n, L)
 
 
+_F0 = Fraction(0)
+
+
+def _rational(x) -> Fraction:
+    """x as a Fraction. Only exact rationals (int, Fraction) are accepted: a
+    binary float would silently become a different rational."""
+    if type(x) is Fraction:
+        return x
+    if isinstance(x, (int, Fraction)):
+        return Fraction(x)
+    raise TypeError(f"exact scalars take int or Fraction, got {type(x).__name__}")
+
+
 @dataclass(frozen=True)
 class CScalar:
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    re: Fraction = _F0
+    im: Fraction = _F0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "re", Fraction(self.re))
-        object.__setattr__(self, "im", Fraction(self.im))
+        object.__setattr__(self, "re", _rational(self.re))
+        object.__setattr__(self, "im", _rational(self.im))
 
     @staticmethod
     def of(value) -> "CScalar":
         """Coerce an int, Fraction, or CScalar to a CScalar."""
         if isinstance(value, CScalar):
             return value
-        return CScalar(Fraction(value))
+        return _cscalar(_rational(value), _F0)
 
     def conjugate(self) -> "CScalar":
-        return CScalar(self.re, -self.im)
+        return _cscalar(self.re, -self.im if self.im else _F0)
 
     def __bool__(self) -> bool:
         return bool(self.re) or bool(self.im)
 
     def __neg__(self) -> "CScalar":
-        return CScalar(-self.re, -self.im)
+        return _cscalar(-self.re, -self.im if self.im else _F0)
 
     def __add__(self, other) -> "CScalar":
-        other = CScalar.of(other)
-        return CScalar(self.re + other.re, self.im + other.im)
+        if not isinstance(other, CScalar):
+            other = CScalar.of(other)
+        b, d = self.im, other.im
+        return _cscalar(self.re + other.re, b + d if b or d else _F0)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "CScalar":
-        other = CScalar.of(other)
-        return CScalar(self.re - other.re, self.im - other.im)
+        if not isinstance(other, CScalar):
+            other = CScalar.of(other)
+        b, d = self.im, other.im
+        return _cscalar(self.re - other.re, b - d if b or d else _F0)
 
     def __rsub__(self, other) -> "CScalar":
         return CScalar.of(other).__sub__(self)
 
     def __mul__(self, other) -> "CScalar":
-        if not isinstance(other, (CScalar, Fraction, int)):
-            return NotImplemented
-        other = CScalar.of(other)
-        return CScalar(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if isinstance(other, CScalar):
+            a, b, c, d = self.re, self.im, other.re, other.im
+            if not b and not d:
+                return _cscalar(a * c, _F0)
+            return _cscalar(a * c - b * d, a * d + b * c)
+        if isinstance(other, (int, Fraction)):
+            return _cscalar(self.re * other, self.im * other if self.im else _F0)
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -111,7 +130,7 @@ class CScalar:
         denom = other.re * other.re + other.im * other.im
         if not denom:
             raise ZeroDivisionError("division by zero CScalar")
-        return CScalar(
+        return _cscalar(
             (self.re * other.re + self.im * other.im) / denom,
             (self.im * other.re - self.re * other.im) / denom,
         )
@@ -123,6 +142,16 @@ class CScalar:
             return f"{self.im}*i"
         sign = "+" if self.im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}*i"
+
+
+def _cscalar(re: Fraction, im: Fraction) -> CScalar:
+    """A CScalar from parts that are already Fractions: the arithmetic's
+    constructor, which skips the coercion in __post_init__."""
+    c = object.__new__(CScalar)
+    parts = c.__dict__
+    parts["re"] = re
+    parts["im"] = im
+    return c
 
 
 CS_ZERO = CScalar()
@@ -137,6 +166,17 @@ def coeff_to_json(c: CScalar) -> list[int]:
 
 def coeff_from_json(v: list) -> CScalar:
     return CScalar(Fraction(v[0], v[1]), Fraction(v[2], v[3]))
+
+
+def rational_to_str(x: Fraction) -> str:
+    """The string form of a rational in records: "p/q", or "p" when q = 1."""
+    return str(x)
+
+
+def rational_from_str(v) -> Fraction:
+    """Inverse of rational_to_str. A JSON number or a decimal string, as
+    hand-written records hold, reads as the decimal it prints as."""
+    return Fraction(str(v))
 
 
 class LinComb:
@@ -165,10 +205,12 @@ class LinComb:
         """The sum of (key, coeff) pairs; ``head`` fills the fields before ``terms``."""
         acc: dict = {}
         for key, c in pairs:
-            acc[key] = acc.get(key, CS_ZERO) + c
+            old = acc.get(key)
+            acc[key] = CScalar.of(c) if old is None else old + c
+        order = cls.order
+        items = sorted(acc.items(), key=itemgetter(0) if order is None else lambda kc: order(kc[0]))
         join = cls.join
-        terms = tuple(join(key, acc[key]) for key in sorted(acc, key=cls.order) if acc[key])
-        return cls(*head, terms)
+        return cls(*head, tuple(join(key, c) for key, c in items if c))
 
     @property
     def head(self) -> tuple:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
 
-from .scalars import CS_ONE, CS_ZERO, CScalar
+from .scalars import CS_ONE, CS_ZERO, CScalar, rational_from_str, rational_to_str
 
 
 @dataclass(frozen=True)
@@ -158,10 +158,10 @@ def step_to_records(f: StepFn) -> list[dict]:
     """Serialize as [{"from": "a/b", "to": "c/d", "re": "p/q", "im": "r/s"}]."""
     return [
         {
-            "from": str(a),
-            "to": str(b),
-            "re": str(v.re),
-            "im": str(v.im),
+            "from": rational_to_str(a),
+            "to": rational_to_str(b),
+            "re": rational_to_str(v.re),
+            "im": rational_to_str(v.im),
         }
         for a, b, v in f.pieces
     ]
@@ -170,9 +170,9 @@ def step_to_records(f: StepFn) -> list[dict]:
 def step_from_records(records: Iterable[dict]) -> StepFn:
     return _canon_pieces(
         (
-            Fraction(str(r["from"])),
-            Fraction(str(r["to"])),
-            CScalar(Fraction(str(r.get("re", 0))), Fraction(str(r.get("im", 0)))),
+            rational_from_str(r["from"]),
+            rational_from_str(r["to"]),
+            CScalar(rational_from_str(r.get("re", 0)), rational_from_str(r.get("im", 0))),
         )
         for r in records
     )

@@ -4,6 +4,7 @@ import pytest
 from click.testing import CliRunner
 
 import rhpwn.lie
+import rhpwn.sandwich
 from rhpwn.cli import main
 
 
@@ -101,6 +102,24 @@ def test_verify_w_small_grid(runner):
     payload = json.loads(as_json.output)
     assert payload["pass"] is True and payload["tuples"] == 100
     assert all(r["pass"] for r in payload["reports"])
+
+
+def test_verify_w_text_prints_each_row_as_it_is_checked(runner, monkeypatch):
+    checked = []
+    verify = rhpwn.sandwich.verify_theorem
+
+    def first_tuple_only(*indices):
+        if checked:
+            raise RuntimeError("second tuple")
+        checked.append(verify(*indices))
+        return checked[0]
+
+    monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", first_tuple_only)
+    result = runner.invoke(main, ["verify-w", "--n", "2..3", "--k", "0..1"])
+    assert isinstance(result.exception, RuntimeError)
+    r = checked[0]
+    assert (r.n, r.k, r.N, r.K) == (2, 0, 2, 0)
+    assert result.output == f"n=2 k=0 N=2 K=0 coeff=0 dropped={r.dropped_singular} PASS\n"
 
 
 def test_smear_with_step_function_files(runner, tmp_path):

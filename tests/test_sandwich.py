@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cscalars, fn_symbols, step_fns
+
 from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
     commutator,
@@ -17,7 +19,7 @@ from rhpwn.sandwich import (
     theorem_report_to_json,
     verify_theorem,
 )
-from rhpwn.scalars import CScalar
+from rhpwn.scalars import CScalar, binom
 from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, pointwise_product
 from rhpwn.wick import DeltaAtZeroError, SingularPartError
 
@@ -136,6 +138,75 @@ def test_multiply_rejects_bad_inputs():
         multiply(a, gen_to_word(2, 2, "t"))
     with pytest.raises(ValueError):
         multiply(eq_term(1, {}, {"t": 1}, {}, delta_L=1), a)
+
+
+def test_eq_term_rejects_two_test_functions_at_one_label():
+    # multiply and eq_term_to_json rely on one test function per label
+    with pytest.raises(ValueError):
+        eq_term(1, {"s": 1}, {"s": 1}, {}, testfn=[("s", fn_symbol("f")), ("s", fn_symbol("g"))])
+
+
+def _reference_product(a, b, pa, pb):
+    """The product expanded term by term through eq_term and eq_expr, as the
+    binomial exchange rules state it; pa, pb are (label, left, power, right)."""
+    la, alpha_l, p, alpha_r = pa
+    lb, beta_l, q, beta_r = pb
+    fns = dict(a.testfn)
+    fns.update(b.testfn)
+    terms = []
+    for j in range(p + 1):
+        for i in range(q + 1):
+            coeff = (
+                a.coeff
+                * b.coeff
+                * binom(p, j)
+                * (-2 * beta_l) ** (p - j)
+                * binom(q, i)
+                * (2 * alpha_r) ** (q - i)
+            )
+            terms.append(
+                eq_term(
+                    coeff,
+                    {la: alpha_l, lb: beta_l},
+                    {la: j, lb: i},
+                    {la: alpha_r, lb: beta_r},
+                    delta_L=(p - j) + (q - i),
+                    testfn=fns,
+                )
+            )
+    return eq_expr(terms)
+
+
+_half_integers = st.integers(-7, 7).map(lambda m: Fraction(m, 2))
+_word_testfns = st.one_of(
+    fn_symbols, step_fns(), st.sampled_from([indicator([(1, 2)]), indicator([(-3, -1)])])
+)
+
+
+@st.composite
+def _word_parts(draw, label):
+    # a test function keeps the word labelled even when the rest is trivial
+    parts = (label, draw(_half_integers), draw(st.integers(0, 6)), draw(_half_integers))
+    word = eq_term(
+        draw(cscalars), {label: parts[1]}, {label: parts[2]}, {label: parts[3]},
+        testfn={label: draw(_word_testfns)},
+    )
+    return word, parts
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("s", "t"), ("t", "s"), ("u", "s")]), st.data())
+def test_products_match_the_term_by_term_expansion(labels, data):
+    a, pa = data.draw(_word_parts(labels[0]))
+    b, pb = data.draw(_word_parts(labels[1]))
+    ab = _reference_product(a, b, pa, pb)
+    ba = _reference_product(b, a, pb, pa)
+    assert multiply(a, b) == ab
+    assert multiply(b, a) == ba
+    comm = commutator(a, b)
+    assert comm == ab - ba
+    for t in multiply(a, b).terms + comm.terms:
+        assert type(t.coeff.re) is Fraction and type(t.coeff.im) is Fraction
 
 
 @given(st.integers(2, 5), st.integers(-3, 3), st.integers(2, 5), st.integers(-3, 3))

@@ -1,13 +1,22 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cscalars, nonzero_cscalars
+from conftest import cscalars, nonzero_cscalars, rationals
 from rhpwn.lie import AlgebraKind, element, generator
 from rhpwn.sandwich import eq_expr, eq_term
-from rhpwn.scalars import CScalar, binom, epsilon, falling, theta
+from rhpwn.scalars import (
+    CScalar,
+    binom,
+    epsilon,
+    falling,
+    rational_from_str,
+    rational_to_str,
+    theta,
+)
 from rhpwn.stepfn import fn_symbol, indicator
 from rhpwn.wick import wn_expr, wn_term
 
@@ -110,6 +119,81 @@ def test_coercion_and_str():
     assert 2 * CScalar(Fraction(1, 2)) == CScalar.of(1)
     assert str(CScalar(Fraction(1, 2), Fraction(-3, 4))) == "1/2-3/4*i"
     assert str(CScalar(Fraction(0), Fraction(2))) == "2*i"
+
+
+@given(rationals)
+def test_rational_string_codec(x):
+    # the one string form of rationals in step-function records and exponents
+    s = rational_to_str(x)
+    assert s == (f"{x.numerator}" if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
+    assert rational_from_str(s) == x
+
+
+def test_rational_from_str_reads_decimals_as_printed():
+    # hand-written records may hold JSON numbers or decimal strings
+    assert rational_from_str(1.5) == rational_from_str("1.5") == Fraction(3, 2)
+    assert rational_from_str(0.1) == Fraction(1, 10)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: CScalar.of(0.1),
+        lambda: CScalar(0.5),
+        lambda: CScalar(1, 0.5),
+        lambda: CScalar(1) + 0.5,
+        lambda: 0.5 + CScalar(1),
+        lambda: CScalar(1) - 0.5,
+        lambda: 0.5 - CScalar(1),
+        lambda: CScalar(1) * 0.5,
+        lambda: 0.5 * CScalar(1),
+        lambda: CScalar(1) / 0.5,
+        lambda: CScalar.of(Decimal("0.5")),
+        lambda: CScalar.of("1/2"),
+    ],
+    ids=[
+        "of-float", "ctor-re", "ctor-im", "add", "radd", "sub", "rsub", "mul", "rmul",
+        "div", "of-decimal", "of-str",
+    ],
+)
+def test_inexact_values_are_rejected(make):
+    # a binary float would silently become a different rational
+    with pytest.raises(TypeError):
+        make()
+
+
+_real_cscalars = st.builds(CScalar, rationals)
+_operands = st.one_of(cscalars, _real_cscalars, st.integers(-9, 9), rationals)
+
+
+def _parts(x):
+    return (x.re, x.im) if isinstance(x, CScalar) else (Fraction(x), Fraction(0))
+
+
+def _assert_built_from(result, re, im):
+    # arithmetic results skip the public constructor's coercion: they must be
+    # indistinguishable from a value built through it
+    assert type(result) is CScalar
+    assert type(result.re) is Fraction and type(result.im) is Fraction
+    assert (result.re, result.im) == (re, im)
+    assert result == CScalar(re, im) and hash(result) == hash(CScalar(re, im))
+
+
+@given(st.one_of(cscalars, _real_cscalars), _operands)
+def test_arithmetic_matches_component_formulas(x, y):
+    a, b = _parts(x)
+    c, d = _parts(y)
+    _assert_built_from(x + y, a + c, b + d)
+    _assert_built_from(y + x, a + c, b + d)
+    _assert_built_from(x - y, a - c, b - d)
+    _assert_built_from(y - x, c - a, d - b)
+    _assert_built_from(x * y, a * c - b * d, a * d + b * c)
+    _assert_built_from(y * x, a * c - b * d, a * d + b * c)
+    _assert_built_from(-x, -a, -b)
+    _assert_built_from(x.conjugate(), a, -b)
+    _assert_built_from(CScalar.of(y), c, d)
+    if c or d:
+        _assert_built_from(x / y, (a * c + b * d) / (c * c + d * d), (b * c - a * d) / (c * c + d * d))
 
 
 # -- the shared linear-combination core ---------------------------------------
