@@ -3,12 +3,21 @@
 Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or parse
 error. All output is deterministic: identical invocations produce identical
 bytes.
+
+Every report goes through ``_render``. A command gives it text lines, latex
+lines, a function that builds the JSON payload, and a predicate, asked once
+the output is written, that says whether a check failed. Text and latex lines
+are written as they are produced; JSON is one sorted document. Input that a
+command rejects ends in ``_rejected_input``: one ``error:`` line on stderr
+and exit 2.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -16,12 +25,6 @@ from . import dsl, lie, oracle, sandwich, wick
 from .lie import AlgebraKind
 from .scalars import coeff_to_json, theta as theta_fn
 from .stepfn import FnSymbol, fn_symbol, fn_to_json, step_from_records, step_to_records
-
-_KINDS = {
-    "rhpwn": AlgebraKind.RHPWN,
-    "winfinity": AlgebraKind.WINFINITY,
-    "witt": AlgebraKind.WITT,
-}
 
 
 class RangeParam(click.ParamType):
@@ -58,18 +61,49 @@ _format_option = click.option(
 )
 
 
-def _emit_json(obj) -> None:
-    click.echo(json.dumps(obj, sort_keys=True, indent=2))
+def _ints(r: tuple[int, int]) -> range:
+    return range(r[0], r[1] + 1)
 
 
-def _latex_table(header: list[str], rows: list[list[str]]) -> str:
-    lines = ["\\begin{tabular}{" + "r" * len(header) + "}"]
-    lines.append(" & ".join(header) + " \\\\")
-    lines.append("\\hline")
+def _span(r: tuple[int, int]) -> str:
+    return f"{r[0]}..{r[1]}"
+
+
+def _verdict(ok: bool) -> str:
+    return "PASS" if ok else "FAIL"
+
+
+def _latex_table(header, rows):
+    """Lines of a right-aligned tabular of str(cell); rows are consumed one
+    at a time."""
+    yield "\\begin{tabular}{" + "r" * len(header) + "}"
+    yield " & ".join(header) + " \\\\"
+    yield "\\hline"
     for row in rows:
-        lines.append(" & ".join(row) + " \\\\")
-    lines.append("\\end{tabular}")
-    return "\n".join(lines)
+        yield " & ".join(map(str, row)) + " \\\\"
+    yield "\\end{tabular}"
+
+
+def _render(fmt, text, latex, payload, failed=lambda: False) -> None:
+    """Write one report in the chosen format, then exit 1 if a check failed."""
+    if fmt == "json":
+        lines = [json.dumps(payload(), sort_keys=True, indent=2)]
+    else:
+        lines = text if fmt == "text" else latex
+    for line in lines:
+        click.echo(line)
+    if failed():
+        raise SystemExit(1)
+
+
+@contextmanager
+def _rejected_input(context: str = ""):
+    """Turn input the engines reject into one ``error:`` line and exit 2."""
+    try:
+        yield
+    except (ValueError, TypeError, KeyError, OSError) as exc:
+        click.echo(f"error: {context}{exc}", err=True)
+        raise SystemExit(2)
 
 
 @click.group()
@@ -90,30 +124,16 @@ def theta_cmd(l_range, n_range, k_range, nn_range, kk_range, fmt) -> None:
     """Tabulate the singular-part coefficients theta_L(n,k;N,K)."""
     if l_range[0] < 2:
         raise click.UsageError("theta needs L >= 2")
-    rows = []
-    for L in range(l_range[0], l_range[1] + 1):
-        for n in range(n_range[0], n_range[1] + 1):
-            for k in range(k_range[0], k_range[1] + 1):
-                for N in range(nn_range[0], nn_range[1] + 1):
-                    for K in range(kk_range[0], kk_range[1] + 1):
-                        rows.append((L, n, k, N, K, theta_fn(L, n, k, N, K)))
-    if fmt == "json":
-        _emit_json(
-            [
-                {"L": L, "n": n, "k": k, "N": N, "K": K, "theta": v}
-                for L, n, k, N, K, v in rows
-            ]
+    ranges = (l_range, n_range, k_range, nn_range, kk_range)
+    rows = ((*t, theta_fn(*t)) for t in itertools.product(*map(_ints, ranges)))
+    names = ("L", "n", "k", "N", "K", "theta")
+    with _rejected_input():
+        _render(
+            fmt,
+            (f"theta(L={L};n={n},k={k},N={N},K={K}) = {v}" for L, n, k, N, K, v in rows),
+            _latex_table([*names[:5], "\\theta_L"], rows),
+            lambda: [dict(zip(names, row)) for row in rows],
         )
-    elif fmt == "latex":
-        click.echo(
-            _latex_table(
-                ["L", "n", "k", "N", "K", "\\theta_L"],
-                [[str(x) for x in row] for row in rows],
-            )
-        )
-    else:
-        for L, n, k, N, K, v in rows:
-            click.echo(f"theta(L={L};n={n},k={k},N={N},K={K}) = {v}")
 
 
 # -- bracket ------------------------------------------------------------------
@@ -128,158 +148,96 @@ def bracket_cmd(exprs, relaxed, fmt) -> None:
     if not lines:
         lines = [line.strip() for line in sys.stdin if line.strip()]
     for line in lines:
-        try:
+        with _rejected_input():
             result = dsl.evaluate(dsl.parse(line, relaxed=relaxed))
-        except (ValueError, TypeError) as exc:
-            click.echo(f"error: {exc}", err=True)
-            raise SystemExit(2)
         click.echo(dsl.render(result, fmt))
 
 
 # -- scans --------------------------------------------------------------------
 
-def _kind_option(func):
+def _scan_options(func):
+    func = click.option("--k-range", type=RANGE, required=True)(func)
+    func = click.option("--n-range", type=RANGE, required=True)(func)
     return click.option(
         "--kind",
-        type=click.Choice(sorted(_KINDS)),
+        type=click.Choice([kind.name.lower() for kind in AlgebraKind]),
         required=True,
         help="Algebra presentation to scan.",
     )(func)
 
 
+def _render_scan(fmt, name, report, checked, labels, detail, encode, extra, mode="") -> None:
+    """A scan as one verdict line plus ``detail`` of each kept failure, a
+    one-row table, or a payload: ``extra`` plus the kind, the verdict, the
+    counts as ``<counted>_checked`` and ``<failed, singular>_count``, and
+    the kept failures under ``<failed>``, each through ``encode``."""
+    counted, failed = labels
+    kind, count = report.kind.value, report.failure_count
+    head = (
+        f"{name} {kind} n={_span(report.n_range)} k={_span(report.k_range)}{mode}: "
+        f"{counted}={checked} {failed}={count} -> {_verdict(report.passed)}"
+    )
+    _render(
+        fmt,
+        itertools.chain([head], map(detail, report.failures)),
+        _latex_table(["kind", counted, failed, "pass"], [[kind, checked, count, report.passed]]),
+        lambda: {
+            **extra,
+            "kind": kind,
+            f"{counted}_checked": checked,
+            f"{failed[:-1]}_count": count,
+            failed: [encode(f) for f in report.failures],
+            "pass": report.passed,
+        },
+        lambda: not report.passed,
+    )
+
+
 @main.command("jacobi")
-@_kind_option
-@click.option("--n-range", type=RANGE, required=True)
-@click.option("--k-range", type=RANGE, required=True)
-@click.option("--sample", type=int, default=None, help="Sample size instead of the full grid.")
+@_scan_options
+@click.option("--sample", type=click.IntRange(min=1), default=None,
+              help="Sample size instead of the full grid.")
 @click.option("--seed", type=int, default=0, show_default=True, help="Sampling seed.")
 @_format_option
 def jacobi_cmd(kind, n_range, k_range, sample, seed, fmt) -> None:
     """Scan basis triples for Jacobi-identity defects."""
-    report = lie.jacobi_scan(_KINDS[kind], n_range, k_range, sample=sample, seed=seed)
-    payload = {
-        "kind": report.kind.value,
-        "n_range": list(report.n_range),
-        "k_range": list(report.k_range),
-        "triples_checked": report.triples_checked,
-        "failure_count": report.failure_count,
-        "failures": [
-            {"triple": [list(p) for p in f[:3]], "residual": [list(r) for r in f[3]]}
-            for f in report.failures
-        ],
-        "sampled": report.sampled,
-        "seed": report.seed,
-        "pass": report.passed,
-    }
-    if fmt == "json":
-        _emit_json(payload)
-    elif fmt == "latex":
-        click.echo(
-            _latex_table(
-                ["kind", "triples", "failures", "pass"],
-                [[report.kind.value, str(report.triples_checked), str(report.failure_count), str(report.passed)]],
-            )
-        )
-    else:
-        mode = f"sampled({report.seed})" if report.sampled else "exhaustive"
-        click.echo(
-            f"jacobi {report.kind.value} n={n_range[0]}..{n_range[1]} "
-            f"k={k_range[0]}..{k_range[1]} [{mode}]: "
-            f"triples={report.triples_checked} failures={report.failure_count} "
-            f"-> {'PASS' if report.passed else 'FAIL'}"
-        )
-        for f in report.failures:
-            click.echo(f"  defect at {f[0]} {f[1]} {f[2]}: residual {f[3]}")
-    if not report.passed:
-        raise SystemExit(1)
+    r = lie.jacobi_scan(AlgebraKind[kind.upper()], n_range, k_range, sample=sample, seed=seed)
+    _render_scan(
+        fmt, "jacobi", r, r.triples_checked, ("triples", "failures"),
+        lambda f: f"  defect at {f[0]} {f[1]} {f[2]}: residual {f[3]}",
+        lambda f: {"triple": [list(p) for p in f[:3]], "residual": [list(x) for x in f[3]]},
+        {"n_range": list(r.n_range), "k_range": list(r.k_range),
+         "sampled": r.sampled, "seed": r.seed},
+        mode=f" [sampled({r.seed})]" if r.sampled else " [exhaustive]",
+    )
 
 
 @main.command("closure")
-@_kind_option
-@click.option("--n-range", type=RANGE, required=True)
-@click.option("--k-range", type=RANGE, required=True)
+@_scan_options
 @_format_option
 def closure_cmd(kind, n_range, k_range, fmt) -> None:
     """Check that nonzero brackets of in-domain generators stay in-domain."""
-    report = lie.closure_check(_KINDS[kind], n_range, k_range)
-    payload = {
-        "kind": report.kind.value,
-        "n_range": list(report.n_range),
-        "k_range": list(report.k_range),
-        "pairs_checked": report.pairs_checked,
-        "violation_count": report.violation_count,
-        "violations": [
-            {"pair": [list(f[0]), list(f[1])], "result": list(f[2])}
-            for f in report.violations
-        ],
-        "pass": report.passed,
-    }
-    if fmt == "json":
-        _emit_json(payload)
-    elif fmt == "latex":
-        click.echo(
-            _latex_table(
-                ["kind", "pairs", "violations", "pass"],
-                [[report.kind.value, str(report.pairs_checked), str(report.violation_count), str(report.passed)]],
-            )
-        )
-    else:
-        click.echo(
-            f"closure {report.kind.value} n={n_range[0]}..{n_range[1]} "
-            f"k={k_range[0]}..{k_range[1]}: pairs={report.pairs_checked} "
-            f"violations={report.violation_count} -> {'PASS' if report.passed else 'FAIL'}"
-        )
-        for f in report.violations:
-            click.echo(f"  escape at {f[0]} {f[1]}: {f[2]}")
-    if not report.passed:
-        raise SystemExit(1)
+    r = lie.closure_check(AlgebraKind[kind.upper()], n_range, k_range)
+    _render_scan(
+        fmt, "closure", r, r.pairs_checked, ("pairs", "violations"),
+        lambda f: f"  escape at {f[0]} {f[1]}: {f[2]}",
+        lambda f: {"pair": [list(f[0]), list(f[1])], "result": list(f[2])},
+        {"n_range": list(r.n_range), "k_range": list(r.k_range)},
+    )
 
 
 @main.command("star-check")
-@_kind_option
-@click.option("--n-range", type=RANGE, required=True)
-@click.option("--k-range", type=RANGE, required=True)
+@_scan_options
 @_format_option
 def star_check_cmd(kind, n_range, k_range, fmt) -> None:
     """Scan basis pairs for *-Lie compatibility: [x,y]* must equal [y*,x*]."""
-    algebra = _KINDS[kind]
-    pairs = lie.basis_indices(algebra, n_range, k_range)
-    failures = []
-    checked = 0
-    for n, k in pairs:
-        for N, K in pairs:
-            checked += 1
-            defect = lie.star_compat_check(
-                lie.basis(algebra, n, k), lie.basis(algebra, N, K)
-            )
-            if not defect.is_zero:
-                failures.append(((n, k), (N, K)))
-    payload = {
-        "kind": algebra.value,
-        "pairs_checked": checked,
-        "failure_count": len(failures),
-        "failures": [[list(a), list(b)] for a, b in failures[:100]],
-        "pass": not failures,
-    }
-    if fmt == "json":
-        _emit_json(payload)
-    elif fmt == "latex":
-        click.echo(
-            _latex_table(
-                ["kind", "pairs", "failures", "pass"],
-                [[algebra.value, str(checked), str(len(failures)), str(not failures)]],
-            )
-        )
-    else:
-        click.echo(
-            f"star-check {algebra.value} n={n_range[0]}..{n_range[1]} "
-            f"k={k_range[0]}..{k_range[1]}: pairs={checked} "
-            f"failures={len(failures)} -> {'PASS' if not failures else 'FAIL'}"
-        )
-        for a, b in failures[:100]:
-            click.echo(f"  defect at {a} {b}")
-    if failures:
-        raise SystemExit(1)
+    r = lie.star_scan(AlgebraKind[kind.upper()], n_range, k_range)
+    _render_scan(
+        fmt, "star-check", r, r.pairs_checked, ("pairs", "failures"),
+        lambda f: f"  defect at {f[0]} {f[1]}",
+        lambda f: [list(f[0]), list(f[1])],
+        {},
+    )
 
 
 # -- verify-w -----------------------------------------------------------------
@@ -292,46 +250,39 @@ def verify_w_cmd(n_range, k_range, fmt) -> None:
     """Grid-check the sandwich realization of the w-infinity relations."""
     if n_range[0] < 2:
         raise click.UsageError("realization indices need n >= 2")
-    ns = range(n_range[0], n_range[1] + 1)
-    ks = range(k_range[0], k_range[1] + 1)
-    reports = (
-        sandwich.verify_theorem(n, k, N, K) for n in ns for k in ks for N in ns for K in ks
-    )
-    if fmt == "text":
-        # Rows are printed as their tuples are checked.
-        tuples = failures = 0
-        for r in reports:
-            tuples += 1
-            failures += not r.passed
-            click.echo(
+    tuples = len(_ints(n_range)) ** 2 * len(_ints(k_range)) ** 2
+    failed = []
+
+    def checked():
+        for n, k, N, K in itertools.product(_ints(n_range), _ints(k_range), repeat=2):
+            r = sandwich.verify_theorem(n, k, N, K)
+            if not r.passed:
+                failed.append(r)
+            yield r
+
+    def text():
+        for r in checked():
+            yield (
                 f"n={r.n} k={r.k} N={r.N} K={r.K} coeff={r.expected_coeff} "
-                f"dropped={r.dropped_singular} "
-                f"{'PASS' if r.passed else 'FAIL'}"
+                f"dropped={r.dropped_singular} {_verdict(r.passed)}"
             )
-        click.echo(
-            f"verify-w: tuples={tuples} failures={failures} "
-            f"-> {'PASS' if failures == 0 else 'FAIL'}"
-        )
-    else:
-        reports = list(reports)
-        failures = sum(1 for r in reports if not r.passed)
-        if fmt == "json":
-            _emit_json(
-                {
-                    "reports": [sandwich.theorem_report_to_json(r) for r in reports],
-                    "tuples": len(reports),
-                    "failures": failures,
-                    "pass": failures == 0,
-                }
-            )
-        else:
-            rows = [
-                [str(r.n), str(r.k), str(r.N), str(r.K), str(r.expected_coeff), str(r.passed)]
-                for r in reports
-            ]
-            click.echo(_latex_table(["n", "k", "N", "K", "c", "pass"], rows))
-    if failures:
-        raise SystemExit(1)
+        yield f"verify-w: tuples={tuples} failures={len(failed)} -> {_verdict(not failed)}"
+
+    _render(
+        fmt,
+        text(),
+        _latex_table(
+            ["n", "k", "N", "K", "c", "pass"],
+            ((r.n, r.k, r.N, r.K, r.expected_coeff, r.passed) for r in checked()),
+        ),
+        lambda: {
+            "reports": [sandwich.theorem_report_to_json(r) for r in checked()],
+            "tuples": tuples,
+            "failures": len(failed),
+            "pass": not failed,
+        },
+        lambda: bool(failed),
+    )
 
 
 # -- smear --------------------------------------------------------------------
@@ -342,11 +293,14 @@ def _testfn_text(fn) -> str:
     return json.dumps(step_to_records(fn), sort_keys=True)
 
 
+def _index_options(func):
+    for flag, name in (("--K", "kk"), ("--N", "nn"), ("--k", "k"), ("--n", "n")):
+        func = click.option(flag, name, type=int, required=True)(func)
+    return func
+
+
 @main.command("smear")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--N", "nn", type=int, required=True)
-@click.option("--K", "kk", type=int, required=True)
+@_index_options
 @click.option("--g", "g_path", type=click.Path(exists=True), default=None,
               help="JSON step-function records for g (default: abstract symbol).")
 @click.option("--f", "f_path", type=click.Path(exists=True), default=None,
@@ -360,128 +314,92 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         with open(path, "r", encoding="utf-8") as fh:
             return step_from_records(json.load(fh))
 
-    try:
+    with _rejected_input("bad step-function file: "):
         g = load(g_path, "g")
         f = load(f_path, "f")
-    except (ValueError, KeyError) as exc:
-        click.echo(f"error: bad step-function file: {exc}", err=True)
-        raise SystemExit(2)
-    try:
-        decomp = wick.smear_bracket(n, k, g, nn, kk, f)
-    except (ValueError, TypeError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(2)
-    payload = {
-        "regular": {
-            "coeff": decomp.regular_coeff,
-            "n": decomp.regular_index[0],
-            "k": decomp.regular_index[1],
-            "testfn": fn_to_json(decomp.regular_testfn),
-        },
-        "singular": [
-            {
-                "L": s.L,
-                "theta": s.theta,
-                "n": s.index[0],
-                "k": s.index[1],
-                "scalar": None if s.scalar is None else coeff_to_json(s.scalar),
-            }
-            for s in decomp.singular
-        ],
-    }
-    if fmt == "json":
-        _emit_json(payload)
-    elif fmt == "latex":
-        rows = [
-            [str(s.L), str(s.theta), str(s.index[0]), str(s.index[1]),
-             "?" if s.scalar is None else str(s.scalar)]
-            for s in decomp.singular
-        ]
-        click.echo(
-            f"$[B^{{{n}}}_{{{k}}}(g), B^{{{nn}}}_{{{kk}}}(f)]$: regular "
-            f"${decomp.regular_coeff}\\,B^{{{decomp.regular_index[0]}}}"
-            f"_{{{decomp.regular_index[1]}}}(gf)$"
+    with _rejected_input():
+        d = wick.smear_bracket(n, k, g, nn, kk, f)
+    (rn, rk), singular = d.regular_index, d.singular
+
+    def text():
+        yield (
+            f"regular: coeff={d.regular_coeff} index=({rn},{rk}) "
+            f"testfn={_testfn_text(d.regular_testfn)}"
         )
-        click.echo(_latex_table(["L", "\\theta_L", "n", "k", "g(0)f(0)"], rows))
-    else:
-        click.echo(
-            f"regular: coeff={decomp.regular_coeff} "
-            f"index=({decomp.regular_index[0]},{decomp.regular_index[1]}) "
-            f"testfn={_testfn_text(decomp.regular_testfn)}"
-        )
-        if not decomp.singular:
-            click.echo("singular: none")
-        for s in decomp.singular:
+        if not singular:
+            yield "singular: none"
+        for s in singular:
             scalar = "unknown" if s.scalar is None else str(s.scalar)
-            click.echo(
+            yield (
                 f"singular: L={s.L} theta={s.theta} "
                 f"index=({s.index[0]},{s.index[1]}) scalar={scalar}"
             )
+
+    latex = itertools.chain(
+        [
+            f"$[B^{{{n}}}_{{{k}}}(g), B^{{{nn}}}_{{{kk}}}(f)]$: regular "
+            f"${d.regular_coeff}\\,B^{{{rn}}}_{{{rk}}}(gf)$"
+        ],
+        _latex_table(
+            ["L", "\\theta_L", "n", "k", "g(0)f(0)"],
+            ((s.L, s.theta, *s.index, "?" if s.scalar is None else s.scalar) for s in singular),
+        ),
+    )
+    regular = {"coeff": d.regular_coeff, "n": rn, "k": rk}
+    _render(fmt, text(), latex, lambda: {
+        "regular": {**regular, "testfn": fn_to_json(d.regular_testfn)},
+        "singular": [
+            {"L": s.L, "theta": s.theta, "n": s.index[0], "k": s.index[1],
+             "scalar": None if s.scalar is None else coeff_to_json(s.scalar)}
+            for s in singular
+        ],
+    })
 
 
 # -- normal-order -------------------------------------------------------------
 
 def _wn_term_text(t: wick.WNTerm) -> str:
     parts = [f"({t.coeff})"]
-    for label, e in t.creators:
-        parts.append(f"bd[{label}]" + (f"^{e}" if e > 1 else ""))
-    for label, e in t.annihilators:
-        parts.append(f"b[{label}]" + (f"^{e}" if e > 1 else ""))
+    parts += [f"bd[{x}]" + (f"^{e}" if e > 1 else "") for x, e in t.creators]
+    parts += [f"b[{x}]" + (f"^{e}" if e > 1 else "") for x, e in t.annihilators]
     if t.delta_L:
         a, b = t.delta_pair
         parts.append(
             f"delta({a}-{b})" if t.delta_L == 1 else f"delta^{t.delta_L}({a}-{b})"
         )
-    for label in t.point_evals:
-        parts.append(f"delta({label})")
+    parts += [f"delta({x})" for x in t.point_evals]
     return " ".join(parts)
 
 
+def _wn_term_latex(t: wick.WNTerm) -> str:
+    factors = [f"({t.coeff})"]
+    factors += [f"{{b_{x}^{{\\dagger}}}}^{{{e}}}" for x, e in t.creators]
+    factors += [f"b_{x}^{{{e}}}" for x, e in t.annihilators]
+    if t.delta_L:
+        a, b = t.delta_pair
+        factors.append(f"\\delta^{{{t.delta_L}}}({a}-{b})")
+    factors += [f"\\delta({x})" for x in t.point_evals]
+    return "\\,".join(factors)
+
+
 @main.command("normal-order")
-@click.option("--n", type=int, required=True)
-@click.option("--k", type=int, required=True)
-@click.option("--N", "nn", type=int, required=True)
-@click.option("--K", "kk", type=int, required=True)
+@_index_options
 @click.option("--renormalize", "apply_renorm", is_flag=True,
               help="Apply delta^L(t-s) = delta(s) delta(t-s) to the result.")
 @_format_option
 def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
     """Expand the two-point commutator of normally ordered monomials."""
-    try:
+    with _rejected_input():
         expr = wick.monomial_commutator(n, k, nn, kk)
-    except ValueError as exc:
-        click.echo(f"error: {exc}", err=True)
-        raise SystemExit(2)
     if apply_renorm:
         expr = wick.renormalize(expr)
-    if fmt == "json":
-        _emit_json(wick.wn_expr_to_json(expr))
-    elif fmt == "latex":
-        click.echo(_latex_wn_expr(expr))
-    else:
-        if expr.is_zero:
-            click.echo("0")
-        for t in expr.terms:
-            click.echo(_wn_term_text(t))
-
-
-def _latex_wn_expr(expr: wick.WNExpr) -> str:
-    if expr.is_zero:
-        return "0"
-    chunks = []
-    for t in expr.terms:
-        factors = [f"({t.coeff})"]
-        for label, e in t.creators:
-            factors.append(f"{{b_{label}^{{\\dagger}}}}^{{{e}}}")
-        for label, e in t.annihilators:
-            factors.append(f"b_{label}^{{{e}}}")
-        if t.delta_L:
-            a, b = t.delta_pair
-            factors.append(f"\\delta^{{{t.delta_L}}}({a}-{b})")
-        for label in t.point_evals:
-            factors.append(f"\\delta({label})")
-        chunks.append("\\,".join(factors))
-    return " + ".join(chunks)
+    zero = ["0"] if expr.is_zero else []
+    _render(
+        fmt,
+        itertools.chain(zero, map(_wn_term_text, expr.terms)),
+        zero or [" + ".join(map(_wn_term_latex, expr.terms))],
+        lambda: wick.wn_expr_to_json(expr),
+    )
 
 
 # -- oracle -------------------------------------------------------------------
@@ -496,52 +414,34 @@ def _latex_wn_expr(expr: wick.WNExpr) -> str:
 @_format_option
 def oracle_cmd(eq1_max, eq1_trunc, seed_max, seed_trunc, fmt) -> None:
     """Run the polynomial-representation oracle suites."""
-    eq1_results = []
-    for n in range(eq1_max + 1):
-        for k in range(eq1_max + 1):
-            for N in range(eq1_max + 1):
-                for K in range(eq1_max + 1):
-                    eq1_results.append(
-                        ((n, k, N, K), oracle.check_eq1(n, k, N, K, eq1_trunc))
-                    )
-    seed_results = [
-        (m, oracle.check_exchange_seed(m, seed_trunc)) for m in range(seed_max + 1)
-    ]
-    ok = all(p for _, p in eq1_results) and all(p for _, p in seed_results)
-    if fmt == "json":
-        _emit_json(
-            {
-                "eq1": [
-                    {"n": t[0], "k": t[1], "N": t[2], "K": t[3], "D": eq1_trunc, "pass": p}
-                    for t, p in eq1_results
-                ],
-                "exchange_seed": [
-                    {"m": m, "D": seed_trunc, "pass": p} for m, p in seed_results
-                ],
-                "pass": ok,
-            }
-        )
-    elif fmt == "latex":
-        rows = [
-            [str(t[0]), str(t[1]), str(t[2]), str(t[3]), str(p)] for t, p in eq1_results
-        ]
-        click.echo(_latex_table(["n", "k", "N", "K", "pass"], rows))
-        click.echo(
-            _latex_table(["m", "pass"], [[str(m), str(p)] for m, p in seed_results])
-        )
-    else:
-        for (n, k, N, K), p in eq1_results:
-            click.echo(
-                f"eq1 n={n} k={k} N={N} K={K} D={eq1_trunc}: "
-                f"{'PASS' if p else 'FAIL'}"
-            )
-        for m, p in seed_results:
-            click.echo(
-                f"exchange-seed m={m} D={seed_trunc}: {'PASS' if p else 'FAIL'}"
-            )
-        click.echo(f"oracle: {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        raise SystemExit(1)
+    # Both suites run before any output, so a rejected truncation prints nothing.
+    with _rejected_input():
+        grid = itertools.product(range(eq1_max + 1), repeat=4)
+        eq1 = [(t, oracle.check_eq1(*t, eq1_trunc)) for t in grid]
+        seeds = [(m, oracle.check_exchange_seed(m, seed_trunc)) for m in range(seed_max + 1)]
+    ok = all(p for _, p in eq1) and all(p for _, p in seeds)
+    _render(
+        fmt,
+        itertools.chain(
+            (f"eq1 n={n} k={k} N={N} K={K} D={eq1_trunc}: {_verdict(p)}"
+             for (n, k, N, K), p in eq1),
+            (f"exchange-seed m={m} D={seed_trunc}: {_verdict(p)}" for m, p in seeds),
+            [f"oracle: {_verdict(ok)}"],
+        ),
+        itertools.chain(
+            _latex_table(["n", "k", "N", "K", "pass"], ((*t, p) for t, p in eq1)),
+            _latex_table(["m", "pass"], seeds),
+        ),
+        lambda: {
+            "eq1": [
+                {"n": n, "k": k, "N": N, "K": K, "D": eq1_trunc, "pass": p}
+                for (n, k, N, K), p in eq1
+            ],
+            "exchange_seed": [{"m": m, "D": seed_trunc, "pass": p} for m, p in seeds],
+            "pass": ok,
+        },
+        lambda: not ok,
+    )
 
 
 if __name__ == "__main__":

@@ -286,35 +286,58 @@ def jacobi_scan(
 
 
 @dataclass(frozen=True)
-class ClosureReport:
+class PairReport:
+    """Outcome of a check run on every ordered pair of in-domain basis indices."""
+
     kind: AlgebraKind
     n_range: Range
     k_range: Range
     pairs_checked: int
-    violation_count: int
-    violations: tuple
+    failure_count: int
+    failures: tuple  # (pair, pair, detail) for the first few failures only
 
     @property
     def passed(self) -> bool:
-        return self.violation_count == 0
+        return self.failure_count == 0
 
 
-def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> ClosureReport:
-    """Verify every bracket with a nonzero structure constant lands in-domain."""
+def _pair_scan(kind: AlgebraKind, n_range: Range, k_range: Range, defect) -> PairReport:
+    """Ask ``defect(p, q)`` of every ordered pair; any result but None fails."""
     pairs = basis_indices(kind, n_range, k_range)
-    checked = 0
-    violation_count = 0
-    violations: list = []
-    for (n, k), (N, K) in itertools.product(pairs, repeat=2):
-        checked += 1
-        c, n2, k2 = structure(kind, n, k, N, K)
-        if c and not in_domain(kind, n2, k2):
-            violation_count += 1
-            if len(violations) < _FAILURE_CAP:
-                violations.append(((n, k), (N, K), (c, n2, k2)))
-    return ClosureReport(
-        kind, tuple(n_range), tuple(k_range), checked, violation_count, tuple(violations)
+    failure_count = 0
+    failures: list = []
+    for p, q in itertools.product(pairs, repeat=2):
+        detail = defect(p, q)
+        if detail is not None:
+            failure_count += 1
+            if len(failures) < _FAILURE_CAP:
+                failures.append((p, q, detail))
+    return PairReport(
+        kind, tuple(n_range), tuple(k_range), len(pairs) ** 2, failure_count, tuple(failures)
     )
+
+
+def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
+    """Verify every bracket with a nonzero structure constant lands in-domain.
+    A failure's detail is the bracket's (c, n', k')."""
+
+    def escape(p, q):
+        c, n2, k2 = structure(kind, *p, *q)
+        return (c, n2, k2) if c and not in_domain(kind, n2, k2) else None
+
+    return _pair_scan(kind, n_range, k_range, escape)
+
+
+def star_scan(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
+    """Check *-Lie compatibility on every pair of basis elements. A failure's
+    detail is the nonzero star_compat_check defect."""
+    elements = {p: basis(kind, *p) for p in basis_indices(kind, n_range, k_range)}
+
+    def defect(p, q):
+        d = star_compat_check(elements[p], elements[q])
+        return None if d.is_zero else d
+
+    return _pair_scan(kind, n_range, k_range, defect)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+import rhpwn.cli
 import rhpwn.lie
 import rhpwn.sandwich
 from rhpwn.cli import main
@@ -196,16 +197,27 @@ def test_oracle_command(runner):
     assert len(payload["eq1"]) == 16 and len(payload["exchange_seed"]) == 3
 
 
+_SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["bracket", "[B[2,1]@f, B[1,2]]"],
         ["smear", "--n", "-1", "--k", "0", "--N", "1", "--K", "1"],
         ["smear", "--n", "2", "--k", "1", "--N", "1", "--K", "2", "--g", "step.json"],
+        ["oracle", "--eq1-max", "1", "--eq1-trunc", "3"],
+        ["oracle", "--seed-max", "2", "--seed-trunc", "2"],
+        ["theta", "--n", "-1..0", "--k", "0..0", "--N", "0..0", "--K", "0..0"],
+        _SMEAR + ["--g", "object.json"],
+        _SMEAR + ["--g", "list.json"],
+        _SMEAR + ["--g", "."],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
     (tmp_path / "step.json").write_text(json.dumps([{"from": "1", "to": "2", "re": "1"}]))
+    (tmp_path / "object.json").write_text('{"a": 1}')
+    (tmp_path / "list.json").write_text("[1]")
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
@@ -216,3 +228,135 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
 def test_unknown_option_exits_2(runner):
     result = runner.invoke(main, ["bracket", "--nope"])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("sample", ["0", "-3"])
+def test_jacobi_sample_must_be_positive(runner, sample):
+    result = runner.invoke(
+        main,
+        ["jacobi", "--kind", "rhpwn", "--n-range", "0..2", "--k-range", "0..2",
+         "--sample", sample],
+    )
+    assert result.exit_code == 2
+    # stdout and stderr together (click before 8.2 mixes them): no verdict line
+    assert "triples=" not in result.output
+
+
+def _escaping_structure(monkeypatch):
+    """A corrupted table whose brackets from n = 2 leave the index family."""
+    true_structure = rhpwn.lie.structure
+
+    def escaped(kind, n, k, N, K):
+        c, n2, k2 = true_structure(kind, n, k, N, K)
+        return (c, -n2, k2) if n == 2 else (c, n2, k2)
+
+    monkeypatch.setattr(rhpwn.lie, "structure", escaped)
+
+
+def _json_bytes(payload):
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+
+_JACOBI = ["jacobi", "--kind", "rhpwn", "--n-range", "0..2", "--k-range", "0..2"]
+_CLOSURE = ["closure", "--kind", "witt", "--n-range", "2..2", "--k-range", "-1..1"]
+_STAR = ["star-check", "--kind", "winfinity", "--n-range", "2..3", "--k-range", "0..0"]
+_ORACLE = ["oracle", "--eq1-max", "0", "--eq1-trunc", "4", "--seed-max", "1", "--seed-trunc", "4"]
+_ESCAPES = ["closure", "--kind", "rhpwn", "--n-range", "0..2", "--k-range", "0..2"]
+_ESCAPED = [((2, 1), (1, 2), (-3, -2, 2)), ((2, 1), (2, 2), (-2, -3, 2)),
+            ((2, 2), (1, 2), (-2, -2, 3)), ((2, 2), (2, 1), (2, -3, 2))]
+
+
+def _table(header, *rows):
+    """The exact lines of a right-aligned latex tabular."""
+    header_line, *row_lines = (" & ".join(row) + " \\\\\n" for row in (header, *rows))
+    begin = "\\begin{tabular}{" + "r" * len(header) + "}\n"
+    return begin + header_line + "\\hline\n" + "".join(row_lines) + "\\end{tabular}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, corrupt, exit_code, expected",
+    [
+        (_JACOBI + ["--format", "json"], False, 0, _json_bytes({
+            "failure_count": 0, "failures": [], "k_range": [0, 2], "kind": "RHPWN",
+            "n_range": [0, 2], "pass": True, "sampled": False, "seed": None,
+            "triples_checked": 27,
+        })),
+        (_JACOBI + ["--format", "latex"], False, 0,
+         _table(["kind", "triples", "failures", "pass"], ["RHPWN", "27", "0", "True"])),
+        (_CLOSURE + ["--format", "json"], False, 0, _json_bytes({
+            "k_range": [-1, 1], "kind": "Witt", "n_range": [2, 2], "pairs_checked": 9,
+            "pass": True, "violation_count": 0, "violations": [],
+        })),
+        (_CLOSURE + ["--format", "latex"], False, 0,
+         _table(["kind", "pairs", "violations", "pass"], ["Witt", "9", "0", "True"])),
+        (_STAR + ["--format", "json"], False, 0, _json_bytes({
+            "failure_count": 0, "failures": [], "kind": "Winfinity", "pairs_checked": 4,
+            "pass": True,
+        })),
+        (_STAR + ["--format", "latex"], False, 0,
+         _table(["kind", "pairs", "failures", "pass"], ["Winfinity", "4", "0", "True"])),
+        (_ORACLE + ["--format", "json"], False, 0, _json_bytes({
+            "eq1": [{"D": 4, "K": 0, "N": 0, "k": 0, "n": 0, "pass": True}],
+            "exchange_seed": [{"D": 4, "m": 0, "pass": True}, {"D": 4, "m": 1, "pass": True}],
+            "pass": True,
+        })),
+        (_ORACLE + ["--format", "latex"], False, 0,
+         _table(["n", "k", "N", "K", "pass"], ["0", "0", "0", "0", "True"])
+         + _table(["m", "pass"], ["0", "True"], ["1", "True"])),
+        (_ESCAPES, True, 1,
+         "closure RHPWN n=0..2 k=0..2: pairs=9 violations=4 -> FAIL\n"
+         "  escape at (2, 1) (1, 2): (-3, -2, 2)\n"
+         "  escape at (2, 1) (2, 2): (-2, -3, 2)\n"
+         "  escape at (2, 2) (1, 2): (-2, -2, 3)\n"
+         "  escape at (2, 2) (2, 1): (2, -3, 2)\n"),
+        (_ESCAPES + ["--format", "json"], True, 1, _json_bytes({
+            "k_range": [0, 2], "kind": "RHPWN", "n_range": [0, 2], "pairs_checked": 9,
+            "pass": False, "violation_count": 4,
+            "violations": [{"pair": [list(p), list(q)], "result": list(r)} for p, q, r in _ESCAPED],
+        })),
+        (_ESCAPES + ["--format", "latex"], True, 1,
+         _table(["kind", "pairs", "violations", "pass"], ["RHPWN", "9", "4", "False"])),
+    ],
+)
+def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, corrupt, exit_code,
+                                                  expected):
+    if corrupt:
+        _escaping_structure(monkeypatch)
+    result = runner.invoke(main, argv)
+    assert result.exit_code == exit_code
+    assert result.stdout == expected
+
+
+def test_theta_prints_each_row_as_it_is_computed(runner, monkeypatch):
+    computed = []
+    theta = rhpwn.cli.theta_fn
+
+    def first_row_only(*indices):
+        if computed:
+            raise RuntimeError("second row")
+        computed.append(theta(*indices))
+        return computed[0]
+
+    monkeypatch.setattr(rhpwn.cli, "theta_fn", first_row_only)
+    result = runner.invoke(main, ["theta", "--n", "2..3", "--k", "3", "--N", "4", "--K", "1"])
+    assert isinstance(result.exception, RuntimeError)
+    assert result.output == "theta(L=2;n=2,k=3,N=4,K=1) = 36\n"
+
+
+def test_verify_w_latex_prints_each_row_as_it_is_checked(runner, monkeypatch):
+    checked = []
+    verify = rhpwn.sandwich.verify_theorem
+
+    def first_tuple_only(*indices):
+        if checked:
+            raise RuntimeError("second tuple")
+        checked.append(verify(*indices))
+        return checked[0]
+
+    monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", first_tuple_only)
+    result = runner.invoke(main, ["verify-w", "--n", "2..3", "--k", "0..1", "--format", "latex"])
+    assert isinstance(result.exception, RuntimeError)
+    assert result.output == (
+        "\\begin{tabular}{rrrrrr}\nn & k & N & K & c & pass \\\\\n\\hline\n"
+        "2 & 0 & 2 & 0 & 0 & True \\\\\n"
+    )

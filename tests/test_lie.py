@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rhpwn.lie
 from conftest import cscalars, elements, fn_symbols
 from rhpwn.lie import (
     AlgebraKind,
@@ -22,6 +23,7 @@ from rhpwn.lie import (
     jacobi_defect,
     jacobi_scan,
     star_compat_check,
+    star_scan,
     structure,
     witt_check,
     zero,
@@ -177,6 +179,33 @@ def test_closure_examples():
     assert closure_check(RHPWN, (0, 6), (0, 6)).passed
     assert closure_check(WINF, (2, 8), (-4, 4)).passed
     assert closure_check(WITT, (2, 2), (-10, 10)).passed
+
+
+@pytest.mark.parametrize(
+    "kind, n_range, k_range, pairs",
+    [
+        (RHPWN, (0, 4), (0, 4), 19 ** 2),
+        (WINF, (2, 4), (-2, 2), 15 ** 2),
+        (WITT, (2, 2), (-4, 4), 9 ** 2),
+    ],
+)
+def test_star_scan_passes_on_every_kind(kind, n_range, k_range, pairs):
+    report = star_scan(kind, n_range, k_range)
+    assert report.passed and report.failures == ()
+    assert report.pairs_checked == pairs and report.kind is kind
+
+
+def test_star_scan_caps_kept_failures(monkeypatch):
+    # x* = 2x breaks compatibility exactly where [x, y] != 0: the defect is 6[x, y]
+    monkeypatch.setattr(rhpwn.lie, "involution", lambda x: x.scaled(2))
+    report = star_scan(WITT, (2, 2), (-10, 10))
+    assert not report.passed
+    assert report.pairs_checked == 21 ** 2
+    assert report.failure_count == 21 ** 2 - 21  # every pair with k != K
+    assert len(report.failures) == 100
+    p, q, defect = report.failures[0]
+    assert (p, q) == ((2, -10), (2, -9))
+    assert defect == bracket(basis(WITT, *p), basis(WITT, *q)).scaled(6)
 
 
 def test_element_json_round_trip():
