@@ -8,12 +8,15 @@ Grammar (element-valued; scalars only ever multiply generator expressions):
     primary   := atom | '[' expr ',' expr ']' | '(' expr ')'
     atom      := ('B'|'Bh') '[' int ',' int ']' ['@' label]
     label     := ['~'] name | '(' ['~'] name ('*' ['~'] name)* ')'
-    scalar    := int ['/' int] | 'i' | '(' signed complex rational ')'
+    scalar    := part | '(' ['-'] part (('+'|'-') part)* ')'
+    part      := int ['/' int] ['*' 'i'] | 'i'
 
 B atoms are RHPWN generators, Bh atoms are w-infinity generators, '^*' is the
 involution, '[x, y]' the bracket, and '~' marks a conjugated test-function
 factor. Complex scalars with two parts must be parenthesized, e.g.
-(1/2-3/4*i)*B[2,1].
+(1/2-3/4*i)*B[2,1]; a parenthesized group that does not read as a scalar is
+read as an expression. 'a - b' reads as 'a + (-1)*b'. Tokens are ASCII: a
+non-ASCII digit or space is an unexpected character.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ _TOKEN_RE = re.compile(
     r"|(?P<starpost>\^\*)"
     r"|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[\[\](),+\-*/@~])"
+    r"|(?P<punct>[\[\](),+\-*/@~])",
+    re.ASCII,
 )
 
 
@@ -99,26 +103,19 @@ class AddNode:
     b: "DslExpr"
 
 
-@dataclass(frozen=True)
-class SubNode:
-    a: "DslExpr"
-    b: "DslExpr"
-
-
-DslExpr = Union[AtomNode, BracketNode, StarNode, ScaleNode, AddNode, SubNode]
+DslExpr = Union[AtomNode, BracketNode, StarNode, ScaleNode, AddNode]
 
 _ATOM_KINDS = {"B": AlgebraKind.RHPWN, "Bh": AlgebraKind.WINFINITY}
 
 
 class _Parser:
     def __init__(self, text: str, relaxed: bool):
-        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self.relaxed = relaxed
 
-    def peek(self, ahead: int = 0):
-        return self.tokens[min(self.pos + ahead, len(self.tokens) - 1)]
+    def peek(self):
+        return self.tokens[self.pos]
 
     def advance(self):
         tok = self.tokens[self.pos]
@@ -142,7 +139,7 @@ class _Parser:
         while self.peek()[0] in ("+", "-"):
             op = self.advance()[0]
             rhs = self.parse_term()
-            node = AddNode(node, rhs) if op == "+" else SubNode(node, rhs)
+            node = AddNode(node, rhs if op == "+" else ScaleNode(CScalar.of(-1), rhs))
         return node
 
     # term := (scalar '*')* postfixed
@@ -151,13 +148,18 @@ class _Parser:
         while True:
             tok = self.peek()
             if tok[0] == "int" or (tok[0] == "name" and tok[1] == "i"):
-                scalars.append(self._parse_bare_scalar())
-                self.expect("*", ("*",))
-            elif tok[0] == "(" and self._paren_is_scalar():
-                scalars.append(self._parse_paren_scalar())
-                self.expect("*", ("*",))
+                scalars.append(self._parse_part())
+            elif tok[0] == "(":
+                # A group that does not read as a scalar is an expression.
+                save = self.pos
+                try:
+                    scalars.append(self._parse_paren_scalar())
+                except ParseError:
+                    self.pos = save
+                    break
             else:
                 break
+            self.expect("*", ("*",))
         node = self.parse_postfixed()
         for c in reversed(scalars):
             node = ScaleNode(c, node)
@@ -250,30 +252,6 @@ class _Parser:
             return Fraction(num, int(den_tok[1]))
         return Fraction(num)
 
-    def _parse_bare_scalar(self) -> CScalar:
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] == "i":
-            self.advance()
-            return CScalar(Fraction(0), Fraction(1))
-        value = self._parse_rational()
-        # A bare rational followed by *i would be ambiguous with scalar
-        # chaining, so imaginary parts ride through 'i' as its own factor
-        # or through a parenthesized literal.
-        return CScalar(value)
-
-    def _paren_is_scalar(self) -> bool:
-        # Lookahead after '(': an optional sign followed by an integer or the
-        # imaginary unit can only start a scalar literal if the whole group
-        # parses as one; try it and roll back otherwise.
-        save = self.pos
-        try:
-            self._parse_paren_scalar()
-            return True
-        except ParseError:
-            return False
-        finally:
-            self.pos = save
-
     def _parse_paren_scalar(self) -> CScalar:
         self.expect("(", ("(",))
         value = self._parse_signed_part()
@@ -333,23 +311,32 @@ def evaluate(ast: DslExpr) -> Element:
         return evaluate(ast.a).scaled(ast.c)
     if isinstance(ast, AddNode):
         return evaluate(ast.a) + evaluate(ast.b)
-    if isinstance(ast, SubNode):
-        return evaluate(ast.a) - evaluate(ast.b)
     raise TypeError(f"not a DSL node: {ast!r}")
 
 
 # -- rendering ----------------------------------------------------------------
 
-def _scalar_text(c: CScalar) -> tuple[int, str]:
+def _frac_latex(x: Fraction) -> str:
+    if x.denominator == 1:
+        return str(x.numerator)
+    sign = "-" if x < 0 else ""
+    return f"{sign}\\tfrac{{{abs(x.numerator)}}}{{{x.denominator}}}"
+
+
+# Per format: how a rational prints, the imaginary unit, the product sign.
+_SCALAR_FORMS = {"text": (str, "*i", "*"), "latex": (_frac_latex, "\\,i", "\\,")}
+
+
+def _scalar(c: CScalar, fmt: str) -> tuple[int, str]:
     """Return (sign, body) where body multiplies a generator from the left."""
+    rational, unit, times = _SCALAR_FORMS[fmt]
     if not c.im:
-        sign = 1 if c.re > 0 else -1
         mag = abs(c.re)
-        return sign, "" if mag == 1 else f"{mag}*"
+        return (1 if c.re > 0 else -1), "" if mag == 1 else rational(mag) + times
     if not c.re:
-        return 1, f"({c.im}*i)*"
+        return 1, f"({rational(c.im)}{unit}){times}"
     im_sign = "+" if c.im > 0 else "-"
-    return 1, f"({c.re}{im_sign}{abs(c.im)}*i)*"
+    return 1, f"({rational(c.re)}{im_sign}{rational(abs(c.im))}{unit}){times}"
 
 
 def _label_text(label) -> str:
@@ -363,43 +350,6 @@ def _label_text(label) -> str:
     return "@(" + "*".join(label.factors) + ")"
 
 
-def _generator_text(g: lie.Generator) -> str:
-    head = "B" if g.kind is AlgebraKind.RHPWN else "Bh"
-    return f"{head}[{g.n},{g.k}]{_label_text(g.label)}"
-
-
-def render_text(x: Element) -> str:
-    if x.is_zero:
-        return "0"
-    chunks = []
-    for idx, (g, c) in enumerate(x.terms):
-        sign, body = _scalar_text(c)
-        body += _generator_text(g)
-        if idx == 0:
-            chunks.append(("-" if sign < 0 else "") + body)
-        else:
-            chunks.append((" - " if sign < 0 else " + ") + body)
-    return "".join(chunks)
-
-
-def _frac_latex(x: Fraction) -> str:
-    if x.denominator == 1:
-        return str(x.numerator)
-    sign = "-" if x < 0 else ""
-    return f"{sign}\\tfrac{{{abs(x.numerator)}}}{{{x.denominator}}}"
-
-
-def _scalar_latex(c: CScalar) -> tuple[int, str]:
-    if not c.im:
-        sign = 1 if c.re > 0 else -1
-        mag = abs(c.re)
-        return sign, "" if mag == 1 else _frac_latex(mag) + "\\,"
-    if not c.re:
-        return 1, f"({_frac_latex(c.im)}\\,i)\\,"
-    im_sign = "+" if c.im > 0 else "-"
-    return 1, f"({_frac_latex(c.re)}{im_sign}{_frac_latex(abs(c.im))}\\,i)\\,"
-
-
 def _label_latex(label) -> str:
     if label is None:
         return ""
@@ -411,28 +361,28 @@ def _label_latex(label) -> str:
     return "(" + " ".join(rendered) + ")"
 
 
-def render_latex(x: Element) -> str:
-    if x.is_zero:
-        return "0"
-    hat = x.kind is not AlgebraKind.RHPWN
-    chunks = []
-    for idx, (g, c) in enumerate(x.terms):
-        sign, body = _scalar_latex(c)
-        head = "\\hat{B}" if hat else "B"
-        body += f"{head}^{{{g.n}}}_{{{g.k}}}{_label_latex(g.label)}"
-        if idx == 0:
-            chunks.append(("-" if sign < 0 else "") + body)
-        else:
-            chunks.append((" - " if sign < 0 else " + ") + body)
-    return "".join(chunks)
+def _generator(g: lie.Generator, fmt: str) -> str:
+    rhpwn = g.kind is AlgebraKind.RHPWN
+    if fmt == "text":
+        return f"{'B' if rhpwn else 'Bh'}[{g.n},{g.k}]{_label_text(g.label)}"
+    head = "B" if rhpwn else "\\hat{B}"
+    return f"{head}^{{{g.n}}}_{{{g.k}}}{_label_latex(g.label)}"
 
 
 def render(x: Element, fmt: str = "text") -> str:
     """Deterministic rendering of a canonical element."""
-    if fmt == "text":
-        return render_text(x)
     if fmt == "json":
         return json.dumps(element_to_json(x), sort_keys=True)
-    if fmt == "latex":
-        return render_latex(x)
-    raise ValueError(f"unknown format {fmt!r}")
+    if fmt not in _SCALAR_FORMS:
+        raise ValueError(f"unknown format {fmt!r}")
+    if x.is_zero:
+        return "0"
+    chunks = []
+    for idx, (g, c) in enumerate(x.terms):
+        sign, body = _scalar(c, fmt)
+        if idx == 0:
+            lead = "-" if sign < 0 else ""
+        else:
+            lead = " - " if sign < 0 else " + "
+        chunks.append(lead + body + _generator(g, fmt))
+    return "".join(chunks)

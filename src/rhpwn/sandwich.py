@@ -291,15 +291,15 @@ class ReduceResult:
     dropped_singular: int
 
 
-def reduce(e: EQExpr, assume_S0: bool = True) -> ReduceResult:
+def reduce(e: EQExpr) -> ReduceResult:
     """Apply the delta renormalization and the vanishing-at-zero condition.
 
     Words with delta power 0 are returned untouched as the residual (a
     commutator of sandwich words must cancel them pairwise). Words with
     delta power >= 2 renormalize to delta(s) delta(t-s), hence carry the
-    factor g(0) f(0): they are dropped and counted when every test function
-    situation certifies the factor is zero, or unconditionally under
-    assume_S0. Words with delta power 1 have their labels identified and
+    factor g(0) f(0): they are dropped and counted when some test function
+    of the word is known to vanish at zero, and raise SingularPartError
+    otherwise. Words with delta power 1 have their labels identified and
     their blocks merged additively.
     """
     reduced = []
@@ -311,7 +311,7 @@ def reduce(e: EQExpr, assume_S0: bool = True) -> ReduceResult:
             residual.append(t)
         elif t.delta_L == 1:
             reduced.append(_merge_labels(t))
-        elif assume_S0 or any(fn_vanishes_at_zero(fn) for _, fn in t.testfn):
+        elif any(fn_vanishes_at_zero(fn) for _, fn in t.testfn):
             dropped += 1
         else:
             offenders.append(t)
@@ -346,7 +346,6 @@ def verify_theorem(
     K: int,
     g: Optional[AnyTestFn] = None,
     f: Optional[AnyTestFn] = None,
-    labels: tuple[str, str] = ("t", "s"),
 ) -> TheoremReport:
     """Check the w-infinity relation for the sandwich generators.
 
@@ -365,13 +364,13 @@ def verify_theorem(
         g = fn_symbol("g")
     if f is None:
         f = fn_symbol("f")
-    a = gen_to_word(n, k, labels[0], g)
-    b = gen_to_word(N, K, labels[1], f)
-    result = reduce(commutator(a, b), assume_S0=False)
+    a = gen_to_word(n, k, "t", g)
+    b = gen_to_word(N, K, "s", f)
+    result = reduce(commutator(a, b))
     expected_coeff = k * (N - 1) - K * (n - 1)
-    target = min(labels)
+    # reduce merges the two labels into the smaller one, "s"
     expected = eq_expr(
-        [gen_to_word(n + N - 2, k + K, target, fn_product(g, f))]
+        [gen_to_word(n + N - 2, k + K, "s", fn_product(g, f))]
     ).scaled(expected_coeff)
     passed = result.l0_residual.is_zero and result.reduced == expected
     return TheoremReport(

@@ -47,10 +47,10 @@ def _index_pool(kind: AlgebraKind):
 
 
 @st.composite
-def elements(draw, kind: AlgebraKind, labeled: bool = False):
+def elements(draw, kind: AlgebraKind, labeled: bool = False, labels=fn_symbols):
     pool = _index_pool(kind)
     pairs = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=4))
-    label_st = st.one_of(st.none(), fn_symbols) if labeled else st.none()
+    label_st = st.one_of(st.none(), labels) if labeled else st.none()
     items = [
         (generator(kind, n, k, draw(label_st)), draw(cscalars)) for n, k in pairs
     ]

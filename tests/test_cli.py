@@ -1,4 +1,6 @@
+import dataclasses
 import json
+from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
@@ -7,6 +9,7 @@ import rhpwn.cli
 import rhpwn.lie
 import rhpwn.sandwich
 from rhpwn.cli import main
+from rhpwn.sandwich import eq_expr, eq_term
 
 
 @pytest.fixture
@@ -123,6 +126,45 @@ def test_verify_w_text_prints_each_row_as_it_is_checked(runner, monkeypatch):
     assert result.output == f"n=2 k=0 N=2 K=0 coeff=0 dropped={r.dropped_singular} PASS\n"
 
 
+def test_verify_w_failure_exits_1_and_reports_the_residual(runner, monkeypatch):
+    verify = rhpwn.sandwich.verify_theorem
+    residual = eq_expr(
+        [eq_term(3, {"t": Fraction(1, 2)}, {"t": 1, "s": 1}, {"s": Fraction(-3, 2)})]
+    )
+
+    def one_failure(n, k, N, K):
+        r = verify(n, k, N, K)
+        if (n, k, N, K) == (2, 1, 3, 0):
+            return dataclasses.replace(r, passed=False, l0_residual=residual)
+        return r
+
+    monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", one_failure)
+    argv = ["verify-w", "--n", "2..3", "--k", "0..1"]
+    text = runner.invoke(main, argv)
+    assert text.exit_code == 1
+    dropped = verify(2, 1, 3, 0).dropped_singular
+    lines = text.output.splitlines()
+    assert f"n=2 k=1 N=3 K=0 coeff=2 dropped={dropped} FAIL" in lines
+    assert sum(line.endswith(" FAIL") for line in lines[:-1]) == 1
+    assert lines[-1] == "verify-w: tuples=16 failures=1 -> FAIL"
+    as_json = runner.invoke(main, argv + ["--format", "json"])
+    assert as_json.exit_code == 1
+    payload = json.loads(as_json.output)
+    assert payload["failures"] == 1 and payload["pass"] is False
+    (failed,) = [r for r in payload["reports"] if not r["pass"]]
+    assert (failed["n"], failed["k"], failed["N"], failed["K"]) == (2, 1, 3, 0)
+    assert failed["l0_residual_terms"] == [
+        {
+            "coeff": [3, 1, 0, 1],
+            "left_exp": {"t": "1/2"},
+            "q_pow": {"s": 1, "t": 1},
+            "right_exp": {"s": "-3/2"},
+            "delta_L": 0,
+            "testfn": {},
+        }
+    ]
+
+
 def test_smear_with_step_function_files(runner, tmp_path):
     g = [{"from": "1", "to": "2", "re": "1", "im": "0"}]
     f = [{"from": "3/2", "to": "3", "re": "1", "im": "0"}]
@@ -212,6 +254,7 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         _SMEAR + ["--g", "object.json"],
         _SMEAR + ["--g", "list.json"],
         _SMEAR + ["--g", "."],
+        ["bracket", "B[\u0663,1]"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):

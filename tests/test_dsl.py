@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import elements
 from rhpwn.dsl import (
+    AddNode,
     AtomNode,
     BracketNode,
     ParseError,
@@ -14,9 +15,9 @@ from rhpwn.dsl import (
     parse,
     render,
 )
-from rhpwn.lie import AlgebraKind, basis, element_from_json, zero
+from rhpwn.lie import AlgebraKind, basis, element_from_json, involution, zero
 from rhpwn.scalars import CScalar
-from rhpwn.stepfn import FnSymbol, fn_symbol
+from rhpwn.stepfn import FnSymbol, fn_symbol, indicator
 from fractions import Fraction
 
 RHPWN = AlgebraKind.RHPWN
@@ -79,6 +80,9 @@ def test_render_examples():
         == "\\hat{B}^{3}_{-2}(\\overline{f})"
     )
     assert render(zero(WINF)) == "0"
+    assert render(zero(RHPWN), "latex") == "0"
+    with pytest.raises(ValueError, match="unknown format 'yaml'"):
+        render(zero(RHPWN), "yaml")
 
 
 def test_render_negative_and_complex_terms():
@@ -87,6 +91,7 @@ def test_render_negative_and_complex_terms():
     )
     text = render(x)
     assert text == "-B[2,1] + (-1/2*i)*B[3,0]"
+    assert render(x, "latex") == "-B^{2}_{1} + (-\\tfrac{1}{2}\\,i)\\,B^{3}_{0}"
     assert evaluate(parse(text)) == x
 
 
@@ -98,10 +103,37 @@ def test_parse_error_diagnostics():
     with pytest.raises(ParseError) as err:
         parse("B[2,1] !")
     assert err.value.offset == 7
+    # tokens are ASCII: a non-ASCII digit or space is rejected where it stands
+    for text, offset in (("B[\u0663,1]", 2), ("B[2,1]\u3000+\u3000!", 6)):
+        with pytest.raises(ParseError) as err:
+            parse(text)
+        assert str(err.value) == f"at byte {offset}: unexpected character {text[offset]!r}"
     with pytest.raises(ParseError):
         parse("3")  # a bare scalar is not an element
     with pytest.raises(ParseError):
         parse("1/0*B[2,1]")
+
+
+def test_render_fractional_scalars_and_step_labels():
+    x = evaluate(parse("(1/2-3/4*i)*B[2,1] - 2/3*B[3,0]"))
+    assert render(x, "latex") == (
+        "(\\tfrac{1}{2}-\\tfrac{3}{4}\\,i)\\,B^{2}_{1} - \\tfrac{2}{3}\\,B^{3}_{0}"
+    )
+    assert render(x) == "(1/2-3/4*i)*B[2,1] - 2/3*B[3,0]"
+    x = basis(WINF, 2, -1, indicator([(1, 2)])).scaled(CScalar(Fraction(0), Fraction(5, 3)))
+    assert render(x, "latex") == "(\\tfrac{5}{3}\\,i)\\,\\hat{B}^{2}_{-1}(\\chi)"
+    assert render(x) == "(5/3*i)*Bh[2,-1]@step[1,2,1,0]"
+
+
+def test_parenthesized_expressions_and_scalars():
+    assert parse("(B[2,1] + B[1,2])") == AddNode(
+        AtomNode(RHPWN, 2, 1, None), AtomNode(RHPWN, 1, 2, None)
+    )
+    b21, b12 = basis(RHPWN, 2, 1), basis(RHPWN, 1, 2)
+    assert evaluate(parse("(B[2,1] - B[1,2])^*")) == involution(b21 - b12)
+    assert evaluate(parse("(i)*B[2,1]")) == b21.scaled(CScalar(Fraction(0), Fraction(1)))
+    assert evaluate(parse("(1+i)*B[2,1]")) == b21.scaled(CScalar(Fraction(1), Fraction(1)))
+    assert evaluate(parse("2*i*B[2,1]")) == evaluate(parse("(2*i)*B[2,1]"))
 
 
 @given(elements(RHPWN, labeled=True))

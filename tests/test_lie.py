@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rhpwn.lie
-from conftest import cscalars, elements, fn_symbols
+from conftest import cscalars, elements, fn_symbols, step_fns
 from rhpwn.lie import (
     AlgebraKind,
     DomainError,
@@ -219,6 +219,14 @@ def test_element_json_round_trip():
     relaxed = basis(RHPWN, 0, 1, relaxed=True)
     loaded = element_from_json(json.loads(json.dumps(element_to_json(relaxed))))
     assert loaded == relaxed and not loaded.certified
+
+
+@given(st.data())
+def test_step_labelled_elements_round_trip(data):
+    kind = data.draw(st.sampled_from(list(AlgebraKind)))
+    x = data.draw(elements(kind, labeled=True, labels=step_fns()))
+    assert element_from_json(json.loads(json.dumps(element_to_json(x)))) == x
+    assert involution(involution(x)) == x
 
 
 def test_relaxed_bracket_allows_escapes():

@@ -258,17 +258,16 @@ def test_reduce_strict_requires_vanishing():
         1, {}, {"t": 1}, {}, delta_L=3, testfn={"t": fn_symbol("g", in_S0=False)}
     )
     with pytest.raises(SingularPartError):
-        reduce(eq_expr([bad]), assume_S0=False)
-    assert reduce(eq_expr([bad]), assume_S0=True).dropped_singular == 1
+        reduce(eq_expr([bad]))
     concrete = eq_term(
         1, {}, {"t": 1}, {}, delta_L=2, testfn={"t": indicator([(-1, 1)])}
     )
     with pytest.raises(SingularPartError):
-        reduce(eq_expr([concrete]), assume_S0=False)
+        reduce(eq_expr([concrete]))
     vanishing = eq_term(
         1, {}, {"t": 1}, {}, delta_L=2, testfn={"t": indicator([(1, 2)])}
     )
-    assert reduce(eq_expr([vanishing]), assume_S0=False).dropped_singular == 1
+    assert reduce(eq_expr([vanishing])).dropped_singular == 1
 
 
 def test_verify_theorem_examples():
