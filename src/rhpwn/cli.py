@@ -201,7 +201,8 @@ def _render_scan(fmt, name, report, checked, labels, detail, encode, extra, mode
 @_format_option
 def jacobi_cmd(kind, n_range, k_range, sample, seed, fmt) -> None:
     """Scan basis triples for Jacobi-identity defects."""
-    r = lie.jacobi_scan(AlgebraKind[kind.upper()], n_range, k_range, sample=sample, seed=seed)
+    with _rejected_input():
+        r = lie.jacobi_scan(AlgebraKind[kind.upper()], n_range, k_range, sample=sample, seed=seed)
     _render_scan(
         fmt, "jacobi", r, r.triples_checked, ("triples", "failures"),
         lambda f: f"  defect at {f[0]} {f[1]} {f[2]}: residual {f[3]}",

@@ -16,7 +16,8 @@ involution, '[x, y]' the bracket, and '~' marks a conjugated test-function
 factor. Complex scalars with two parts must be parenthesized, e.g.
 (1/2-3/4*i)*B[2,1]; a parenthesized group that does not read as a scalar is
 read as an expression. 'a - b' reads as 'a + (-1)*b'. Tokens are ASCII: a
-non-ASCII digit or space is an unexpected character.
+non-ASCII digit or space is an unexpected character. Brackets and groups nest
+at most MAX_NESTING deep; a deeper '[' or '(' is a ParseError.
 """
 
 from __future__ import annotations
@@ -107,12 +108,17 @@ DslExpr = Union[AtomNode, BracketNode, StarNode, ScaleNode, AddNode]
 
 _ATOM_KINDS = {"B": AlgebraKind.RHPWN, "Bh": AlgebraKind.WINFINITY}
 
+# Deepest nesting of '[' and '(' the recursive-descent parser accepts: each
+# level costs it four Python frames, well inside the default recursion limit.
+MAX_NESTING = 100
+
 
 class _Parser:
     def __init__(self, text: str, relaxed: bool):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.relaxed = relaxed
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -176,21 +182,24 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "name" and tok[1] in _ATOM_KINDS:
             return self.parse_atom()
+        if tok[0] not in ("[", "("):
+            raise ParseError(
+                f"unexpected token {tok[1]!r}", tok[2], ("B", "Bh", "[", "(")
+            )
+        if self.depth == MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+        self.advance()
+        self.depth += 1
         if tok[0] == "[":
-            self.advance()
             a = self.parse_expr()
             self.expect(",", (",",))
-            b = self.parse_expr()
+            node = BracketNode(a, self.parse_expr())
             self.expect("]", ("]",))
-            return BracketNode(a, b)
-        if tok[0] == "(":
-            self.advance()
+        else:
             node = self.parse_expr()
             self.expect(")", (")",))
-            return node
-        raise ParseError(
-            f"unexpected token {tok[1]!r}", tok[2], ("B", "Bh", "[", "(")
-        )
+        self.depth -= 1
+        return node
 
     def parse_atom(self) -> AtomNode:
         name_tok = self.advance()
@@ -300,17 +309,34 @@ def parse(text: str, relaxed: bool = False) -> DslExpr:
 
 
 def evaluate(ast: DslExpr) -> Element:
-    """Evaluate an AST to a canonical algebra element."""
+    """Evaluate an AST to a canonical algebra element.
+
+    Sums, scalar factors and '^*' chains grow one AST level per term, so they
+    are walked in loops; only brackets and groups recurse, and the parser
+    caps their nesting.
+    """
     if isinstance(ast, AtomNode):
         return lie.basis(ast.kind, ast.n, ast.k, ast.label, relaxed=True)
     if isinstance(ast, BracketNode):
         return lie.bracket(evaluate(ast.a), evaluate(ast.b))
-    if isinstance(ast, StarNode):
-        return lie.involution(evaluate(ast.a))
-    if isinstance(ast, ScaleNode):
-        return evaluate(ast.a).scaled(ast.c)
     if isinstance(ast, AddNode):
-        return evaluate(ast.a) + evaluate(ast.b)
+        addends = []
+        while isinstance(ast, AddNode):
+            addends.append(ast.b)
+            ast = ast.a
+        total = evaluate(ast)
+        for b in reversed(addends):
+            total = total + evaluate(b)
+        return total
+    if isinstance(ast, (StarNode, ScaleNode)):
+        unary = []
+        while isinstance(ast, (StarNode, ScaleNode)):
+            unary.append(ast)
+            ast = ast.a
+        x = evaluate(ast)
+        for node in reversed(unary):
+            x = lie.involution(x) if isinstance(node, StarNode) else x.scaled(node.c)
+        return x
     raise TypeError(f"not a DSL node: {ast!r}")
 
 

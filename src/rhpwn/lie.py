@@ -208,20 +208,6 @@ def basis_indices(kind: AlgebraKind, n_range: Range, k_range: Range) -> list[tup
     ]
 
 
-def _basis_jacobi_residual(kind, p1, p2, p3) -> dict[tuple[int, int], int]:
-    acc: dict[tuple[int, int], int] = {}
-    for x, y, z in ((p1, p2, p3), (p2, p3, p1), (p3, p1, p2)):
-        c1, n1, k1 = structure(kind, y[0], y[1], z[0], z[1])
-        if not c1:
-            continue
-        c2, n2, k2 = structure(kind, x[0], x[1], n1, k1)
-        if not c2:
-            continue
-        key = (n2, k2)
-        acc[key] = acc.get(key, 0) + c1 * c2
-    return {key: v for key, v in acc.items() if v}
-
-
 _FAILURE_CAP = 100
 
 
@@ -241,6 +227,103 @@ class JacobiReport:
         return self.failure_count == 0
 
 
+def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list, list, list]:
+    """Flat tables of ``structure`` over the basis ``pairs``, read once per scan.
+
+    Basis index i is ``pairs[i]``. Each distinct target t of an inner bracket
+    gets a row offset r = (t's id) * len(pairs), id 1 upward; with e = y*size + z:
+
+    - ``inner_c[e]`` is the coefficient of [y, z] and ``inner_row[e]`` the
+      row offset of its target;
+    - ``outer_c[r + x]`` is the coefficient of [x, t] and ``outer_k[r + x]``
+      the id of its target in ``keys``.
+
+    Row 0 is all zeros and is where a vanishing inner bracket points, so it
+    contributes nothing downstream. Equal offsets and ids share one int.
+    """
+    size = len(pairs)
+    rows: dict[tuple[int, int], int] = {}
+    inner_c = [0] * (size * size)
+    inner_row = [0] * (size * size)
+    for e, (y, z) in enumerate(itertools.product(pairs, repeat=2)):
+        c, n2, k2 = structure(kind, *y, *z)
+        if c:
+            inner_c[e] = c
+            inner_row[e] = rows.setdefault((n2, k2), (len(rows) + 1) * size)
+    keys: dict[tuple[int, int], int] = {}
+    outer_c = [0] * (size * (len(rows) + 1))
+    outer_k = [0] * (size * (len(rows) + 1))
+    for target, row in rows.items():
+        for x, (n, k) in enumerate(pairs):
+            c, n2, k2 = structure(kind, n, k, *target)
+            if c:
+                outer_c[row + x] = c
+                outer_k[row + x] = keys.setdefault((n2, k2), len(keys))
+    return inner_c, inner_row, outer_c, outer_k, list(keys)
+
+
+_CYCLIC_TERMS = ((3, 0, 1, 2), (6, 1, 2, 0), (9, 2, 0, 1))  # (row offset, x, y, z)
+
+
+def _triple_tables(kind: AlgebraKind, pairs: tuple, tables: tuple) -> tuple:
+    """Overwrite in ``tables`` (lists of 9, 9, 12 and 12 ints and a key list)
+    every entry that ``_jacobi_defects`` reads for the one triple (0, 1, 2)
+    into the three basis ``pairs``, laid out as by ``_structure_tables``: the
+    three cyclic inner brackets and the outer bracket of each, at most six
+    ``structure`` calls. Cyclic term j gets its own row, offset 3 * j."""
+    inner_c, inner_row, outer_c, outer_k, keys = tables
+    keys.clear()
+    for row, x, y, z in _CYCLIC_TERMS:
+        (n, k), (N, K) = pairs[y], pairs[z]
+        c, n2, k2 = structure(kind, n, k, N, K)
+        inner_c[3 * y + z], inner_row[3 * y + z] = c, row
+        if c:
+            n, k = pairs[x]
+            c, n2, k2 = structure(kind, n, k, n2, k2)
+            if c:
+                if (n2, k2) not in keys:
+                    keys.append((n2, k2))
+                outer_k[row + x] = keys.index((n2, k2))
+        # A vanishing term reads a stale key id, which folds in only a 0.
+        outer_c[row + x] = c
+    return tables
+
+
+def _jacobi_defects(pairs, tables: tuple, triples: Iterable, failures: list) -> int:
+    """Count the id triples into ``pairs`` whose Jacobi residual is nonzero,
+    appending (p1, p2, p3, residual) for each to ``failures`` while it holds
+    fewer than ``_FAILURE_CAP``; the residual is sorted ((n, k), value) pairs.
+
+    The residual of (a, b, c) sums the three cyclic terms [x, [y, z]], each an
+    inner-table entry times an outer-table entry of ``tables`` (laid out as
+    by ``_structure_tables``), grouped by target.
+    """
+    size = len(pairs)
+    count = 0
+    inner_c, inner_row, outer_c, outer_k, keys = tables
+    for a, b, c in triples:
+        bc, ca, ab = b * size + c, c * size + a, a * size + b
+        o1, o2, o3 = inner_row[bc] + a, inner_row[ca] + b, inner_row[ab] + c
+        v1, v2, v3 = inner_c[bc] * outer_c[o1], inner_c[ca] * outer_c[o2], inner_c[ab] * outer_c[o3]
+        k1, k2, k3 = outer_k[o1], outer_k[o2], outer_k[o3]
+        # Fold terms with equal targets; a vanishing term adds 0 wherever it lands.
+        if k1 == k2:
+            v1, v2 = v1 + v2, 0
+        if k1 == k3:
+            v1, v3 = v1 + v3, 0
+        elif k2 == k3:
+            v2, v3 = v2 + v3, 0
+        if v1 or v2 or v3:
+            count += 1
+            if len(failures) < _FAILURE_CAP:
+                residual = sorted((keys[k], v) for k, v in ((k1, v1), (k2, v2), (k3, v3)) if v)
+                failures.append((pairs[a], pairs[b], pairs[c], tuple(residual)))
+    return count
+
+
+MAX_SCAN_INDICES = 500  # largest grid an exhaustive jacobi_scan accepts
+
+
 def jacobi_scan(
     kind: AlgebraKind,
     n_range: Range,
@@ -252,27 +335,36 @@ def jacobi_scan(
 
     Exhaustive over the in-domain grid by default; with sample=N a fixed-seed
     random sample of N triples is drawn instead (the seed is recorded in the
-    report). The scan walks the same structure-constant table bracket() uses.
+    report). Both modes read the structure-constant table bracket() uses into
+    flat tables and walk the triples as integer ids through
+    ``_jacobi_defects``. The exhaustive scan builds ``_structure_tables`` over
+    the whole grid once: about 10 * size**2 list entries, so a grid of more
+    than ``MAX_SCAN_INDICES`` basis indices (at the cap about 2.4 million
+    entries and 40 MB, and 1.25e8 triples) raises ValueError before any
+    work. A sample refills one set of 3-index ``_triple_tables`` for each
+    drawn triple, so its cost grows with N alone.
     """
     pairs = basis_indices(kind, n_range, k_range)
-    if sample is None:
-        triples = itertools.product(pairs, repeat=3)
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (rng.choice(pairs), rng.choice(pairs), rng.choice(pairs))
-            for _ in range(sample if pairs else 0)
-        )
-    checked = 0
-    failure_count = 0
+    size = len(pairs)
     failures: list = []
-    for p1, p2, p3 in triples:
-        checked += 1
-        residual = _basis_jacobi_residual(kind, p1, p2, p3)
-        if residual:
-            failure_count += 1
-            if len(failures) < _FAILURE_CAP:
-                failures.append((p1, p2, p3, tuple(sorted(residual.items()))))
+    if sample is None:
+        if size > MAX_SCAN_INDICES:
+            raise ValueError(
+                f"an exhaustive Jacobi scan takes at most {MAX_SCAN_INDICES} basis indices, "
+                f"this grid has {size}; sample it instead"
+            )
+        checked = size**3
+        triples = itertools.product(range(size), repeat=3)
+        failure_count = _jacobi_defects(pairs, _structure_tables(kind, pairs), triples, failures)
+    else:
+        checked = sample if pairs else 0
+        rng = random.Random(seed)
+        drawn = ((rng.choice(pairs), rng.choice(pairs), rng.choice(pairs)) for _ in range(checked))
+        tables = ([0] * 9, [0] * 9, [0] * 12, [0] * 12, [])
+        failure_count = sum(
+            _jacobi_defects(t, _triple_tables(kind, t, tables), ((0, 1, 2),), failures)
+            for t in drawn
+        )
     return JacobiReport(
         kind,
         tuple(n_range),
@@ -319,7 +411,12 @@ def _pair_scan(kind: AlgebraKind, n_range: Range, k_range: Range, defect) -> Pai
 
 def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
     """Verify every bracket with a nonzero structure constant lands in-domain.
-    A failure's detail is the bracket's (c, n', k')."""
+    A failure's detail is the bracket's (c, n', k').
+
+    On the true table this can only pass: the scan keeps in-domain indices
+    only, and each family is closed under its bracket (a nonzero RHPWN
+    bracket lands at n', k' >= 0 with n' + k' >= 4, a w-infinity one at
+    n' >= 2, a Witt one at n' = 2). It guards against a corrupted table."""
 
     def escape(p, q):
         c, n2, k2 = structure(kind, *p, *q)

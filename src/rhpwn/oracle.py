@@ -1,60 +1,59 @@
 """Single-mode polynomial-representation oracle for the commutator calculus.
 
 The annihilator acts as d/dx and the creator as multiplication by x on the
-monomial basis x^0 .. x^D, so every matrix entry is an exact integer and the
-canonical commutation relation holds algebraically on all basis vectors whose
-images stay below the truncation degree. This gives an independent brute-force
-check of the two-point commutator coefficients (at coincident points, with
-every delta set to 1) and of the seed identity behind the exponential exchange
-rules.
+monomial basis x^0 .. x^D, so every operator is exact integer arithmetic and
+the canonical commutation relation holds algebraically on all basis vectors
+whose images stay below the truncation degree. Operators act column by column:
+a column is the image of one monomial x^c, a dict from degree to nonzero
+coefficient, reached by stepping the ladder operators on x^c. A normally
+ordered word maps each monomial to a multiple of one monomial, so its column
+map, cached per word on ``build(D)``, holds (degree, coefficient) or None.
+Only the guard-safe columns are compared, each holding at most a few
+monomials. This gives an independent brute-force check of the two-point
+commutator coefficients (at coincident points, with every delta set to 1) and
+of the seed identity behind the exponential exchange rules.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from typing import Optional
 
 from .scalars import binom, falling
 
-Matrix = list[list[int]]
+Column = dict[int, int]
+WordMap = list[Optional[tuple[int, int]]]
+
+# [a - a^+, a + a^+] = 2: the central commutator behind the exchange seed.
+PQ_COMMUTATOR = 2
 
 
-def _zeros(size: int) -> Matrix:
-    return [[0] * size for _ in range(size)]
+def _step(col: Column, D: int, lower: int, upper: int) -> Column:
+    """(lower * annihilator + upper * creator) applied to a column."""
+    out: Column = {}
+    for d, v in col.items():
+        if lower and d:
+            out[d - 1] = out.get(d - 1, 0) + lower * d * v
+        if upper and d < D:
+            out[d + 1] = out.get(d + 1, 0) + upper * v
+    return {d: v for d, v in out.items() if v}
 
 
-def _identity(size: int) -> Matrix:
-    out = _zeros(size)
-    for i in range(size):
-        out[i][i] = 1
+def _is_zero(col: Column) -> bool:
+    return not any(col.values())
+
+
+def _combine(*terms: tuple[int, Column]) -> Column:
+    """Sum of scale * column over the terms."""
+    out: Column = {}
+    for scale, col in terms:
+        for d, v in col.items():
+            out[d] = out.get(d, 0) + scale * v
     return out
-
-
-def _mat_mul(A: Matrix, B: Matrix) -> Matrix:
-    size = len(A)
-    out = _zeros(size)
-    for i in range(size):
-        row = A[i]
-        orow = out[i]
-        for k in range(size):
-            av = row[k]
-            if av:
-                brow = B[k]
-                for j in range(size):
-                    if brow[j]:
-                        orow[j] += av * brow[j]
-    return out
-
-
-def _mat_addscaled(A: Matrix, c: int, B: Matrix) -> Matrix:
-    return [[x + c * y for x, y in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def _mat_sub(A: Matrix, B: Matrix) -> Matrix:
-    return _mat_addscaled(A, -1, B)
 
 
 class PolyRepOps:
-    """Exact matrices of the ladder operators on x^0 .. x^D.
+    """Exact ladder operators on x^0 .. x^D, applied column by column.
 
     The annihilator maps x^m to m x^(m-1); the creator maps x^m to x^(m+1)
     and truncates x^D to zero. Built via build(), which verifies the
@@ -65,48 +64,59 @@ class PolyRepOps:
         if D < 2:
             raise ValueError(f"truncation degree must be at least 2, got {D}")
         self.D = D
-        size = D + 1
-        self.a = _zeros(size)
-        self.ad = _zeros(size)
-        for m in range(1, size):
-            self.a[m - 1][m] = m
-        for m in range(D):
-            self.ad[m + 1][m] = 1
-        self._words: dict[tuple[int, int], Matrix] = {}
-        self._q_pows: dict[int, Matrix] = {}
-        comm = _mat_sub(_mat_mul(self.a, self.ad), _mat_mul(self.ad, self.a))
-        eye = _identity(size)
+        self._words: dict[tuple[int, int], WordMap] = {}
         for c in range(D):  # column D is the guard row
-            for r in range(size):
-                if comm[r][c] != eye[r][c]:
-                    raise ValueError("ladder matrices violate the commutation relation")
+            x = {c: 1}
+            comm = _combine(
+                (1, self.annihilate(self.create(x))), (-1, self.create(self.annihilate(x)))
+            )
+            if not _is_zero(_combine((1, comm), (-1, x))):
+                raise ValueError("ladder operators violate the commutation relation")
 
-    def word(self, n: int, k: int) -> Matrix:
-        """Matrix of the normally ordered word creator^n annihilator^k."""
+    def annihilate(self, col: Column) -> Column:
+        return _step(col, self.D, 1, 0)
+
+    def create(self, col: Column) -> Column:
+        return _step(col, self.D, 0, 1)
+
+    def q_power(self, m: int, col: Column) -> Column:
+        """(annihilator + creator)^m applied to a column."""
+        for _ in range(m):
+            col = _step(col, self.D, 1, 1)
+        return col
+
+    def word(self, n: int, k: int) -> WordMap:
+        """Column map of the normally ordered word creator^n annihilator^k:
+        entry c is the (degree, coefficient) of its image of x^c, or None."""
         key = (n, k)
         if key not in self._words:
-            mat = _identity(self.D + 1)
-            for _ in range(k):
-                mat = _mat_mul(mat, self.a)
-            for _ in range(n):
-                mat = _mat_mul(self.ad, mat)
-            self._words[key] = mat
+            cols = []
+            for c in range(self.D + 1):
+                col = {c: 1}
+                for _ in range(k):
+                    col = self.annihilate(col)
+                for _ in range(n):
+                    col = self.create(col)
+                cols.append(next(iter(col.items()), None))
+            self._words[key] = cols
         return self._words[key]
-
-    def q_power(self, m: int) -> Matrix:
-        """Matrix of (annihilator + creator)^m."""
-        if m not in self._q_pows:
-            if m == 0:
-                self._q_pows[m] = _identity(self.D + 1)
-            else:
-                q = _mat_addscaled(self.a, 1, self.ad)
-                self._q_pows[m] = _mat_mul(self.q_power(m - 1), q)
-        return self._q_pows[m]
 
 
 @lru_cache(maxsize=None)
 def build(D: int) -> PolyRepOps:
     return PolyRepOps(D)
+
+
+def _image(word: WordMap, c: int, scale: int = 1) -> Column:
+    """Column c of scale * word."""
+    hit = word[c]
+    return {hit[0]: scale * hit[1]} if hit else {}
+
+
+def _compose(outer: WordMap, inner: WordMap, c: int) -> Column:
+    """Column c of the product outer * inner of two words."""
+    hit = inner[c]
+    return _image(outer, *hit) if hit else {}
 
 
 def _path_ok(c: int, steps: list[tuple[int, int]], D: int) -> bool:
@@ -126,13 +136,13 @@ def _path_ok(c: int, steps: list[tuple[int, int]], D: int) -> bool:
 
 
 def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
-    """Compare the matrix commutator of two words with the expansion
+    """Compare the commutator of two words with the expansion
 
         sum_L binom(k,L) falling(N,L) word(n+N-L, k+K-L)
       - sum_L binom(K,L) falling(n,L) word(N+n-L, K+k-L)
 
-    entry-exactly on every guard-safe column (those whose degree paths never
-    exceed D). This is the coincident-point shadow of the two-point
+    coefficient-exactly on every guard-safe column (those whose degree paths
+    never exceed D). This is the coincident-point shadow of the two-point
     commutator, with every delta power set to 1.
     """
     if min(n, k, N, K) < 0:
@@ -141,14 +151,13 @@ def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
         raise ValueError(f"guard band violated: need D > {n + k + N + K}, got {D}")
     ops = build(D)
     w1, w2 = ops.word(n, k), ops.word(N, K)
-    lhs = _mat_sub(_mat_mul(w1, w2), _mat_mul(w2, w1))
-    rhs = _zeros(D + 1)
+    rhs = []
     rhs_steps = []
     for L in range(1, min(k, N) + 1):
-        rhs = _mat_addscaled(rhs, binom(k, L) * falling(N, L), ops.word(n + N - L, k + K - L))
+        rhs.append((binom(k, L) * falling(N, L), ops.word(n + N - L, k + K - L)))
         rhs_steps.append((k + K - L, n + N - L))
     for L in range(1, min(K, n) + 1):
-        rhs = _mat_addscaled(rhs, -binom(K, L) * falling(n, L), ops.word(N + n - L, K + k - L))
+        rhs.append((-binom(K, L) * falling(n, L), ops.word(N + n - L, K + k - L)))
         rhs_steps.append((K + k - L, N + n - L))
     safe_columns = [
         c
@@ -159,7 +168,14 @@ def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
     ]
     assert safe_columns, "guard band left no safe columns"
     return all(
-        lhs[r][c] == rhs[r][c] for c in safe_columns for r in range(D + 1)
+        _is_zero(
+            _combine(
+                (1, _compose(w1, w2, c)),
+                (-1, _compose(w2, w1, c)),
+                *((-scale, _image(word, c)) for scale, word in rhs),
+            )
+        )
+        for c in safe_columns
     )
 
 
@@ -174,14 +190,16 @@ def check_exchange_seed(m: int, D: int = 16) -> bool:
     if D <= m + 2:
         raise ValueError(f"guard band violated: need D > {m + 2}, got {D}")
     ops = build(D)
-    p = _mat_addscaled(ops.a, -1, ops.ad)
-    qm = ops.q_power(m)
-    lhs = _mat_sub(_mat_mul(p, qm), _mat_mul(qm, p))
-    if m == 0:
-        rhs = _zeros(D + 1)
-    else:
-        rhs = _mat_addscaled(_zeros(D + 1), 2 * m, ops.q_power(m - 1))
+
+    def p(col: Column) -> Column:
+        return _step(col, D, 1, -1)
+
     # Every factor raises the degree by at most one: a column c is safe when
     # c + m + 1 stays within the truncation.
-    safe_columns = range(D - m)
-    return all(lhs[r][c] == rhs[r][c] for c in safe_columns for r in range(D + 1))
+    for c in range(D - m):
+        x = {c: 1}
+        lhs = _combine((1, p(ops.q_power(m, x))), (-1, ops.q_power(m, p(x))))
+        rhs = ops.q_power(m - 1, x) if m else {}
+        if not _is_zero(_combine((1, lhs), (-PQ_COMMUTATOR * m, rhs))):
+            return False
+    return True

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 from fractions import Fraction
 
@@ -6,6 +7,7 @@ import pytest
 from click.testing import CliRunner
 
 import rhpwn.cli
+import rhpwn.dsl
 import rhpwn.lie
 import rhpwn.sandwich
 from rhpwn.cli import main
@@ -255,6 +257,9 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         _SMEAR + ["--g", "list.json"],
         _SMEAR + ["--g", "."],
         ["bracket", "B[\u0663,1]"],
+        ["bracket", "(" * 300 + "B[2,1]" + ")" * 300],
+        # 1675 basis indices, past lie.MAX_SCAN_INDICES: refused before any table is built
+        ["jacobi", "--kind", "rhpwn", "--n-range", "0..40", "--k-range", "0..40"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -266,6 +271,15 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
     assert result.exit_code == 2
     # stdout and stderr together: the error line and nothing else
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+def test_bracket_nested_to_the_cap_evaluates(runner):
+    # [Bh[2,0], Bh[2,1]] = -Bh[2,1], nested MAX_NESTING deep
+    depth = rhpwn.dsl.MAX_NESTING
+    result = runner.invoke(main, ["bracket", "[Bh[2,0], " * depth + "Bh[2,1]" + "]" * depth])
+    assert result.exit_code == 0 and result.output == "Bh[2,1]\n"
+    result = runner.invoke(main, ["bracket", "(" * depth + "Bh[2,1]" + ")" * depth])
+    assert result.exit_code == 0 and result.output == "Bh[2,1]\n"
 
 
 def test_unknown_option_exits_2(runner):
@@ -307,6 +321,20 @@ _ORACLE = ["oracle", "--eq1-max", "0", "--eq1-trunc", "4", "--seed-max", "1", "-
 _ESCAPES = ["closure", "--kind", "rhpwn", "--n-range", "0..2", "--k-range", "0..2"]
 _ESCAPED = [((2, 1), (1, 2), (-3, -2, 2)), ((2, 1), (2, 2), (-2, -3, 2)),
             ((2, 2), (1, 2), (-2, -2, 3)), ((2, 2), (2, 1), (2, -3, 2))]
+
+
+_FAILING_JACOBI = ["jacobi", "--kind", "winfinity", "--n-range", "2..3", "--k-range", "-1..1"]
+_SAMPLED_JACOBI = ["jacobi", "--kind", "rhpwn", "--n-range", "0..3", "--k-range", "0..2",
+                   "--sample", "500", "--seed", "42"]
+
+
+@dataclasses.dataclass(frozen=True)
+class _Digest:
+    """A stdout too long to pin inline: its first line, line count and sha256."""
+
+    head: str
+    lines: int
+    sha256: str
 
 
 def _table(header, *rows):
@@ -359,6 +387,17 @@ def _table(header, *rows):
         })),
         (_ESCAPES + ["--format", "latex"], True, 1,
          _table(["kind", "pairs", "violations", "pass"], ["RHPWN", "9", "4", "False"])),
+        # Failing scans under the escaping table: more failures than the 100 kept.
+        (_FAILING_JACOBI, True, 1, _Digest(
+            "jacobi Winfinity n=2..3 k=-1..1 [exhaustive]: triples=216 failures=156 -> FAIL", 101,
+            "799caa3bb601aee9d850262a8a216023950cd2147e8381858e602876028c2153")),
+        (_FAILING_JACOBI + ["--format", "json"], True, 1, _Digest(
+            "{", 3337, "818f7522157c99ba79790887ba2b15a2a71a89611a92069e1ef444e5037bdcdb")),
+        (_SAMPLED_JACOBI, True, 1, _Digest(
+            "jacobi RHPWN n=0..3 k=0..2 [sampled(42)]: triples=500 failures=325 -> FAIL", 101,
+            "5f7d4e8cb47503f5b8788ecc4b1c570b170123e123d75199a7b3a2825070b00f")),
+        (_SAMPLED_JACOBI + ["--format", "json"], True, 1, _Digest(
+            "{", 3540, "514cef97ca8afddb89b45a3d823053215b742b940f04fa6b6a85bbed4a8c44b9")),
     ],
 )
 def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, corrupt, exit_code,
@@ -367,7 +406,12 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         _escaping_structure(monkeypatch)
     result = runner.invoke(main, argv)
     assert result.exit_code == exit_code
-    assert result.stdout == expected
+    if isinstance(expected, _Digest):
+        out = result.stdout
+        digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+        assert _Digest(out.splitlines()[0], out.count("\n"), digest) == expected
+    else:
+        assert result.stdout == expected
 
 
 def test_theta_prints_each_row_as_it_is_computed(runner, monkeypatch):

@@ -9,6 +9,7 @@ from rhpwn.dsl import (
     AddNode,
     AtomNode,
     BracketNode,
+    MAX_NESTING,
     ParseError,
     StarNode,
     evaluate,
@@ -112,6 +113,30 @@ def test_parse_error_diagnostics():
         parse("3")  # a bare scalar is not an element
     with pytest.raises(ParseError):
         parse("1/0*B[2,1]")
+
+
+def test_nesting_cap():
+    depth = MAX_NESTING
+    at_cap = "(" * (depth - 1) + "[B[2,1], B[1,2]]" + ")" * (depth - 1)
+    assert parse(at_cap) == parse("[B[2,1], B[1,2]]")
+    # [Bh[2,0], Bh[2,1]] = -Bh[2,1], nested to the cap
+    nested = parse("[Bh[2,0], " * depth + "Bh[2,1]" + "]" * depth)
+    assert evaluate(nested) == evaluate(parse("Bh[2,1]")).scaled((-1) ** depth)
+    with pytest.raises(ParseError) as err:
+        parse("(" + at_cap + ")")
+    assert err.value.offset == depth and "nesting deeper than" in str(err.value)
+    with pytest.raises(ParseError) as err:
+        parse("[B[2,1], " * (depth + 1) + "B[1,2]" + "]" * (depth + 1))
+    assert err.value.offset == 9 * depth
+
+
+def test_long_flat_chains_evaluate():
+    # sums, scalar factors and '^*' chains nest the AST one level per term
+    n = 3000
+    b21 = parse("B[2,1]")
+    assert evaluate(parse(" + ".join(["B[2,1]"] * n))) == evaluate(b21).scaled(n)
+    assert evaluate(parse("B[2,1]" + "^*" * (n + 1))) == involution(evaluate(b21))
+    assert evaluate(parse("(-1)*" * (n + 1) + "B[2,1]")) == evaluate(b21).scaled(-1)
 
 
 def test_render_fractional_scalars_and_step_labels():

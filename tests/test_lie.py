@@ -1,8 +1,9 @@
 import itertools
 import json
+import random
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import rhpwn.lie
@@ -154,25 +155,55 @@ def test_jacobi_scan_small_grids():
     assert report.passed and report.triples_checked == 0
 
 
+def test_exhaustive_jacobi_scan_grid_cap(monkeypatch):
+    # 30 RHPWN indices in (0..5)^2: scanned at a cap of 30, refused at 29
+    monkeypatch.setattr(rhpwn.lie, "MAX_SCAN_INDICES", 30)
+    assert jacobi_scan(RHPWN, (0, 5), (0, 5)).triples_checked == 30**3
+    monkeypatch.setattr(rhpwn.lie, "MAX_SCAN_INDICES", 29)
+    with pytest.raises(ValueError, match="at most 29 basis indices, this grid has 30"):
+        jacobi_scan(RHPWN, (0, 5), (0, 5))
+    # a sample is not capped: it never builds the whole grid's tables
+    assert jacobi_scan(RHPWN, (0, 5), (0, 5), sample=50, seed=1).triples_checked == 50
+
+
 def test_jacobi_scan_sampling_records_seed():
     report = jacobi_scan(WINF, (2, 8), (-6, 6), sample=500, seed=42)
     assert report.sampled and report.seed == 42
     assert report.triples_checked == 500 and report.passed
 
 
+def _skewed_structure(kind, n, k, N, K):
+    """The true table with each bracket from B^n_k, n + k divisible by 3, off by one."""
+    c, n2, k2 = structure(kind, n, k, N, K)
+    return (c + 1 if (n + k) % 3 == 0 else c), n2, k2
+
+
+@settings(deadline=None)
 @given(st.data())
 def test_scan_path_agrees_with_element_path(data):
-    pool = basis_indices(WINF, (2, 6), (-4, 4))
-    p1 = data.draw(st.sampled_from(pool))
-    p2 = data.draw(st.sampled_from(pool))
-    p3 = data.draw(st.sampled_from(pool))
-    from rhpwn.lie import _basis_jacobi_residual
-
-    residual = _basis_jacobi_residual(WINF, p1, p2, p3)
-    defect = jacobi_defect(
-        basis(WINF, *p1), basis(WINF, *p2), basis(WINF, *p3)
-    )
-    assert (not residual) == defect.is_zero
+    n0, k0 = data.draw(st.integers(2, 5)), data.draw(st.integers(-4, 3))
+    n_range = (n0, n0 + data.draw(st.integers(0, 1)))
+    k_range = (k0, k0 + data.draw(st.integers(0, 2)))
+    sample = data.draw(st.none() | st.integers(1, 12))
+    seed = data.draw(st.integers(0, 2**16))
+    pairs = basis_indices(WINF, n_range, k_range)
+    if sample is None:
+        triples = list(itertools.product(pairs, repeat=3))
+    else:
+        rng = random.Random(seed)
+        triples = [tuple(rng.choice(pairs) for _ in range(3)) for _ in range(sample)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rhpwn.lie, "structure", _skewed_structure)
+        report = jacobi_scan(WINF, n_range, k_range, sample=sample, seed=seed)
+        expected = []
+        for t in triples:
+            defect = jacobi_defect(*(basis(WINF, *p) for p in t))
+            if not defect.is_zero:
+                expected.append((*t, tuple(((g.n, g.k), c) for g, c in defect.terms)))
+    assert report.triples_checked == len(triples)
+    assert report.failure_count == len(expected)
+    reported = [(*f[:3], tuple((key, CScalar.of(v)) for key, v in f[3])) for f in report.failures]
+    assert reported == expected[:100]
 
 
 def test_closure_examples():

@@ -1,13 +1,19 @@
 import pytest
 
+import rhpwn.oracle
 from rhpwn.oracle import PolyRepOps, _path_ok, build, check_eq1, check_exchange_seed
+from rhpwn.scalars import binom, falling
 
 
-def test_build_matrices():
-    ops = build(2)
-    assert ops.a[0][1] == 1  # d/dx on x
-    assert ops.a[1][2] == 2
-    assert ops.ad[1][0] == 1 and ops.ad[2][1] == 1
+def test_ladder_columns():
+    D = 6
+    ops = build(D)
+    for m in range(D + 1):
+        # d/dx on x^m, and x * x^m with x * x^D truncated to zero
+        assert ops.annihilate({m: 1}) == ({m - 1: m} if m else {})
+        assert ops.word(0, 1)[m] == ((m - 1, m) if m else None)
+        assert ops.create({m: 1}) == ({m + 1: 1} if m < D else {})
+        assert ops.word(1, 0)[m] == ((m + 1, 1) if m < D else None)
     with pytest.raises(ValueError):
         PolyRepOps(1)
 
@@ -16,9 +22,8 @@ def test_number_operator_diagonal():
     ops = build(10)
     number = ops.word(1, 1)
     for m in range(11):
-        column = [number[r][m] for r in range(11)]
-        assert column[m] == m
-        assert sum(map(abs, column)) == m
+        # x^m is an eigenvector with eigenvalue m; x^0 is annihilated
+        assert number[m] == ((m, m) if m else None)
 
 
 def test_build_is_cached():
@@ -31,6 +36,21 @@ def test_build_is_cached():
 )
 def test_check_eq1_examples(n, k, N, K, D):
     assert check_eq1(n, k, N, K, D)
+
+
+@pytest.mark.parametrize("name, true_fn", [("binom", binom), ("falling", falling)])
+def test_check_eq1_fails_on_an_off_by_one_coefficient(monkeypatch, name, true_fn):
+    assert check_eq1(1, 3, 2, 1, 14)
+    monkeypatch.setattr(rhpwn.oracle, name, lambda n, k: true_fn(n, k) + 1)
+    assert not check_eq1(1, 3, 2, 1, 14)
+    assert not check_eq1(0, 1, 1, 0, 8)
+
+
+def test_check_exchange_seed_fails_on_a_corrupted_coefficient(monkeypatch):
+    monkeypatch.setattr(rhpwn.oracle, "PQ_COMMUTATOR", 3)
+    assert check_exchange_seed(0, 6)  # the right-hand side vanishes at m = 0
+    for m in range(1, 7):
+        assert not check_exchange_seed(m, 12)
 
 
 def test_check_eq1_guard():
