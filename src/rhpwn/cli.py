@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 import sys
 from contextlib import contextmanager
 
@@ -106,12 +107,22 @@ def _rejected_input(context: str = ""):
         raise SystemExit(2)
 
 
+def _cap_grid(size: int, cap: int, what: str) -> None:
+    """Refuse a grid of more than ``cap`` ``what`` before any work."""
+    if size > cap:
+        with _rejected_input():
+            raise ValueError(f"at most {cap} {what} per run, this grid has {size}")
+
+
 @click.group()
 def main() -> None:
     """Exact engines for renormalized white-noise powers and w-infinity."""
 
 
 # -- theta --------------------------------------------------------------------
+
+MAX_THETA_ROWS = 100_000  # largest table theta prints: a json report holds every row
+
 
 @main.command("theta")
 @click.option("--L", "l_range", type=RANGE, default="2..2", show_default=True)
@@ -125,6 +136,7 @@ def theta_cmd(l_range, n_range, k_range, nn_range, kk_range, fmt) -> None:
     if l_range[0] < 2:
         raise click.UsageError("theta needs L >= 2")
     ranges = (l_range, n_range, k_range, nn_range, kk_range)
+    _cap_grid(math.prod(len(_ints(r)) for r in ranges), MAX_THETA_ROWS, "theta rows")
     rows = ((*t, theta_fn(*t)) for t in itertools.product(*map(_ints, ranges)))
     names = ("L", "n", "k", "N", "K", "theta")
     with _rejected_input():
@@ -405,6 +417,12 @@ def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
 
 # -- oracle -------------------------------------------------------------------
 
+# Largest eq1 grid oracle checks, counted as tuples times the D + 1 columns of
+# each: the default grid has 625 * 41 = 25625, and [0,4]^4 at D = 1600 (near
+# the cap) takes about 4 s on a 2-core VM with CPython 3.11.
+MAX_EQ1_COLUMNS = 1_000_000
+
+
 @main.command("oracle")
 @click.option("--eq1-max", type=int, default=4, show_default=True,
               help="Check the commutator expansion for all indices in [0, max]^4.")
@@ -415,6 +433,7 @@ def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
 @_format_option
 def oracle_cmd(eq1_max, eq1_trunc, seed_max, seed_trunc, fmt) -> None:
     """Run the polynomial-representation oracle suites."""
+    _cap_grid(len(range(eq1_max + 1)) ** 4 * (eq1_trunc + 1), MAX_EQ1_COLUMNS, "eq1 columns")
     # Both suites run before any output, so a rejected truncation prints nothing.
     with _rejected_input():
         grid = itertools.product(range(eq1_max + 1), repeat=4)

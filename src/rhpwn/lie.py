@@ -8,6 +8,7 @@ and element-level computations certify the same table.
 from __future__ import annotations
 
 import enum
+import heapq
 import itertools
 import random
 from dataclasses import dataclass
@@ -240,6 +241,10 @@ def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list,
 
     Row 0 is all zeros and is where a vanishing inner bracket points, so it
     contributes nothing downstream. Equal offsets and ids share one int.
+    The orbit walk reads [y, z] for fixed y as the contiguous slice
+    ``inner_c[y*size:(y+1)*size]`` and [z, x] for fixed x as the strided
+    slice ``inner_c[x::size]``, so no transposed copy is kept: the tables
+    stay at about 10 * size**2 entries.
     """
     size = len(pairs)
     rows: dict[tuple[int, int], int] = {}
@@ -321,6 +326,52 @@ def _jacobi_defects(pairs, tables: tuple, triples: Iterable, failures: list) -> 
     return count
 
 
+def _failing_orbits(size: int, tables: tuple):
+    """Yield one representative (a, b, c) of each cyclic orbit of id triples
+    whose Jacobi residual is nonzero, from ``_structure_tables`` of ``size``
+    basis indices.
+
+    The rotations of (a, b, c) sum the same three terms [x, [y, z]] for any
+    table, so one triple per orbit settles all of its rotations. The
+    representatives are the triples with a <= b and a < c, whose orbits have
+    three triples, and the triples a = b = c, whose orbits have one. Each
+    (a, b) row is walked over c with [b, c] and [c, [a, b]] read from
+    contiguous slices and [c, a] from a strided one.
+    """
+    inner_c, inner_row, outer_c, outer_k, _ = tables
+    for a in range(size):
+        aa = a * size + a
+        # (a, a, a): three equal terms
+        if inner_c[aa] * outer_c[inner_row[aa] + a]:
+            yield a, a, a
+        lo = a + 1
+        ca_c, ca_row = inner_c[lo * size + a :: size], inner_row[lo * size + a :: size]
+        for b in range(a, size):
+            ab, bc = a * size + b, b * size
+            c_ab, r_ab = inner_c[ab], inner_row[ab]
+            row = zip(
+                inner_c[bc + lo : bc + size], inner_row[bc + lo : bc + size], ca_c, ca_row,
+                outer_c[r_ab + lo : r_ab + size], outer_k[r_ab + lo : r_ab + size],
+            )
+            for c, (c_bc, r_bc, c_ca, r_ca, c3, k3) in enumerate(row, lo):
+                o1, o2 = r_bc + a, r_ca + b
+                v1, v2, v3 = c_bc * outer_c[o1], c_ca * outer_c[o2], c_ab * c3
+                k1, k2 = outer_k[o1], outer_k[o2]
+                # Sum terms with equal targets; a vanishing term adds 0 wherever it lands.
+                if k1 == k2 == k3:
+                    failed = v1 + v2 + v3
+                elif k1 == k2:
+                    failed = v1 + v2 or v3
+                elif k1 == k3:
+                    failed = v1 + v3 or v2
+                elif k2 == k3:
+                    failed = v2 + v3 or v1
+                else:
+                    failed = v1 or v2 or v3
+                if failed:
+                    yield a, b, c
+
+
 MAX_SCAN_INDICES = 500  # largest grid an exhaustive jacobi_scan accepts
 
 
@@ -336,13 +387,17 @@ def jacobi_scan(
     Exhaustive over the in-domain grid by default; with sample=N a fixed-seed
     random sample of N triples is drawn instead (the seed is recorded in the
     report). Both modes read the structure-constant table bracket() uses into
-    flat tables and walk the triples as integer ids through
-    ``_jacobi_defects``. The exhaustive scan builds ``_structure_tables`` over
-    the whole grid once: about 10 * size**2 list entries, so a grid of more
-    than ``MAX_SCAN_INDICES`` basis indices (at the cap about 2.4 million
-    entries and 40 MB, and 1.25e8 triples) raises ValueError before any
-    work. A sample refills one set of 3-index ``_triple_tables`` for each
-    drawn triple, so its cost grows with N alone.
+    flat tables of integer ids. The exhaustive scan builds
+    ``_structure_tables`` over the whole grid once, about 10 * size**2 list
+    entries, and walks one triple per cyclic orbit (``_failing_orbits``),
+    about size**3 / 3 triples; a failing orbit counts each of its triples.
+    A grid of more than ``MAX_SCAN_INDICES`` basis indices (at the cap about
+    2.4 million table entries and 40 MB, and 4.2e7 orbits) raises ValueError
+    before any work. The kept failures are the first ``_FAILURE_CAP`` failing
+    triples in lexicographic order, as a walk over every triple would find
+    them; ``_jacobi_defects`` computes their residuals. A sample refills one
+    set of 3-index ``_triple_tables`` for each drawn triple and runs it
+    through ``_jacobi_defects``, so its cost grows with N alone.
     """
     pairs = basis_indices(kind, n_range, k_range)
     size = len(pairs)
@@ -354,8 +409,18 @@ def jacobi_scan(
                 f"this grid has {size}; sample it instead"
             )
         checked = size**3
-        triples = itertools.product(range(size), repeat=3)
-        failure_count = _jacobi_defects(pairs, _structure_tables(kind, pairs), triples, failures)
+        tables = _structure_tables(kind, pairs)
+        failure_count = 0
+
+        def failing_triples():
+            nonlocal failure_count
+            for a, b, c in _failing_orbits(size, tables):
+                orbit = {(a, b, c), (b, c, a), (c, a, b)}
+                failure_count += len(orbit)
+                yield from orbit
+
+        kept = heapq.nsmallest(_FAILURE_CAP, failing_triples())
+        _jacobi_defects(pairs, tables, kept, failures)
     else:
         checked = sample if pairs else 0
         rng = random.Random(seed)

@@ -8,10 +8,12 @@ a column is the image of one monomial x^c, a dict from degree to nonzero
 coefficient, reached by stepping the ladder operators on x^c. A normally
 ordered word maps each monomial to a multiple of one monomial, so its column
 map, cached per word on ``build(D)``, holds (degree, coefficient) or None.
-Only the guard-safe columns are compared, each holding at most a few
-monomials. This gives an independent brute-force check of the two-point
-commutator coefficients (at coincident points, with every delta set to 1) and
-of the seed identity behind the exponential exchange rules.
+Every term of the commutator expansion maps x^c to a multiple of the same
+monomial, so each guard-safe column reduces to one integer, the sum of the
+terms' coefficients, and a term at any other degree fails the check. This
+gives an independent brute-force check of the two-point commutator
+coefficients (at coincident points, with every delta set to 1) and of the
+seed identity behind the exponential exchange rules.
 """
 
 from __future__ import annotations
@@ -107,16 +109,17 @@ def build(D: int) -> PolyRepOps:
     return PolyRepOps(D)
 
 
-def _image(word: WordMap, c: int, scale: int = 1) -> Column:
-    """Column c of scale * word."""
-    hit = word[c]
-    return {hit[0]: scale * hit[1]} if hit else {}
-
-
-def _compose(outer: WordMap, inner: WordMap, c: int) -> Column:
-    """Column c of the product outer * inner of two words."""
-    hit = inner[c]
-    return _image(outer, *hit) if hit else {}
+def _apply(words: tuple[WordMap, ...], c: int) -> Optional[tuple[int, int]]:
+    """(degree, coefficient) of the image of x^c under the product of
+    ``words``, the first applied first, or None where it vanishes."""
+    coeff = 1
+    for word in words:
+        hit = word[c]
+        if not hit:
+            return None
+        c, v = hit
+        coeff *= v
+    return c, coeff
 
 
 def _path_ok(c: int, steps: list[tuple[int, int]], D: int) -> bool:
@@ -142,8 +145,10 @@ def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
       - sum_L binom(K,L) falling(n,L) word(N+n-L, K+k-L)
 
     coefficient-exactly on every guard-safe column (those whose degree paths
-    never exceed D). This is the coincident-point shadow of the two-point
-    commutator, with every delta power set to 1.
+    never exceed D): each term maps x^c to a multiple of x^(c + n + N - k - K),
+    so the column is one integer, which must vanish, and a term landing at
+    any other degree fails. This is the coincident-point shadow of the
+    two-point commutator, with every delta power set to 1.
     """
     if min(n, k, N, K) < 0:
         raise ValueError("indices must be nonnegative")
@@ -167,16 +172,20 @@ def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
         and all(_path_ok(c, [step], D) for step in rhs_steps)
     ]
     assert safe_columns, "guard band left no safe columns"
-    return all(
-        _is_zero(
-            _combine(
-                (1, _compose(w1, w2, c)),
-                (-1, _compose(w2, w1, c)),
-                *((-scale, _image(word, c)) for scale, word in rhs),
-            )
-        )
-        for c in safe_columns
-    )
+    # Every term maps x^c to a multiple of x^(c + shift): one integer per column.
+    shift = n + N - k - K
+    terms = [(1, (w2, w1)), (-1, (w1, w2)), *((-scale, (word,)) for scale, word in rhs)]
+    for c in safe_columns:
+        total = 0
+        for scale, words in terms:
+            hit = _apply(words, c)
+            if hit:
+                if hit[0] != c + shift:
+                    return False
+                total += scale * hit[1]
+        if total:
+            return False
+    return True
 
 
 def check_exchange_seed(m: int, D: int = 16) -> bool:

@@ -167,6 +167,34 @@ def test_verify_w_failure_exits_1_and_reports_the_residual(runner, monkeypatch):
     ]
 
 
+def test_verify_w_checks_the_structure_table(runner, monkeypatch):
+    # The realization is compared with lie.structure, the table the Jacobi
+    # scans certify: a skewed table (c + 1) fails every tuple, and one whose
+    # brackets from n = 2 leave the family fails the 14 nonzero ones of those
+    # without a traceback.
+    true_structure = rhpwn.lie.structure
+    argv = ["verify-w", "--n", "2..3", "--k", "-1..1"]
+    monkeypatch.setattr(
+        rhpwn.lie, "structure", lambda *t: (true_structure(*t)[0] + 1, *true_structure(*t)[1:])
+    )
+    result = runner.invoke(main, argv)
+    lines = result.output.splitlines()
+    assert result.exit_code == 1
+    assert "n=2 k=1 N=3 K=0 coeff=3 dropped=0 FAIL" in lines
+    assert lines[-1] == "verify-w: tuples=36 failures=36 -> FAIL"
+    monkeypatch.undo()
+    _escaping_structure(monkeypatch)
+    result = runner.invoke(main, argv)
+    lines = result.output.splitlines()
+    assert result.exit_code == 1
+    assert sum(line.endswith(" FAIL") for line in lines[:-1]) == 14
+    assert lines[-1] == "verify-w: tuples=36 failures=14 -> FAIL"
+    # Every bracket 1 * B^0_0: it fails even where the true bracket vanishes.
+    monkeypatch.setattr(rhpwn.lie, "structure", lambda *t: (1, 0, 0))
+    result = runner.invoke(main, argv)
+    assert result.output.splitlines()[-1] == "verify-w: tuples=36 failures=36 -> FAIL"
+
+
 def test_smear_with_step_function_files(runner, tmp_path):
     g = [{"from": "1", "to": "2", "re": "1", "im": "0"}]
     f = [{"from": "3/2", "to": "3", "re": "1", "im": "0"}]
@@ -260,6 +288,9 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         ["bracket", "(" * 300 + "B[2,1]" + ")" * 300],
         # 1675 basis indices, past lie.MAX_SCAN_INDICES: refused before any table is built
         ["jacobi", "--kind", "rhpwn", "--n-range", "0..40", "--k-range", "0..40"],
+        # grids past cli.MAX_THETA_ROWS and cli.MAX_EQ1_COLUMNS: refused before any row
+        ["theta", "--n", "0..200", "--k", "0..200", "--N", "0..200", "--K", "0..200"],
+        ["oracle", "--eq1-max", "100", "--eq1-trunc", "1000"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -412,6 +443,26 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         assert _Digest(out.splitlines()[0], out.count("\n"), digest) == expected
     else:
         assert result.stdout == expected
+
+
+@pytest.mark.parametrize(
+    "cap, what, size, argv",
+    [
+        ("MAX_THETA_ROWS", "theta rows", 2,
+         ["theta", "--n", "2..3", "--k", "3", "--N", "4", "--K", "1"]),
+        ("MAX_EQ1_COLUMNS", "eq1 columns", 5, _ORACLE),
+    ],
+)
+def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, size, argv):
+    monkeypatch.setattr(rhpwn.cli, cap, size)
+    assert runner.invoke(main, argv).exit_code == 0
+    monkeypatch.setattr(rhpwn.cli, cap, size - 1)
+    monkeypatch.setattr(rhpwn.cli, "theta_fn", None)  # any row computed would raise
+    monkeypatch.setattr(rhpwn.oracle, "check_eq1", None)
+    result = runner.invoke(main, argv)
+    # stdout and stderr together: the error line and nothing else
+    assert result.exit_code == 2
+    assert result.output == f"error: at most {size - 1} {what} per run, this grid has {size}\n"
 
 
 def test_theta_prints_each_row_as_it_is_computed(runner, monkeypatch):

@@ -206,6 +206,81 @@ def test_scan_path_agrees_with_element_path(data):
     assert reported == expected[:100]
 
 
+def _corrupted_structure(mode, modulus, residue):
+    """The true table with the brackets [B^n_k, B^N_K] whose indices hit a
+    residue class skewed (c + 1), escaping (n' -> -n') or zeroed (c = 0)."""
+
+    def table(kind, n, k, N, K):
+        c, n2, k2 = structure(kind, n, k, N, K)
+        if (n + 2 * k + 3 * N + 5 * K) % modulus == residue:
+            if mode == "skew":
+                c += 1
+            elif mode == "escape":
+                n2 = -n2
+            else:
+                c = 0
+        return c, n2, k2
+
+    return table
+
+
+def _reference_scan(kind, n_range, k_range):
+    """failure_count and kept failures of a walk over every triple."""
+    pairs = basis_indices(kind, n_range, k_range)
+    tables = rhpwn.lie._structure_tables(kind, pairs)
+    failures = []
+    every = itertools.product(range(len(pairs)), repeat=3)
+    return rhpwn.lie._jacobi_defects(pairs, tables, every, failures), failures
+
+
+def _assert_orbit_walk_agrees(kind, n_range, k_range):
+    report = jacobi_scan(kind, n_range, k_range)
+    count, kept = _reference_scan(kind, n_range, k_range)
+    assert report.triples_checked == len(basis_indices(kind, n_range, k_range)) ** 3
+    assert report.failure_count == count
+    assert list(report.failures) == kept
+    return report
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_orbit_walk_agrees_with_the_walk_over_every_triple(data):
+    kind = data.draw(st.sampled_from([RHPWN, WINF]))
+    n0 = data.draw(st.integers(0, 3) if kind is RHPWN else st.integers(1, 4))
+    k0 = data.draw(st.integers(0, 3) if kind is RHPWN else st.integers(-3, 2))
+    n_range = (n0, n0 + data.draw(st.integers(0, 1)))
+    k_range = (k0, k0 + data.draw(st.integers(0, 3)))
+    modulus = data.draw(st.integers(1, 4))
+    corrupt = _corrupted_structure(
+        data.draw(st.sampled_from(["skew", "escape", "zero"])),
+        modulus,
+        data.draw(st.integers(0, modulus - 1)),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rhpwn.lie, "structure", corrupt)
+        _assert_orbit_walk_agrees(kind, n_range, k_range)
+
+
+@pytest.mark.parametrize("k_range, failure_count", [((0, 0), 1), ((0, 1), 7)])
+def test_orbit_walk_on_one_and_two_indices(monkeypatch, k_range, failure_count):
+    # Every bracket skewed: [a, [a, a]] no longer vanishes, so one-triple
+    # orbits (a, a, a) fail, on two indices beside both three-triple orbits.
+    monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure("skew", 1, 0))
+    report = _assert_orbit_walk_agrees(WINF, (2, 2), k_range)
+    assert ((2, 0), (2, 0), (2, 0)) in [f[:3] for f in report.failures]
+    assert report.failure_count == failure_count
+
+
+def test_orbit_walk_keeps_rotations_among_the_first_failures(monkeypatch):
+    monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure("skew", 3, 1))
+    report = _assert_orbit_walk_agrees(WINF, (2, 4), (-1, 2))
+    assert report.failure_count > 100 and len(report.failures) == 100
+    ids = {p: i for i, p in enumerate(basis_indices(WINF, (2, 4), (-1, 2)))}
+    kept = [tuple(ids[p] for p in f[:3]) for f in report.failures]
+    # kept triples that are not their orbit's representative (a <= b, a < c)
+    assert [t for t in kept if t[0] > min(t[1:]) or t[0] == t[2] != t[1]]
+
+
 def test_closure_examples():
     assert closure_check(RHPWN, (0, 6), (0, 6)).passed
     assert closure_check(WINF, (2, 8), (-4, 4)).passed

@@ -46,6 +46,16 @@ def test_check_eq1_fails_on_an_off_by_one_coefficient(monkeypatch, name, true_fn
     assert not check_eq1(0, 1, 1, 0, 8)
 
 
+def test_check_eq1_fails_on_a_term_at_the_wrong_degree(monkeypatch):
+    # creator^2 annihilator^3, the first expansion word of (1, 3, 2, 1), with
+    # the right coefficients one degree too high
+    ops = build(14)
+    word = ops.word(2, 3)
+    assert check_eq1(1, 3, 2, 1, 14)
+    monkeypatch.setitem(ops._words, (2, 3), [hit and (hit[0] + 1, hit[1]) for hit in word])
+    assert not check_eq1(1, 3, 2, 1, 14)
+
+
 def test_check_exchange_seed_fails_on_a_corrupted_coefficient(monkeypatch):
     monkeypatch.setattr(rhpwn.oracle, "PQ_COMMUTATOR", 3)
     assert check_exchange_seed(0, 6)  # the right-hand side vanishes at m = 0
