@@ -422,6 +422,13 @@ def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
 # the cap) takes about 4 s on a 2-core VM with CPython 3.11.
 MAX_EQ1_COLUMNS = 1_000_000
 
+# Largest exchange-seed suite oracle checks, counted as ladder steps: the check
+# of power m steps (a + a^+)^m on D - m columns of up to m + 1 degrees, about
+# D m^2 steps, so the suite takes D M(M+1)(2M+1)/6 for powers 0..M. The
+# default suite has 3264; near the cap it takes 3.5 s (M = 48, D = 120) to
+# 6.3 s (M = 20, D = 1700) on a 2-core VM with CPython 3.11.
+MAX_SEED_STEPS = 5_000_000
+
 
 @main.command("oracle")
 @click.option("--eq1-max", type=int, default=4, show_default=True,
@@ -434,6 +441,8 @@ MAX_EQ1_COLUMNS = 1_000_000
 def oracle_cmd(eq1_max, eq1_trunc, seed_max, seed_trunc, fmt) -> None:
     """Run the polynomial-representation oracle suites."""
     _cap_grid(len(range(eq1_max + 1)) ** 4 * (eq1_trunc + 1), MAX_EQ1_COLUMNS, "eq1 columns")
+    m = max(seed_max, 0)
+    _cap_grid(seed_trunc * m * (m + 1) * (2 * m + 1) // 6, MAX_SEED_STEPS, "exchange-seed steps")
     # Both suites run before any output, so a rejected truncation prints nothing.
     with _rejected_input():
         grid = itertools.product(range(eq1_max + 1), repeat=4)

@@ -122,20 +122,34 @@ def _apply(words: tuple[WordMap, ...], c: int) -> Optional[tuple[int, int]]:
     return c, coeff
 
 
-def _path_ok(c: int, steps: list[tuple[int, int]], D: int) -> bool:
-    """Degree tracking for monomial words applied right to left.
+def _column_bound(steps: list[tuple[int, int]], D: int) -> int:
+    """The largest column whose degree path, for monomial words applied right
+    to left, never exceeds D.
 
     Each step (k, n) lowers the degree by k then raises it by n; once the
     monomial is annihilated exactly (degree below k) nothing can overflow.
+    Each of these conditions holds for every column below one that meets it,
+    so the safe columns are 0..bound, and the bound follows from the steps
+    alone, last step first.
     """
-    d = c
-    for k, n in steps:
-        if d < k:
-            return True
-        d = d - k + n
-        if d > D:
-            return False
-    return True
+    bound = D
+    for k, n in reversed(steps):
+        bound = max(k - 1, min(D, bound) + k - n)
+    return bound
+
+
+def _safe_columns(n: int, k: int, N: int, K: int, D: int) -> range:
+    """Columns of x^0 .. x^D whose degree paths stay within D for both
+    products of the words (n, k) and (N, K).
+
+    The expansion words (n+N-L, k+K-L) need no paths of their own: they
+    annihilate x^c when c < k+K-L and otherwise land where the products do,
+    at c + n+N-k-K. A column on which both products land above D is
+    annihilated by one of them, so c < min(max(K, k+K-N), max(k, k+K-n)),
+    which is k+K-L for the largest L of the expansion.
+    """
+    bound = min(_column_bound([(K, N), (k, n)], D), _column_bound([(k, n), (K, N)], D))
+    return range(min(D, bound) + 1)
 
 
 def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
@@ -157,20 +171,11 @@ def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
     ops = build(D)
     w1, w2 = ops.word(n, k), ops.word(N, K)
     rhs = []
-    rhs_steps = []
     for L in range(1, min(k, N) + 1):
         rhs.append((binom(k, L) * falling(N, L), ops.word(n + N - L, k + K - L)))
-        rhs_steps.append((k + K - L, n + N - L))
     for L in range(1, min(K, n) + 1):
         rhs.append((-binom(K, L) * falling(n, L), ops.word(N + n - L, K + k - L)))
-        rhs_steps.append((K + k - L, N + n - L))
-    safe_columns = [
-        c
-        for c in range(D + 1)
-        if _path_ok(c, [(K, N), (k, n)], D)
-        and _path_ok(c, [(k, n), (K, N)], D)
-        and all(_path_ok(c, [step], D) for step in rhs_steps)
-    ]
+    safe_columns = _safe_columns(n, k, N, K, D)
     assert safe_columns, "guard band left no safe columns"
     # Every term maps x^c to a multiple of x^(c + shift): one integer per column.
     shift = n + N - k - K

@@ -14,12 +14,22 @@ residue. Reducing the delta powers (renormalization plus test functions
 vanishing at zero) turns the commutator of two generators into a single
 generator, which is compared structurally against the w-infinity bracket.
 Every sum of words is kept as a canonically sorted sum (scalars.LinComb).
+
+A product or commutator of two single-label words is built in one pass. Both
+orders share the exponential blocks, the test functions and the product of
+the two scalars, and differ only in delta power and field block, so the
+binomial exchange weights binom(p,j) x^(p-j) binom(q,i) y^(q-i) of both
+orders add up in one table keyed by the field powers. For generator words
+the exponents are k/2, so x and y are integers and so are the weights; the
+shared scalar multiplies each nonzero weight once, and the words come out in
+canonical order without a merge.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Literal, Mapping, Optional
 
 from . import lie
@@ -159,6 +169,15 @@ def gen_to_word(n: int, k: int, label: str = "t", fn: Optional[AnyTestFn] = None
 Direction = Literal["rightward", "leftward"]
 
 
+def _exchange_row(m: int, x) -> list:
+    """binom(m, j) x^(m-j) for j = 0..m: the weights of Q^j delta^(m-j) when an
+    exponential E(lam) crosses Q^m, with x = 2 lam rightward and -2 lam leftward.
+    An integral x is taken as an int, so the row of a generator word is all ints."""
+    if x.denominator == 1:
+        x = x.numerator
+    return [binom(m, j) * x ** (m - j) for j in range(m + 1)]
+
+
 def exchange_E_past_Q(
     lam, src_label: str, m: int, dst_label: str, direction: Direction
 ) -> EQExpr:
@@ -179,20 +198,17 @@ def exchange_E_past_Q(
     sign = 1 if direction == "rightward" else -1
     if direction not in ("rightward", "leftward"):
         raise ValueError(f"unknown direction {direction!r}")
-    terms = []
-    for j in range(m + 1):
-        coeff = binom(m, j) * (sign * 2 * lam) ** (m - j)
-        exp_map = {src_label: lam}
-        terms.append(
-            eq_term(
-                coeff,
-                left_exp=exp_map if direction == "leftward" else {},
-                q_pow={dst_label: j},
-                right_exp=exp_map if direction == "rightward" else {},
-                delta_L=m - j,
-            )
+    exp_map = {src_label: lam}
+    return eq_expr(
+        eq_term(
+            coeff,
+            left_exp=exp_map if direction == "leftward" else {},
+            q_pow={dst_label: j},
+            right_exp=exp_map if direction == "rightward" else {},
+            delta_L=m - j,
         )
-    return eq_expr(terms)
+        for j, coeff in enumerate(_exchange_row(m, sign * 2 * lam))
+    )
 
 
 def _single_label_parts(t: EQTerm):
@@ -210,22 +226,26 @@ def _single_label_parts(t: EQTerm):
     )
 
 
-def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
-    """Product of two single-label sandwich words, renormalized to sandwich shape.
+def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
+    """a b, or a b - b a when ``minus_ba``, renormalized to sandwich shape.
 
-    b's left exponential moves leftward across a's field block and a's right
-    exponential moves rightward across b's field block; only these cross-label
-    exchanges are ever needed, and each contributes its binomial expansion
-    with the accumulated delta power.
+    In a b, b's left exponential moves leftward across a's field block and a's
+    right exponential moves rightward across b's field block; only these
+    cross-label exchanges are ever needed. For field powers p and q, every
+    word of either order has powers u <= p at a's label and v <= q at b's
+    label and delta power p+q-u-v, so both orders add up in one grid.
     """
     if a.delta_L or b.delta_L:
         raise ValueError("product factors must not carry delta powers")
     pa = _single_label_parts(a)
     pb = _single_label_parts(b)
+    base = a.coeff * b.coeff
     if pa is None or pb is None:
-        # One factor is a pure scalar: concatenation is already sandwich-shaped.
+        # One factor is a pure scalar: both orders concatenate to the same word.
+        if minus_ba:
+            return EQ_ZERO
         merged = eq_term(
-            a.coeff * b.coeff,
+            base,
             a.left_exp + b.left_exp,
             a.q_pow + b.q_pow,
             a.right_exp + b.right_exp,
@@ -238,6 +258,23 @@ def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
         raise DeltaAtZeroError("same-label product would create delta(0)")
     if p < 0 or q < 0:
         raise ValueError(f"negative power in a product factor: {p}, {q}")
+    if not base:
+        return EQ_ZERO
+    grid = [[0] * (q + 1) for _ in range(p + 1)]
+    # a b: Q^p keeps u at a's label, Q^q keeps v at b's label.
+    right = _exchange_row(q, 2 * alpha_r)
+    for u, x in enumerate(_exchange_row(p, -2 * beta_l)):
+        if x:
+            row = grid[u]
+            for v, y in enumerate(right):
+                row[v] += x * y
+    if minus_ba:
+        # b a: Q^q keeps v at b's label, Q^p keeps u at a's label.
+        right = _exchange_row(p, 2 * beta_r)
+        for v, x in enumerate(_exchange_row(q, -2 * alpha_l)):
+            if x:
+                for u, y in enumerate(right):
+                    grid[u][v] -= x * y
     a_first = la < lb
 
     def pair_map(x, y) -> tuple:
@@ -245,43 +282,44 @@ def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
         items = ((la, x), (lb, y)) if a_first else ((lb, y), (la, x))
         return tuple(item for item in items if item[1])
 
-    # Every term shares the exponential blocks and the test functions.
+    words = [
+        ((p + q - u - v, pair_map(u, v)), w)
+        for u, row in enumerate(grid)
+        for v, w in enumerate(row)
+        if w
+    ]
+    # (delta power, field block) is the EQExpr order: the other key fields are shared.
+    words.sort(key=itemgetter(0))
     left_exp = _Block(pair_map(alpha_l, beta_l))
     right_exp = _Block(pair_map(alpha_r, beta_r))
     testfn = _Block(a.testfn + b.testfn if a_first else b.testfn + a.testfn)
-    base = a.coeff * b.coeff
-    right_factors = [binom(q, i) * (2 * alpha_r) ** (q - i) for i in range(q + 1)]
-    pairs = []
-    for j in range(p + 1):
-        left_factor = binom(p, j) * (-2 * beta_l) ** (p - j)
-        if not left_factor:
-            continue
-        row = base * left_factor
-        for i, right_factor in enumerate(right_factors):
-            if right_factor:
-                key = ((p - j) + (q - i), pair_map(j, i), left_exp, right_exp, testfn)
-                pairs.append((key, row * right_factor))
-    return EQExpr.canonical(pairs)
+    return EQExpr(
+        tuple(
+            EQTerm(base * w, left_exp, q_pow, right_exp, delta_L, testfn)
+            for (delta_L, q_pow), w in words
+        )
+    )
+
+
+def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
+    """Product of two single-label sandwich words, renormalized to sandwich shape."""
+    return _products(a, b, minus_ba=False)
 
 
 def commutator(a: EQTerm, b: EQTerm) -> EQExpr:
-    """multiply(a, b) - multiply(b, a), canonical."""
-    return multiply(a, b) - multiply(b, a)
+    """multiply(a, b) - multiply(b, a), canonical, accumulated in one pass."""
+    return _products(a, b, minus_ba=True)
 
 
-def _merge_labels(t: EQTerm) -> EQTerm:
-    labels = sorted(t.labels())
-    target = labels[0]
-    fns = [fn for _, fn in t.testfn]
+def _merged_blocks(t: EQTerm, target: str) -> tuple:
+    """t's exponential blocks summed and its test functions multiplied, at ``target``."""
     product = None
-    for fn in fns:
+    for _, fn in t.testfn:
         product = fn if product is None else fn_product(product, fn)
-    return eq_term(
-        t.coeff,
-        {target: sum((v for _, v in t.left_exp), Fraction(0))},
-        {target: sum(e for _, e in t.q_pow)},
-        {target: sum((v for _, v in t.right_exp), Fraction(0))},
-        testfn={} if product is None else {target: product},
+    return (
+        _canon_params({target: sum((v for _, v in t.left_exp), Fraction(0))}),
+        _canon_params({target: sum((v for _, v in t.right_exp), Fraction(0))}),
+        _Block(() if product is None else ((target, product),)),
     )
 
 
@@ -301,17 +339,26 @@ def reduce(e: EQExpr) -> ReduceResult:
     factor g(0) f(0): they are dropped and counted when some test function
     of the word is known to vanish at zero, and raise SingularPartError
     otherwise. Words with delta power 1 have their labels identified and
-    their blocks merged additively.
+    their blocks merged additively; the merged exponential and test-function
+    blocks are built once per block set and shared by its words.
     """
     reduced = []
     residual = []
     dropped = 0
     offenders = []
+    merged: dict = {}
     for t in e.terms:
         if t.delta_L == 0:
             residual.append(t)
         elif t.delta_L == 1:
-            reduced.append(_merge_labels(t))
+            target = min(t.labels())
+            key = (t.left_exp, t.right_exp, t.testfn, target)
+            blocks = merged.get(key)
+            if blocks is None:
+                blocks = merged[key] = _merged_blocks(t, target)
+            left_exp, right_exp, testfn = blocks
+            q_pow = canon_pows({target: sum(e for _, e in t.q_pow)})
+            reduced.append(EQTerm(t.coeff, left_exp, q_pow, right_exp, 0, testfn))
         elif any(fn_vanishes_at_zero(fn) for _, fn in t.testfn):
             dropped += 1
         else:
@@ -322,7 +369,8 @@ def reduce(e: EQExpr) -> ReduceResult:
             "test functions must vanish at zero",
             offenders,
         )
-    return ReduceResult(eq_expr(reduced), eq_expr(residual), dropped)
+    # The residual is a subsequence of a canonical sum, so it is canonical.
+    return ReduceResult(eq_expr(reduced), EQExpr(tuple(residual)), dropped)
 
 
 @dataclass(frozen=True)

@@ -451,6 +451,8 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         ("MAX_THETA_ROWS", "theta rows", 2,
          ["theta", "--n", "2..3", "--k", "3", "--N", "4", "--K", "1"]),
         ("MAX_EQ1_COLUMNS", "eq1 columns", 5, _ORACLE),
+        # powers 0..1 at D = 4: 4 * (0 + 1) ladder steps
+        ("MAX_SEED_STEPS", "exchange-seed steps", 4, _ORACLE),
     ],
 )
 def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, size, argv):
@@ -459,6 +461,7 @@ def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, s
     monkeypatch.setattr(rhpwn.cli, cap, size - 1)
     monkeypatch.setattr(rhpwn.cli, "theta_fn", None)  # any row computed would raise
     monkeypatch.setattr(rhpwn.oracle, "check_eq1", None)
+    monkeypatch.setattr(rhpwn.oracle, "check_exchange_seed", None)
     result = runner.invoke(main, argv)
     # stdout and stderr together: the error line and nothing else
     assert result.exit_code == 2

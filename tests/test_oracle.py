@@ -1,7 +1,16 @@
+import itertools
+
 import pytest
 
 import rhpwn.oracle
-from rhpwn.oracle import PolyRepOps, _path_ok, build, check_eq1, check_exchange_seed
+from rhpwn.oracle import (
+    PolyRepOps,
+    _column_bound,
+    _safe_columns,
+    build,
+    check_eq1,
+    check_exchange_seed,
+)
 from rhpwn.scalars import binom, falling
 
 
@@ -80,10 +89,39 @@ def test_check_exchange_seed_guard():
         check_exchange_seed(6, 8)
 
 
+def _path_ok(c, steps, D):
+    """The step-by-step degree walk: each step (k, n) lowers the degree by k
+    then raises it by n, and an exactly annihilated monomial cannot overflow."""
+    d = c
+    for k, n in steps:
+        if d < k:
+            return True
+        d = d - k + n
+        if d > D:
+            return False
+    return True
+
+
 def test_degree_tracking():
     # a^k annihilates low monomials exactly, which is always safe
-    assert _path_ok(1, [(3, 10)], 5)
+    assert 1 <= _column_bound([(3, 10)], 5)
     # otherwise the raised degree must stay within the truncation
-    assert _path_ok(3, [(2, 4), (0, 0)], 5)
-    assert not _path_ok(4, [(2, 4)], 5)
-    assert not _path_ok(0, [(0, 6)], 5)
+    assert 3 <= _column_bound([(2, 4), (0, 0)], 5)
+    assert _column_bound([(2, 4)], 5) == 3
+    assert _column_bound([(0, 6)], 5) == -1
+
+
+def test_safe_columns_match_the_step_by_step_walk():
+    for n, k, N, K in itertools.product(range(7), repeat=4):
+        steps = [(k + K - L, n + N - L) for L in range(1, min(k, N) + 1)]
+        steps += [(K + k - L, N + n - L) for L in range(1, min(K, n) + 1)]
+        guard = n + k + N + K
+        for D in range(guard + 1, guard + 13):
+            walked = [
+                c
+                for c in range(D + 1)
+                if _path_ok(c, [(K, N), (k, n)], D)
+                and _path_ok(c, [(k, n), (K, N)], D)
+                and all(_path_ok(c, [step], D) for step in steps)
+            ]
+            assert list(_safe_columns(n, k, N, K, D)) == walked, (n, k, N, K, D)

@@ -104,6 +104,11 @@ def test_multiply_unit():
     identity = eq_term(1)
     assert multiply(a, identity) == eq_expr([a])
     assert multiply(identity, a) == eq_expr([a])
+    # a pure scalar commutes with every word and scales it
+    scalar = eq_term(CScalar(Fraction(2, 3), Fraction(-1, 5)))
+    assert multiply(scalar, a) == multiply(a, scalar) == eq_expr([a]).scaled(scalar.coeff)
+    assert commutator(a, scalar).is_zero and commutator(scalar, a).is_zero
+    assert commutator(scalar, identity).is_zero
 
 
 def test_multiply_pure_field_powers_commute():
@@ -177,7 +182,11 @@ def _reference_product(a, b, pa, pb):
     return eq_expr(terms)
 
 
-_half_integers = st.integers(-7, 7).map(lambda m: Fraction(m, 2))
+# Half-integer exponents take the integer-weight path of generator words,
+# other denominators the Fraction-weight path.
+_exponents = st.one_of(
+    st.just(Fraction(0)), st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+)
 _word_testfns = st.one_of(
     fn_symbols, step_fns(), st.sampled_from([indicator([(1, 2)]), indicator([(-3, -1)])])
 )
@@ -186,7 +195,7 @@ _word_testfns = st.one_of(
 @st.composite
 def _word_parts(draw, label):
     # a test function keeps the word labelled even when the rest is trivial
-    parts = (label, draw(_half_integers), draw(st.integers(0, 6)), draw(_half_integers))
+    parts = (label, draw(_exponents), draw(st.integers(0, 6)), draw(_exponents))
     word = eq_term(
         draw(cscalars), {label: parts[1]}, {label: parts[2]}, {label: parts[3]},
         testfn={label: draw(_word_testfns)},
@@ -242,6 +251,39 @@ def test_reduce_merges_single_delta_words():
     )
     assert result.reduced == eq_expr([merged])
     assert result.l0_residual.is_zero and result.dropped_singular == 0
+
+
+def test_reduce_merges_each_block_set_on_its_own():
+    # delta-1 words whose block sets differ in one block each, or only in the
+    # label they merge at: each word takes its own merged blocks
+    third, half = Fraction(1, 3), Fraction(5, 2)
+    exps, other = {"t": third, "s": half}, {"t": -third}
+    symbols = {"t": fn_symbol("g"), "s": fn_symbol("f")}
+    g, f = indicator([(1, 3)]), indicator([(2, 4)])
+    words = [
+        eq_term(7, exps, {"t": 2, "s": 3}, exps, delta_L=1, testfn=symbols),
+        eq_term(-2, exps, {"t": 1}, exps, delta_L=1, testfn=symbols),
+        eq_term(5, exps, {"t": 1}, exps, delta_L=1, testfn={"t": g, "s": f}),
+        eq_term(6, exps, {"t": 1}, other, delta_L=1, testfn=symbols),
+        eq_term(8, other, {"t": 1}, exps, delta_L=1, testfn=symbols),
+        eq_term(3, exps, {"a": 1}, exps, delta_L=1, testfn=symbols),
+        eq_term(4, {}, {"t": 1, "s": 1}, {}),
+    ]
+    result = reduce(eq_expr(words))
+    fg = {"s": FnSymbol(("f", "g"), True)}
+    both = {"s": third + half}
+    merged = [
+        eq_term(7, both, {"s": 5}, both, testfn=fg),
+        eq_term(-2, both, {"s": 1}, both, testfn=fg),
+        eq_term(5, both, {"s": 1}, both, testfn={"s": pointwise_product(g, f)}),
+        eq_term(6, both, {"s": 1}, {"s": -third}, testfn=fg),
+        eq_term(8, {"s": -third}, {"s": 1}, both, testfn=fg),
+        eq_term(3, {"a": third + half}, {"a": 1}, {"a": third + half},
+                testfn={"a": FnSymbol(("f", "g"), True)}),
+    ]
+    assert result.reduced == eq_expr(merged)
+    assert result.l0_residual == eq_expr(words[-1:])
+    assert result.dropped_singular == 0
 
 
 def test_reduce_drops_singular_and_keeps_residual():

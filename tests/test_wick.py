@@ -5,7 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cscalars, s0_step_fns
-from rhpwn.oracle import _apply, _path_ok, build
+from rhpwn.oracle import _apply, _safe_columns, build
 from rhpwn.scalars import CS_ZERO, CScalar
 from rhpwn.stepfn import fn_symbol, indicator
 from rhpwn.wick import (
@@ -184,11 +184,7 @@ def test_collapse_matches_polynomial_representation(n, k, N, K):
     ops = build(D)
     w1, w2 = ops.word(n, k), ops.word(N, K)
     collapsed = collapse_single_mode(monomial_commutator(n, k, N, K))
-    safe = [
-        c
-        for c in range(D + 1)
-        if _path_ok(c, [(K, N), (k, n)], D) and _path_ok(c, [(k, n), (K, N)], D)
-    ]
+    safe = _safe_columns(n, k, N, K, D)
     assert safe
     for c in safe:
         lhs = {}
