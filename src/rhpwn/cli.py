@@ -431,18 +431,18 @@ MAX_SEED_STEPS = 5_000_000
 
 
 @main.command("oracle")
-@click.option("--eq1-max", type=int, default=4, show_default=True,
+@click.option("--eq1-max", type=click.IntRange(min=0), default=4, show_default=True,
               help="Check the commutator expansion for all indices in [0, max]^4.")
 @click.option("--eq1-trunc", type=int, default=40, show_default=True)
-@click.option("--seed-max", type=int, default=8, show_default=True,
+@click.option("--seed-max", type=click.IntRange(min=0), default=8, show_default=True,
               help="Check the exchange seed for powers in [0, max].")
 @click.option("--seed-trunc", type=int, default=16, show_default=True)
 @_format_option
 def oracle_cmd(eq1_max, eq1_trunc, seed_max, seed_trunc, fmt) -> None:
     """Run the polynomial-representation oracle suites."""
-    _cap_grid(len(range(eq1_max + 1)) ** 4 * (eq1_trunc + 1), MAX_EQ1_COLUMNS, "eq1 columns")
-    m = max(seed_max, 0)
-    _cap_grid(seed_trunc * m * (m + 1) * (2 * m + 1) // 6, MAX_SEED_STEPS, "exchange-seed steps")
+    _cap_grid((eq1_max + 1) ** 4 * (eq1_trunc + 1), MAX_EQ1_COLUMNS, "eq1 columns")
+    steps = seed_trunc * seed_max * (seed_max + 1) * (2 * seed_max + 1) // 6
+    _cap_grid(steps, MAX_SEED_STEPS, "exchange-seed steps")
     # Both suites run before any output, so a rejected truncation prints nothing.
     with _rejected_input():
         grid = itertools.product(range(eq1_max + 1), repeat=4)

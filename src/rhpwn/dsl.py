@@ -30,7 +30,7 @@ from typing import Optional, Union
 
 from . import lie
 from .lie import AlgebraKind, Element, element_to_json
-from .scalars import CScalar
+from .scalars import CS_I, CScalar
 from .stepfn import FnSymbol, StepFn
 
 
@@ -285,7 +285,7 @@ class _Parser:
         tok = self.peek()
         if tok[0] == "name" and tok[1] == "i":
             self.advance()
-            return CScalar(Fraction(0), Fraction(1))
+            return CS_I
         value = self._parse_rational()
         if self.peek()[0] == "*":
             save = self.pos

@@ -228,8 +228,27 @@ class JacobiReport:
         return self.failure_count == 0
 
 
-def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list, list, list]:
-    """Flat tables of ``structure`` over the basis ``pairs``, read once per scan.
+def _jacobi_residual(kind: AlgebraKind, p1: tuple, p2: tuple, p3: tuple) -> tuple:
+    """[p1, [p2, p3]] + [p2, [p3, p1]] + [p3, [p1, p2]] for three basis
+    indices, from at most six ``structure`` calls: the three cyclic terms
+    summed by target, as sorted nonzero ((n, k), value) pairs. Empty when the
+    Jacobi identity holds for the triple."""
+    acc: dict[tuple[int, int], int] = {}
+    for (n, k), (m, j), (N, K) in ((p1, p2, p3), (p2, p3, p1), (p3, p1, p2)):
+        c1, n1, k1 = structure(kind, m, j, N, K)
+        if c1:
+            c2, n2, k2 = structure(kind, n, k, n1, k1)
+            if c2:
+                key = n2, k2
+                acc[key] = acc.get(key, 0) + c1 * c2
+    if any(acc.values()):
+        return tuple(sorted(item for item in acc.items() if item[1]))
+    return ()
+
+
+def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list, list]:
+    """Flat tables of ``structure`` over the basis ``pairs``, read once per
+    exhaustive scan.
 
     Basis index i is ``pairs[i]``. Each distinct target t of an inner bracket
     gets a row offset r = (t's id) * len(pairs), id 1 upward; with e = y*size + z:
@@ -237,11 +256,12 @@ def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list,
     - ``inner_c[e]`` is the coefficient of [y, z] and ``inner_row[e]`` the
       row offset of its target;
     - ``outer_c[r + x]`` is the coefficient of [x, t] and ``outer_k[r + x]``
-      the id of its target in ``keys``.
+      an integer id of its target, equal ids for equal targets.
 
     Row 0 is all zeros and is where a vanishing inner bracket points, so it
     contributes nothing downstream. Equal offsets and ids share one int.
-    The orbit walk reads [y, z] for fixed y as the contiguous slice
+    The orbit walk compares target ids only, so the targets themselves are
+    not kept. It reads [y, z] for fixed y as the contiguous slice
     ``inner_c[y*size:(y+1)*size]`` and [z, x] for fixed x as the strided
     slice ``inner_c[x::size]``, so no transposed copy is kept: the tables
     stay at about 10 * size**2 entries.
@@ -264,66 +284,7 @@ def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list,
             if c:
                 outer_c[row + x] = c
                 outer_k[row + x] = keys.setdefault((n2, k2), len(keys))
-    return inner_c, inner_row, outer_c, outer_k, list(keys)
-
-
-_CYCLIC_TERMS = ((3, 0, 1, 2), (6, 1, 2, 0), (9, 2, 0, 1))  # (row offset, x, y, z)
-
-
-def _triple_tables(kind: AlgebraKind, pairs: tuple, tables: tuple) -> tuple:
-    """Overwrite in ``tables`` (lists of 9, 9, 12 and 12 ints and a key list)
-    every entry that ``_jacobi_defects`` reads for the one triple (0, 1, 2)
-    into the three basis ``pairs``, laid out as by ``_structure_tables``: the
-    three cyclic inner brackets and the outer bracket of each, at most six
-    ``structure`` calls. Cyclic term j gets its own row, offset 3 * j."""
-    inner_c, inner_row, outer_c, outer_k, keys = tables
-    keys.clear()
-    for row, x, y, z in _CYCLIC_TERMS:
-        (n, k), (N, K) = pairs[y], pairs[z]
-        c, n2, k2 = structure(kind, n, k, N, K)
-        inner_c[3 * y + z], inner_row[3 * y + z] = c, row
-        if c:
-            n, k = pairs[x]
-            c, n2, k2 = structure(kind, n, k, n2, k2)
-            if c:
-                if (n2, k2) not in keys:
-                    keys.append((n2, k2))
-                outer_k[row + x] = keys.index((n2, k2))
-        # A vanishing term reads a stale key id, which folds in only a 0.
-        outer_c[row + x] = c
-    return tables
-
-
-def _jacobi_defects(pairs, tables: tuple, triples: Iterable, failures: list) -> int:
-    """Count the id triples into ``pairs`` whose Jacobi residual is nonzero,
-    appending (p1, p2, p3, residual) for each to ``failures`` while it holds
-    fewer than ``_FAILURE_CAP``; the residual is sorted ((n, k), value) pairs.
-
-    The residual of (a, b, c) sums the three cyclic terms [x, [y, z]], each an
-    inner-table entry times an outer-table entry of ``tables`` (laid out as
-    by ``_structure_tables``), grouped by target.
-    """
-    size = len(pairs)
-    count = 0
-    inner_c, inner_row, outer_c, outer_k, keys = tables
-    for a, b, c in triples:
-        bc, ca, ab = b * size + c, c * size + a, a * size + b
-        o1, o2, o3 = inner_row[bc] + a, inner_row[ca] + b, inner_row[ab] + c
-        v1, v2, v3 = inner_c[bc] * outer_c[o1], inner_c[ca] * outer_c[o2], inner_c[ab] * outer_c[o3]
-        k1, k2, k3 = outer_k[o1], outer_k[o2], outer_k[o3]
-        # Fold terms with equal targets; a vanishing term adds 0 wherever it lands.
-        if k1 == k2:
-            v1, v2 = v1 + v2, 0
-        if k1 == k3:
-            v1, v3 = v1 + v3, 0
-        elif k2 == k3:
-            v2, v3 = v2 + v3, 0
-        if v1 or v2 or v3:
-            count += 1
-            if len(failures) < _FAILURE_CAP:
-                residual = sorted((keys[k], v) for k, v in ((k1, v1), (k2, v2), (k3, v3)) if v)
-                failures.append((pairs[a], pairs[b], pairs[c], tuple(residual)))
-    return count
+    return inner_c, inner_row, outer_c, outer_k
 
 
 def _failing_orbits(size: int, tables: tuple):
@@ -338,7 +299,7 @@ def _failing_orbits(size: int, tables: tuple):
     (a, b) row is walked over c with [b, c] and [c, [a, b]] read from
     contiguous slices and [c, a] from a strided one.
     """
-    inner_c, inner_row, outer_c, outer_k, _ = tables
+    inner_c, inner_row, outer_c, outer_k = tables
     for a in range(size):
         aa = a * size + a
         # (a, a, a): three equal terms
@@ -386,22 +347,21 @@ def jacobi_scan(
 
     Exhaustive over the in-domain grid by default; with sample=N a fixed-seed
     random sample of N triples is drawn instead (the seed is recorded in the
-    report). Both modes read the structure-constant table bracket() uses into
-    flat tables of integer ids. The exhaustive scan builds
-    ``_structure_tables`` over the whole grid once, about 10 * size**2 list
-    entries, and walks one triple per cyclic orbit (``_failing_orbits``),
-    about size**3 / 3 triples; a failing orbit counts each of its triples.
-    A grid of more than ``MAX_SCAN_INDICES`` basis indices (at the cap about
-    2.4 million table entries and 40 MB, and 4.2e7 orbits) raises ValueError
-    before any work. The kept failures are the first ``_FAILURE_CAP`` failing
-    triples in lexicographic order, as a walk over every triple would find
-    them; ``_jacobi_defects`` computes their residuals. A sample refills one
-    set of 3-index ``_triple_tables`` for each drawn triple and runs it
-    through ``_jacobi_defects``, so its cost grows with N alone.
+    report). Both modes read the structure-constant table bracket() uses.
+    The exhaustive scan builds ``_structure_tables`` over the whole grid
+    once, about 10 * size**2 list entries, and walks one triple per cyclic
+    orbit (``_failing_orbits``), about size**3 / 3 triples; a failing orbit
+    counts each of its triples. A grid of more than ``MAX_SCAN_INDICES``
+    basis indices (at the cap about 2.4 million table entries and 40 MB, and
+    4.2e7 orbits) raises ValueError before any work. The kept failures are
+    the first ``_FAILURE_CAP`` failing triples in lexicographic order, as a
+    walk over every triple would find them. A sample asks
+    ``_jacobi_residual`` of each drawn triple, so its cost grows with N
+    alone; it also gives the residuals of the exhaustive scan's kept
+    failures.
     """
     pairs = basis_indices(kind, n_range, k_range)
     size = len(pairs)
-    failures: list = []
     if sample is None:
         if size > MAX_SCAN_INDICES:
             raise ValueError(
@@ -420,16 +380,20 @@ def jacobi_scan(
                 yield from orbit
 
         kept = heapq.nsmallest(_FAILURE_CAP, failing_triples())
-        _jacobi_defects(pairs, tables, kept, failures)
+        triples = [(pairs[a], pairs[b], pairs[c]) for a, b, c in kept]
+        failures = [(*t, _jacobi_residual(kind, *t)) for t in triples]
     else:
         checked = sample if pairs else 0
         rng = random.Random(seed)
-        drawn = ((rng.choice(pairs), rng.choice(pairs), rng.choice(pairs)) for _ in range(checked))
-        tables = ([0] * 9, [0] * 9, [0] * 12, [0] * 12, [])
-        failure_count = sum(
-            _jacobi_defects(t, _triple_tables(kind, t, tables), ((0, 1, 2),), failures)
-            for t in drawn
-        )
+        failure_count = 0
+        failures = []
+        for _ in range(checked):
+            p1, p2, p3 = rng.choice(pairs), rng.choice(pairs), rng.choice(pairs)
+            residual = _jacobi_residual(kind, p1, p2, p3)
+            if residual:
+                failure_count += 1
+                if len(failures) < _FAILURE_CAP:
+                    failures.append((p1, p2, p3, residual))
     return JacobiReport(
         kind,
         tuple(n_range),

@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
-from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, epsilon, falling, theta
+from . import lie
+from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, falling, theta
 from .stepfn import (
     StepFn,
     AnyTestFn,
@@ -128,9 +129,6 @@ class WNExpr(LinComb):
 
 def wn_expr(terms: Iterable[WNTerm] = ()) -> WNExpr:
     return WNExpr.canonical(map(WNExpr.split, terms))
-
-
-WN_ZERO = WNExpr(())
 
 
 def monomial_commutator(
@@ -256,14 +254,15 @@ def smear_bracket(
 ) -> BracketDecomposition:
     """Decompose [B^n_k(g), B^N_K(f)] after renormalization.
 
-    Regular part: (eps(k,0) eps(N,0) kN - eps(K,0) eps(n,0) Kn) with index
-    (n+N-1, k+K-1) and test function g f. Singular part: theta(L; n,k,N,K)
-    g(0) f(0) b_0^+^(N+n-L) b_0^(K+k-L) for L from 2 up to
-    max(min(K,n), min(k,N)).
+    Regular part: the RHPWN row of ``lie.structure``, not a formula of its
+    own (on the true table kN - Kn at index (n+N-1, k+K-1); the epsilon
+    factors eps(k,0) eps(N,0) of the paper's coefficient change nothing),
+    with test function g f. Singular part: theta(L; n,k,N,K) g(0) f(0)
+    b_0^+^(N+n-L) b_0^(K+k-L) for L from 2 up to max(min(K,n), min(k,N)).
     """
     if min(n, k, N, K) < 0:
         raise ValueError("indices must be nonnegative")
-    coeff = epsilon(k, 0) * epsilon(N, 0) * k * N - epsilon(K, 0) * epsilon(n, 0) * K * n
+    coeff, n2, k2 = lie.structure(lie.AlgebraKind.RHPWN, n, k, N, K)
     singular = []
     for L in range(2, max(min(K, n), min(k, N)) + 1):
         th = theta(L, n, k, N, K)
@@ -276,34 +275,7 @@ def smear_bracket(
         else:
             scalar = None
         singular.append(SingularTerm(L, th, (N + n - L, K + k - L), scalar))
-    return BracketDecomposition(
-        coeff, (n + N - 1, k + K - 1), fn_product(g, f), tuple(singular)
-    )
-
-
-def renormalized_bracket(
-    n: int,
-    k: int,
-    N: int,
-    K: int,
-    g: Optional[StepFn] = None,
-    f: Optional[StepFn] = None,
-) -> tuple[int, tuple[int, int]]:
-    """Renormalized bracket on test functions vanishing at zero.
-
-    Returns (kN - Kn, (n+N-1, k+K-1)). When concrete step functions are
-    supplied they must vanish at zero; otherwise the singular part of the
-    decomposition does not drop and the caller needs smear_bracket instead.
-    """
-    if min(n, k, N, K) < 0:
-        raise ValueError("indices must be nonnegative")
-    for name, fn in (("g", g), ("f", f)):
-        if fn is not None and not fn_vanishes_at_zero(fn):
-            raise SingularPartError(
-                f"{name}(0) != 0: the singular part does not vanish; "
-                "use smear_bracket for the full decomposition"
-            )
-    return k * N - K * n, (n + N - 1, k + K - 1)
+    return BracketDecomposition(coeff, (n2, k2), fn_product(g, f), tuple(singular))
 
 
 # -- JSON rendering ----------------------------------------------------------

@@ -172,11 +172,8 @@ def test_verify_w_checks_the_structure_table(runner, monkeypatch):
     # scans certify: a skewed table (c + 1) fails every tuple, and one whose
     # brackets from n = 2 leave the family fails the 14 nonzero ones of those
     # without a traceback.
-    true_structure = rhpwn.lie.structure
     argv = ["verify-w", "--n", "2..3", "--k", "-1..1"]
-    monkeypatch.setattr(
-        rhpwn.lie, "structure", lambda *t: (true_structure(*t)[0] + 1, *true_structure(*t)[1:])
-    )
+    _skewed_structure(monkeypatch)
     result = runner.invoke(main, argv)
     lines = result.output.splitlines()
     assert result.exit_code == 1
@@ -193,6 +190,15 @@ def test_verify_w_checks_the_structure_table(runner, monkeypatch):
     monkeypatch.setattr(rhpwn.lie, "structure", lambda *t: (1, 0, 0))
     result = runner.invoke(main, argv)
     assert result.output.splitlines()[-1] == "verify-w: tuples=36 failures=36 -> FAIL"
+
+
+def test_smear_reads_the_structure_table(runner, monkeypatch):
+    # The regular part is the RHPWN row of lie.structure: a skewed table
+    # (c + 1) moves the coefficient 3 of [B^1_2(g), B^2_1(f)] to 4.
+    _skewed_structure(monkeypatch)
+    result = runner.invoke(main, ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"])
+    assert result.exit_code == 0
+    assert result.output.splitlines()[0] == "regular: coeff=4 index=(2,2) testfn=f*g"
 
 
 def test_smear_with_step_function_files(runner, tmp_path):
@@ -328,6 +334,22 @@ def test_jacobi_sample_must_be_positive(runner, sample):
     assert result.exit_code == 2
     # stdout and stderr together (click before 8.2 mixes them): no verdict line
     assert "triples=" not in result.output
+
+
+@pytest.mark.parametrize("option", ["--eq1-max", "--seed-max"])
+def test_oracle_rejects_a_negative_max(runner, option):
+    # A negative max would check nothing and still report PASS.
+    result = runner.invoke(main, ["oracle", option, "-1"])
+    assert result.exit_code == 2
+    assert "oracle:" not in result.output
+
+
+def _skewed_structure(monkeypatch):
+    """The true table with every coefficient one larger (c + 1)."""
+    true_structure = rhpwn.lie.structure
+    monkeypatch.setattr(
+        rhpwn.lie, "structure", lambda *t: (true_structure(*t)[0] + 1, *true_structure(*t)[1:])
+    )
 
 
 def _escaping_structure(monkeypatch):

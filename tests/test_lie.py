@@ -31,7 +31,7 @@ from rhpwn.lie import (
 )
 from rhpwn.scalars import CScalar
 from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, pointwise_product
-from rhpwn.wick import renormalized_bracket
+from rhpwn.wick import smear_bracket
 
 RHPWN = AlgebraKind.RHPWN
 WINF = AlgebraKind.WINFINITY
@@ -128,9 +128,13 @@ def test_witt_matches_winfinity_constants():
 
 
 def test_consistency_with_renormalized_bracket():
+    # The regular part of the smeared bracket is the labelled element bracket.
+    g, f = fn_symbol("g"), fn_symbol("f")
     for (n, k), (N, K) in itertools.combinations(basis_indices(RHPWN, (0, 5), (0, 5)), 2):
-        coeff, index = renormalized_bracket(n, k, N, K)
-        assert structure(RHPWN, n, k, N, K) == (coeff, index[0], index[1])
+        d = smear_bracket(n, k, g, N, K, f)
+        gf = d.regular_testfn
+        regular = basis(RHPWN, *d.regular_index, gf, relaxed=True).scaled(d.regular_coeff)
+        assert bracket(basis(RHPWN, n, k, g), basis(RHPWN, N, K, f)) == regular
 
 
 def test_labeled_bracket_multiplies_testfns():
@@ -226,11 +230,12 @@ def _corrupted_structure(mode, modulus, residue):
 
 def _reference_scan(kind, n_range, k_range):
     """failure_count and kept failures of a walk over every triple."""
-    pairs = basis_indices(kind, n_range, k_range)
-    tables = rhpwn.lie._structure_tables(kind, pairs)
     failures = []
-    every = itertools.product(range(len(pairs)), repeat=3)
-    return rhpwn.lie._jacobi_defects(pairs, tables, every, failures), failures
+    for t in itertools.product(basis_indices(kind, n_range, k_range), repeat=3):
+        residual = rhpwn.lie._jacobi_residual(kind, *t)
+        if residual:
+            failures.append((*t, residual))
+    return len(failures), failures[: rhpwn.lie._FAILURE_CAP]
 
 
 def _assert_orbit_walk_agrees(kind, n_range, k_range):

@@ -7,14 +7,12 @@ from hypothesis import strategies as st
 from conftest import cscalars, s0_step_fns
 from rhpwn.oracle import _apply, _safe_columns, build
 from rhpwn.scalars import CS_ZERO, CScalar
-from rhpwn.stepfn import fn_symbol, indicator
+from rhpwn.stepfn import fn_symbol
 from rhpwn.wick import (
     DeltaAtZeroError,
-    SingularPartError,
     collapse_single_mode,
     monomial_commutator,
     renormalize,
-    renormalized_bracket,
     smear_bracket,
     wn_expr,
     wn_expr_to_json,
@@ -140,23 +138,6 @@ def test_epsilon_redundancy(n, k, N, K):
 def test_singular_scalars_vanish_on_s0(g, f, n, k, N, K):
     d = smear_bracket(n, k, g, N, K, f)
     assert all(s.scalar == CS_ZERO for s in d.singular)
-
-
-def test_renormalized_bracket_examples():
-    assert renormalized_bracket(1, 2, 2, 1) == (3, (2, 2))
-    assert renormalized_bracket(2, 1, 1, 2) == (-3, (2, 2))
-    for n, k in [(1, 2), (3, 0), (2, 2)]:
-        coeff, index = renormalized_bracket(n, k, n, k)
-        assert coeff == 0
-        assert index == (2 * n - 1, 2 * k - 1)
-
-
-def test_renormalized_bracket_rejects_bad_testfn():
-    bad = indicator([(-1, 1)])  # value 1 at the origin
-    with pytest.raises(SingularPartError):
-        renormalized_bracket(1, 2, 2, 1, g=bad)
-    good = indicator([(1, 2)])
-    assert renormalized_bracket(1, 2, 2, 1, g=good, f=good) == (3, (2, 2))
 
 
 def _nonzero(column):
