@@ -255,6 +255,12 @@ def star_check_cmd(kind, n_range, k_range, fmt) -> None:
 
 # -- verify-w -----------------------------------------------------------------
 
+# Largest grid verify-w checks, counted as product words: a tuple (n, k, N, K)
+# expands a commutator of about n N words, so a grid has (sum of n)^2 times
+# (number of k)^2. The acceptance grid, n 2..7 and k -4..4, has 59049.
+MAX_VERIFY_WORDS = 1_000_000
+
+
 @main.command("verify-w")
 @click.option("--n", "n_range", type=RANGE, default="2..7", show_default=True)
 @click.option("--k", "k_range", type=RANGE, default="-4..4", show_default=True)
@@ -263,11 +269,13 @@ def verify_w_cmd(n_range, k_range, fmt) -> None:
     """Grid-check the sandwich realization of the w-infinity relations."""
     if n_range[0] < 2:
         raise click.UsageError("realization indices need n >= 2")
-    tuples = len(_ints(n_range)) ** 2 * len(_ints(k_range)) ** 2
+    ns, ks = _ints(n_range), _ints(k_range)
+    _cap_grid(sum(ns) ** 2 * len(ks) ** 2, MAX_VERIFY_WORDS, "product words")
+    tuples = len(ns) ** 2 * len(ks) ** 2
     failed = []
 
     def checked():
-        for n, k, N, K in itertools.product(_ints(n_range), _ints(k_range), repeat=2):
+        for n, k, N, K in itertools.product(ns, ks, repeat=2):
             r = sandwich.verify_theorem(n, k, N, K)
             if not r.passed:
                 failed.append(r)
@@ -312,6 +320,12 @@ def _index_options(func):
     return func
 
 
+# Most singular orders smear computes: each theta is a big-integer binomial
+# sum. At the cap, n = k = N = K = 1001 takes 0.12 s and n = N = 1001,
+# k = K = 10^12 about 1.2-1.6 s on a 2-core VM with CPython 3.11.
+MAX_SMEAR_ORDERS = 1000
+
+
 @main.command("smear")
 @_index_options
 @click.option("--g", "g_path", type=click.Path(exists=True), default=None,
@@ -321,6 +335,9 @@ def _index_options(func):
 @_format_option
 def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
     """Decompose the smeared commutator into regular and singular parts."""
+    orders = max(min(kk, n), min(k, nn)) - 1  # L = 2..max(min(K,n), min(k,N))
+    _cap_grid(orders, MAX_SMEAR_ORDERS, "singular orders")
+
     def load(path, name):
         if path is None:
             return fn_symbol(name)
@@ -359,14 +376,16 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         ),
     )
     regular = {"coeff": d.regular_coeff, "n": rn, "k": rk}
-    _render(fmt, text(), latex, lambda: {
-        "regular": {**regular, "testfn": fn_to_json(d.regular_testfn)},
-        "singular": [
-            {"L": s.L, "theta": s.theta, "n": s.index[0], "k": s.index[1],
-             "scalar": None if s.scalar is None else coeff_to_json(s.scalar)}
-            for s in singular
-        ],
-    })
+    # A theta past Python's integer-to-string limit fails as it is printed.
+    with _rejected_input():
+        _render(fmt, text(), latex, lambda: {
+            "regular": {**regular, "testfn": fn_to_json(d.regular_testfn)},
+            "singular": [
+                {"L": s.L, "theta": s.theta, "n": s.index[0], "k": s.index[1],
+                 "scalar": None if s.scalar is None else coeff_to_json(s.scalar)}
+                for s in singular
+            ],
+        })
 
 
 # -- normal-order -------------------------------------------------------------

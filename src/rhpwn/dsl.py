@@ -8,12 +8,18 @@ Grammar (element-valued; scalars only ever multiply generator expressions):
     primary   := atom | '[' expr ',' expr ']' | '(' expr ')'
     atom      := ('B'|'Bh') '[' int ',' int ']' ['@' label]
     label     := ['~'] name | '(' ['~'] name ('*' ['~'] name)* ')'
+               | 'step' '[' [piece (';' piece)*] ']'
+    piece     := rational ',' rational ',' rational ',' rational
+    rational  := ['-'] int ['/' int]
     scalar    := part | '(' ['-'] part (('+'|'-') part)* ')'
     part      := int ['/' int] ['*' 'i'] | 'i'
 
 B atoms are RHPWN generators, Bh atoms are w-infinity generators, '^*' is the
 involution, '[x, y]' the bracket, and '~' marks a conjugated test-function
-factor. Complex scalars with two parts must be parenthesized, e.g.
+factor. A step label lists the pieces (from, to, re, im) of a step function
+on [from, to), as render prints them; pieces may not overlap. A name 'step'
+not followed by '[' is a symbol. Complex scalars with two parts must be
+parenthesized, e.g.
 (1/2-3/4*i)*B[2,1]; a parenthesized group that does not read as a scalar is
 read as an expression. 'a - b' reads as 'a + (-1)*b'. Tokens are ASCII: a
 non-ASCII digit or space is an unexpected character. Brackets and groups nest
@@ -31,7 +37,7 @@ from typing import Optional, Union
 from . import lie
 from .lie import AlgebraKind, Element, element_to_json
 from .scalars import CS_I, CScalar
-from .stepfn import FnSymbol, StepFn
+from .stepfn import AnyTestFn, FnSymbol, StepFn, step_from_records
 
 
 class ParseError(ValueError):
@@ -51,7 +57,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<starpost>\^\*)"
     r"|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[\[\](),+\-*/@~])",
+    r"|(?P<punct>[\[\](),;+\-*/@~])",
     re.ASCII,
 )
 
@@ -78,7 +84,7 @@ class AtomNode:
     kind: AlgebraKind
     n: int
     k: int
-    label: Optional[FnSymbol]
+    label: Optional[AnyTestFn]
 
 
 @dataclass(frozen=True)
@@ -221,15 +227,20 @@ class _Parser:
             )
         return AtomNode(kind, n, k, label)
 
-    def _parse_signed_int(self) -> int:
-        sign = 1
+    def _parse_sign(self) -> int:
         if self.peek()[0] == "-":
             self.advance()
-            sign = -1
+            return -1
+        return 1
+
+    def _parse_signed_int(self) -> int:
+        sign = self._parse_sign()
         tok = self.expect("int", ("integer",))
         return sign * int(tok[1])
 
-    def _parse_label(self) -> FnSymbol:
+    def _parse_label(self) -> AnyTestFn:
+        if self.peek()[1] == "step" and self.tokens[self.pos + 1][0] == "[":
+            return self._parse_step()
         if self.peek()[0] == "(":
             self.advance()
             factors = [self._parse_label_factor()]
@@ -247,6 +258,25 @@ class _Parser:
             prefix = "~"
         tok = self.expect("name", ("test-function name",))
         return prefix + tok[1]
+
+    def _parse_step(self) -> StepFn:
+        """'step' '[' [piece (';' piece)*] ']', each piece from,to,re,im."""
+        self.advance()
+        start = self.advance()[2]  # the '[': overlapping pieces are reported here
+        records = []
+        while self.peek()[0] != "]":
+            if records:
+                self.expect(";", (";", "]"))
+            piece = [self._parse_sign() * self._parse_rational()]
+            for _ in range(3):
+                self.expect(",", (",",))
+                piece.append(self._parse_sign() * self._parse_rational())
+            records.append(dict(zip(("from", "to", "re", "im"), piece)))
+        self.advance()
+        try:
+            return step_from_records(records)
+        except ValueError as exc:
+            raise ParseError(str(exc), start) from None
 
     # -- scalar literals -----------------------------------------------------
 
@@ -275,10 +305,7 @@ class _Parser:
         return value
 
     def _parse_signed_part(self) -> CScalar:
-        sign = 1
-        if self.peek()[0] == "-":
-            self.advance()
-            sign = -1
+        sign = self._parse_sign()
         return self._parse_part() * sign
 
     def _parse_part(self) -> CScalar:

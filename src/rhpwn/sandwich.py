@@ -17,18 +17,21 @@ Every sum of words is kept as a canonically sorted sum (scalars.LinComb).
 
 A product or commutator of two single-label words is built in one pass. Both
 orders share the exponential blocks, the test functions and the product of
-the two scalars, and differ only in delta power and field block, so the
-binomial exchange weights binom(p,j) x^(p-j) binom(q,i) y^(q-i) of both
-orders add up in one table keyed by the field powers. For generator words
-the exponents are k/2, so x and y are integers and so are the weights; the
-shared scalar multiplies each nonzero weight once, and the words come out in
-canonical order without a merge.
+the two scalars, so the binomial exchange weights binom(p,j) x^(p-j)
+binom(q,i) y^(q-i) of both orders add up in one table keyed by the field
+powers. For generator words x and y are +-k and +-K, so the weights are
+integers, the shared scalar multiplies each nonzero one once, and the words
+come out in canonical order without a merge. Generator words and the merged
+blocks of ``reduce`` are built once per process (bounded caches; a word is
+frozen and does not depend on the structure table). Products, reductions and
+the table lookup run on every check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from operator import itemgetter
 from typing import Iterable, Literal, Mapping, Optional
 
@@ -152,6 +155,7 @@ def eq_expr(terms: Iterable[EQTerm] = ()) -> EQExpr:
 EQ_ZERO = EQExpr(())
 
 
+@lru_cache(maxsize=4096)
 def gen_to_word(n: int, k: int, label: str = "t", fn: Optional[AnyTestFn] = None) -> EQTerm:
     """The sandwich word (1/2)^(n-1) E(k/2) Q^(n-1) E(k/2) at one label."""
     if n < 2:
@@ -311,14 +315,15 @@ def commutator(a: EQTerm, b: EQTerm) -> EQExpr:
     return _products(a, b, minus_ba=True)
 
 
-def _merged_blocks(t: EQTerm, target: str) -> tuple:
-    """t's exponential blocks summed and its test functions multiplied, at ``target``."""
+@lru_cache(maxsize=4096)
+def _merged_blocks(left_exp: ParamMap, right_exp: ParamMap, testfn: FnMap, target: str) -> tuple:
+    """Exponential blocks summed and test functions multiplied at ``target``."""
     product = None
-    for _, fn in t.testfn:
+    for _, fn in testfn:
         product = fn if product is None else fn_product(product, fn)
     return (
-        _canon_params({target: sum((v for _, v in t.left_exp), Fraction(0))}),
-        _canon_params({target: sum((v for _, v in t.right_exp), Fraction(0))}),
+        _canon_params({target: sum((v for _, v in left_exp), Fraction(0))}),
+        _canon_params({target: sum((v for _, v in right_exp), Fraction(0))}),
         _Block(() if product is None else ((target, product),)),
     )
 
@@ -340,23 +345,18 @@ def reduce(e: EQExpr) -> ReduceResult:
     of the word is known to vanish at zero, and raise SingularPartError
     otherwise. Words with delta power 1 have their labels identified and
     their blocks merged additively; the merged exponential and test-function
-    blocks are built once per block set and shared by its words.
+    blocks are built once per block set and process, and shared by its words.
     """
     reduced = []
     residual = []
     dropped = 0
     offenders = []
-    merged: dict = {}
     for t in e.terms:
         if t.delta_L == 0:
             residual.append(t)
         elif t.delta_L == 1:
             target = min(t.labels())
-            key = (t.left_exp, t.right_exp, t.testfn, target)
-            blocks = merged.get(key)
-            if blocks is None:
-                blocks = merged[key] = _merged_blocks(t, target)
-            left_exp, right_exp, testfn = blocks
+            left_exp, right_exp, testfn = _merged_blocks(t.left_exp, t.right_exp, t.testfn, target)
             q_pow = canon_pows({target: sum(e for _, e in t.q_pow)})
             reduced.append(EQTerm(t.coeff, left_exp, q_pow, right_exp, 0, testfn))
         elif any(fn_vanishes_at_zero(fn) for _, fn in t.testfn):

@@ -10,6 +10,7 @@ import rhpwn.cli
 import rhpwn.dsl
 import rhpwn.lie
 import rhpwn.sandwich
+import rhpwn.wick
 from rhpwn.cli import main
 from rhpwn.sandwich import eq_expr, eq_term
 
@@ -192,6 +193,23 @@ def test_verify_w_checks_the_structure_table(runner, monkeypatch):
     assert result.output.splitlines()[-1] == "verify-w: tuples=36 failures=36 -> FAIL"
 
 
+def test_verify_w_verdicts_do_not_outlive_the_table(runner, monkeypatch):
+    # Sandwich words and merged block sets are built once per process; the
+    # table lookup and the verdict are made on every call.
+    argv = ["verify-w", "--n", "2..3", "--k", "-1..1"]
+
+    def last_line(exit_code):
+        result = runner.invoke(main, argv)
+        assert result.exit_code == exit_code
+        return result.output.splitlines()[-1]
+
+    assert last_line(0) == "verify-w: tuples=36 failures=0 -> PASS"
+    _skewed_structure(monkeypatch)
+    assert last_line(1) == "verify-w: tuples=36 failures=36 -> FAIL"
+    monkeypatch.undo()
+    assert last_line(0) == "verify-w: tuples=36 failures=0 -> PASS"
+
+
 def test_smear_reads_the_structure_table(runner, monkeypatch):
     # The regular part is the RHPWN row of lie.structure: a skewed table
     # (c + 1) moves the coefficient 3 of [B^1_2(g), B^2_1(f)] to 4.
@@ -297,6 +315,11 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         # grids past cli.MAX_THETA_ROWS and cli.MAX_EQ1_COLUMNS: refused before any row
         ["theta", "--n", "0..200", "--k", "0..200", "--N", "0..200", "--K", "0..200"],
         ["oracle", "--eq1-max", "100", "--eq1-trunc", "1000"],
+        # 19999 singular orders, past cli.MAX_SMEAR_ORDERS: refused before any theta
+        ["smear", "--n", "20000", "--k", "20000", "--N", "20000", "--K", "20000"],
+        # 401^2 * 201^2 product words, past cli.MAX_VERIFY_WORDS
+        ["verify-w", "--n", "2..20", "--k", "-100..100"],
+        ["bracket", "B[2,1]@step[0,2,1,0;1,3,1,0]"],  # overlapping pieces
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -308,6 +331,17 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
     assert result.exit_code == 2
     # stdout and stderr together: the error line and nothing else
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_smear_theta_past_the_string_limit_exits_2(runner, fmt):
+    # 1000 orders, inside the cap; some theta has more digits than Python
+    # converts to a string, so printing it fails.
+    argv = ["smear", "--n", "1001", "--k", "1001", "--N", "1001", "--K", "1000000000"]
+    result = runner.invoke(main, argv + ["--format", fmt])
+    assert result.exit_code == 2
+    assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
+    assert "Traceback" not in result.output
 
 
 def test_bracket_nested_to_the_cap_evaluates(runner):
@@ -475,6 +509,10 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         ("MAX_EQ1_COLUMNS", "eq1 columns", 5, _ORACLE),
         # powers 0..1 at D = 4: 4 * (0 + 1) ladder steps
         ("MAX_SEED_STEPS", "exchange-seed steps", 4, _ORACLE),
+        # (2 + 3)^2 sums n N over the four tuples at k = K = 0
+        ("MAX_VERIFY_WORDS", "product words", 25, ["verify-w", "--n", "2..3", "--k", "0"]),
+        # L = 2 only
+        ("MAX_SMEAR_ORDERS", "singular orders", 1, _SMEAR),
     ],
 )
 def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, size, argv):
@@ -484,6 +522,8 @@ def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, s
     monkeypatch.setattr(rhpwn.cli, "theta_fn", None)  # any row computed would raise
     monkeypatch.setattr(rhpwn.oracle, "check_eq1", None)
     monkeypatch.setattr(rhpwn.oracle, "check_exchange_seed", None)
+    monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", None)
+    monkeypatch.setattr(rhpwn.wick, "smear_bracket", None)
     result = runner.invoke(main, argv)
     # stdout and stderr together: the error line and nothing else
     assert result.exit_code == 2

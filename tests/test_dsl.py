@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import elements
+from conftest import elements, fn_symbols, step_fns
 from rhpwn.dsl import (
     AddNode,
     AtomNode,
@@ -18,7 +18,7 @@ from rhpwn.dsl import (
 )
 from rhpwn.lie import AlgebraKind, basis, element_from_json, involution, zero
 from rhpwn.scalars import CScalar
-from rhpwn.stepfn import FnSymbol, fn_symbol, indicator
+from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, step_from_records
 from fractions import Fraction
 
 RHPWN = AlgebraKind.RHPWN
@@ -148,6 +148,38 @@ def test_render_fractional_scalars_and_step_labels():
     x = basis(WINF, 2, -1, indicator([(1, 2)])).scaled(CScalar(Fraction(0), Fraction(5, 3)))
     assert render(x, "latex") == "(\\tfrac{5}{3}\\,i)\\,\\hat{B}^{2}_{-1}(\\chi)"
     assert render(x) == "(5/3*i)*Bh[2,-1]@step[1,2,1,0]"
+
+
+def test_step_labels_parse_as_rendered():
+    text = "(5/3*i)*Bh[2,-1]@step[-3/2,1/2,1,-1/3;1,2,0,1]"
+    ast = parse(text)
+    assert ast.a.label == step_from_records(
+        [{"from": "-3/2", "to": "1/2", "re": "1", "im": "-1/3"},
+         {"from": "1", "to": "2", "re": "0", "im": "1"}]
+    )
+    assert render(evaluate(ast)) == text
+    # a name 'step' without pieces is a symbol
+    assert parse("B[2,1]@step").label == FnSymbol(("step",), True)
+    with pytest.raises(ParseError) as err:
+        parse("B[2,1]@step[0,2,1,0;1,3,1,0]")
+    assert err.value.offset == 11 and "overlapping pieces" in str(err.value)
+    for bad in ("B[2,1]@step[0,2,1]", "B[2,1]@step[0,2,1,0", "B[2,1]@step[0,2,1,0;]"):
+        with pytest.raises(ParseError):
+            parse(bad)
+
+
+@given(
+    st.sampled_from([RHPWN, WINF]).flatmap(
+        lambda kind: elements(kind, labeled=True, labels=step_fns() | fn_symbols)
+    )
+)
+def test_text_round_trip_with_step_labels(x):
+    text = render(x, "text")
+    if x.is_zero:
+        assert text == "0"
+    else:
+        y = evaluate(parse(text))
+        assert y == x and render(y, "text") == text
 
 
 def test_parenthesized_expressions_and_scalars():

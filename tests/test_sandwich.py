@@ -9,6 +9,7 @@ from conftest import cscalars, fn_symbols, step_fns
 
 from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
+    _merged_blocks,
     commutator,
     eq_expr,
     eq_term,
@@ -41,6 +42,18 @@ def test_gen_to_word_examples():
     assert w.right_exp == (("s", Fraction(-1)),)
     with pytest.raises(DomainError):
         gen_to_word(1, 0, "t")
+
+
+def test_generator_words_are_built_once_per_process():
+    assert gen_to_word(3, 1, "t") is gen_to_word(3, 1, "t")
+    g = indicator([(1, 2)])
+    assert gen_to_word(2, -1, "s", g) is gen_to_word(2, -1, "s", indicator([(1, 2)]))
+    # Both caches are bounded, and large enough for the 2916-tuple grid.
+    assert gen_to_word.cache_info().maxsize >= 1024
+    assert _merged_blocks.cache_info().maxsize >= 1024
+    for _ in range(2):  # a refused index is refused on every call
+        with pytest.raises(DomainError):
+            gen_to_word(1, 0, "t")
 
 
 def test_exchange_rightward_example():
