@@ -1,133 +1,5 @@
 """Exact symbolic engines for the renormalized higher powers of white noise,
-the w-infinity Lie algebra, and the sandwich-operator realization check."""
+the w-infinity Lie algebra, and the sandwich-operator realization check.
 
-from .scalars import CScalar, Rational, binom, epsilon, falling, theta
-from .stepfn import (
-    FnSymbol,
-    IntervalSet,
-    StepFn,
-    conjugate,
-    evaluate,
-    fn_symbol,
-    indicator,
-    integrate,
-    interval_set,
-    is_in_S0,
-    make_step,
-    pointwise_product,
-    step_from_records,
-    step_to_records,
-)
-from .wick import (
-    BracketDecomposition,
-    DeltaAtZeroError,
-    SingularPartError,
-    WNExpr,
-    WNTerm,
-    monomial_commutator,
-    renormalize,
-    smear_bracket,
-    wn_expr,
-    wn_term,
-)
-from .lie import (
-    AlgebraKind,
-    DomainError,
-    Element,
-    Generator,
-    basis,
-    bracket,
-    closure_check,
-    element,
-    generator,
-    involution,
-    jacobi_defect,
-    jacobi_scan,
-    star_compat_check,
-    star_scan,
-    structure,
-    witt_check,
-)
-from .sandwich import (
-    EQExpr,
-    EQTerm,
-    TheoremReport,
-    commutator,
-    eq_expr,
-    eq_term,
-    exchange_E_past_Q,
-    gen_to_word,
-    multiply,
-    reduce,
-    verify_theorem,
-)
-from .oracle import PolyRepOps, build, check_eq1, check_exchange_seed
-from .dsl import ParseError, evaluate as evaluate_dsl, parse, render
-
-__all__ = [
-    "AlgebraKind",
-    "BracketDecomposition",
-    "CScalar",
-    "DeltaAtZeroError",
-    "DomainError",
-    "EQExpr",
-    "EQTerm",
-    "Element",
-    "FnSymbol",
-    "Generator",
-    "IntervalSet",
-    "ParseError",
-    "PolyRepOps",
-    "Rational",
-    "SingularPartError",
-    "StepFn",
-    "TheoremReport",
-    "WNExpr",
-    "WNTerm",
-    "basis",
-    "binom",
-    "bracket",
-    "build",
-    "check_eq1",
-    "check_exchange_seed",
-    "closure_check",
-    "commutator",
-    "conjugate",
-    "element",
-    "epsilon",
-    "eq_expr",
-    "eq_term",
-    "evaluate",
-    "evaluate_dsl",
-    "exchange_E_past_Q",
-    "falling",
-    "fn_symbol",
-    "gen_to_word",
-    "generator",
-    "indicator",
-    "integrate",
-    "interval_set",
-    "involution",
-    "is_in_S0",
-    "jacobi_defect",
-    "jacobi_scan",
-    "make_step",
-    "monomial_commutator",
-    "multiply",
-    "parse",
-    "pointwise_product",
-    "reduce",
-    "render",
-    "renormalize",
-    "smear_bracket",
-    "star_compat_check",
-    "star_scan",
-    "step_from_records",
-    "step_to_records",
-    "structure",
-    "theta",
-    "verify_theorem",
-    "witt_check",
-    "wn_expr",
-    "wn_term",
-]
+The package root exports nothing: import each name from its module, for
+example ``rhpwn.lie.bracket`` or ``rhpwn.dsl.evaluate``."""

@@ -230,7 +230,8 @@ def jacobi_cmd(kind, n_range, k_range, sample, seed, fmt) -> None:
 @_format_option
 def closure_cmd(kind, n_range, k_range, fmt) -> None:
     """Check that nonzero brackets of in-domain generators stay in-domain."""
-    r = lie.closure_check(AlgebraKind[kind.upper()], n_range, k_range)
+    with _rejected_input():
+        r = lie.closure_check(AlgebraKind[kind.upper()], n_range, k_range)
     _render_scan(
         fmt, "closure", r, r.pairs_checked, ("pairs", "violations"),
         lambda f: f"  escape at {f[0]} {f[1]}: {f[2]}",
@@ -244,7 +245,8 @@ def closure_cmd(kind, n_range, k_range, fmt) -> None:
 @_format_option
 def star_check_cmd(kind, n_range, k_range, fmt) -> None:
     """Scan basis pairs for *-Lie compatibility: [x,y]* must equal [y*,x*]."""
-    r = lie.star_scan(AlgebraKind[kind.upper()], n_range, k_range)
+    with _rejected_input():
+        r = lie.star_scan(AlgebraKind[kind.upper()], n_range, k_range)
     _render_scan(
         fmt, "star-check", r, r.pairs_checked, ("pairs", "failures"),
         lambda f: f"  defect at {f[0]} {f[1]}",
@@ -349,7 +351,9 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         f = load(f_path, "f")
     with _rejected_input():
         d = wick.smear_bracket(n, k, g, nn, kk, f)
-    (rn, rk), singular = d.regular_index, d.singular
+        # A theta past Python's integer-to-string limit is refused before any output.
+        singular = [(s, str(s.theta)) for s in d.singular]
+    rn, rk = d.regular_index
 
     def text():
         yield (
@@ -358,10 +362,10 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         )
         if not singular:
             yield "singular: none"
-        for s in singular:
+        for s, theta in singular:
             scalar = "unknown" if s.scalar is None else str(s.scalar)
             yield (
-                f"singular: L={s.L} theta={s.theta} "
+                f"singular: L={s.L} theta={theta} "
                 f"index=({s.index[0]},{s.index[1]}) scalar={scalar}"
             )
 
@@ -372,46 +376,41 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         ],
         _latex_table(
             ["L", "\\theta_L", "n", "k", "g(0)f(0)"],
-            ((s.L, s.theta, *s.index, "?" if s.scalar is None else s.scalar) for s in singular),
+            ((s.L, theta, *s.index, "?" if s.scalar is None else s.scalar)
+             for s, theta in singular),
         ),
     )
     regular = {"coeff": d.regular_coeff, "n": rn, "k": rk}
-    # A theta past Python's integer-to-string limit fails as it is printed.
-    with _rejected_input():
-        _render(fmt, text(), latex, lambda: {
-            "regular": {**regular, "testfn": fn_to_json(d.regular_testfn)},
-            "singular": [
-                {"L": s.L, "theta": s.theta, "n": s.index[0], "k": s.index[1],
-                 "scalar": None if s.scalar is None else coeff_to_json(s.scalar)}
-                for s in singular
-            ],
-        })
+    _render(fmt, text(), latex, lambda: {
+        "regular": {**regular, "testfn": fn_to_json(d.regular_testfn)},
+        "singular": [
+            {"L": s.L, "theta": s.theta, "n": s.index[0], "k": s.index[1],
+             "scalar": None if s.scalar is None else coeff_to_json(s.scalar)}
+            for s in d.singular
+        ],
+    })
 
 
 # -- normal-order -------------------------------------------------------------
 
-def _wn_term_text(t: wick.WNTerm) -> str:
+# Per format: how a power prints, the creator and annihilator heads, the
+# delta, the product sign. Text leaves out a power of 1.
+_WN_FORMS = {
+    "text": (lambda e: f"^{e}" if e > 1 else "", "bd[{}]", "b[{}]", "delta", " "),
+    "latex": (lambda e: f"^{{{e}}}", "{{b_{}^{{\\dagger}}}}", "b_{}", "\\delta", "\\,"),
+}
+
+
+def _wn_term(t: wick.WNTerm, fmt: str) -> str:
+    power, creator, annihilator, delta, times = _WN_FORMS[fmt]
     parts = [f"({t.coeff})"]
-    parts += [f"bd[{x}]" + (f"^{e}" if e > 1 else "") for x, e in t.creators]
-    parts += [f"b[{x}]" + (f"^{e}" if e > 1 else "") for x, e in t.annihilators]
+    parts += [creator.format(x) + power(e) for x, e in t.creators]
+    parts += [annihilator.format(x) + power(e) for x, e in t.annihilators]
     if t.delta_L:
         a, b = t.delta_pair
-        parts.append(
-            f"delta({a}-{b})" if t.delta_L == 1 else f"delta^{t.delta_L}({a}-{b})"
-        )
-    parts += [f"delta({x})" for x in t.point_evals]
-    return " ".join(parts)
-
-
-def _wn_term_latex(t: wick.WNTerm) -> str:
-    factors = [f"({t.coeff})"]
-    factors += [f"{{b_{x}^{{\\dagger}}}}^{{{e}}}" for x, e in t.creators]
-    factors += [f"b_{x}^{{{e}}}" for x, e in t.annihilators]
-    if t.delta_L:
-        a, b = t.delta_pair
-        factors.append(f"\\delta^{{{t.delta_L}}}({a}-{b})")
-    factors += [f"\\delta({x})" for x in t.point_evals]
-    return "\\,".join(factors)
+        parts.append(f"{delta}{power(t.delta_L)}({a}-{b})")
+    parts += [f"{delta}({x})" for x in t.point_evals]
+    return times.join(parts)
 
 
 @main.command("normal-order")
@@ -428,8 +427,8 @@ def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
     zero = ["0"] if expr.is_zero else []
     _render(
         fmt,
-        itertools.chain(zero, map(_wn_term_text, expr.terms)),
-        zero or [" + ".join(map(_wn_term_latex, expr.terms))],
+        itertools.chain(zero, (_wn_term(t, "text") for t in expr.terms)),
+        zero or [" + ".join(_wn_term(t, "latex") for t in expr.terms)],
         lambda: wick.wn_expr_to_json(expr),
     )
 

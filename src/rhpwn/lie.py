@@ -8,6 +8,7 @@ and element-level computations certify the same table.
 from __future__ import annotations
 
 import enum
+import functools
 import heapq
 import itertools
 import random
@@ -333,7 +334,7 @@ def _failing_orbits(size: int, tables: tuple):
                     yield a, b, c
 
 
-MAX_SCAN_INDICES = 500  # largest grid an exhaustive jacobi_scan accepts
+MAX_SCAN_INDICES = 500  # largest grid an exhaustive jacobi_scan or a pair scan accepts
 
 
 def jacobi_scan(
@@ -423,8 +424,15 @@ class PairReport:
 
 
 def _pair_scan(kind: AlgebraKind, n_range: Range, k_range: Range, defect) -> PairReport:
-    """Ask ``defect(p, q)`` of every ordered pair; any result but None fails."""
+    """Ask ``defect(p, q)`` of every ordered pair; any result but None fails.
+    A grid of more than ``MAX_SCAN_INDICES`` basis indices raises ValueError
+    before any pair."""
     pairs = basis_indices(kind, n_range, k_range)
+    if len(pairs) > MAX_SCAN_INDICES:
+        raise ValueError(
+            f"a pair scan takes at most {MAX_SCAN_INDICES} basis indices, "
+            f"this grid has {len(pairs)}"
+        )
     failure_count = 0
     failures: list = []
     for p, q in itertools.product(pairs, repeat=2):
@@ -457,10 +465,10 @@ def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairRepo
 def star_scan(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
     """Check *-Lie compatibility on every pair of basis elements. A failure's
     detail is the nonzero star_compat_check defect."""
-    elements = {p: basis(kind, *p) for p in basis_indices(kind, n_range, k_range)}
+    element = functools.cache(lambda p: basis(kind, *p))
 
     def defect(p, q):
-        d = star_compat_check(elements[p], elements[q])
+        d = star_compat_check(element(p), element(q))
         return None if d.is_zero else d
 
     return _pair_scan(kind, n_range, k_range, defect)

@@ -6,7 +6,7 @@ Q_x = b_x + b_x^+. The generators under study are
 
     (1/2)^(n-1) E_x(k/2) Q_x^(n-1) E_x(k/2)
 
-smearied against a test function. Since [b_x - b_x^+, b_y - b_y^+] = 0 and
+smeared against a test function. Since [b_x - b_x^+, b_y - b_y^+] = 0 and
 [b_x - b_x^+, Q_y] = 2 delta(x-y) is central, exponentials commute with each
 other and move across field powers by a binomial exchange rule; products of
 two such words normalize back to sandwich shape with delta powers as the only
@@ -444,19 +444,18 @@ def verify_theorem(
 
 # -- JSON --------------------------------------------------------------------
 
-def eq_term_to_json(t: EQTerm) -> dict:
-    return {
-        "coeff": coeff_to_json(t.coeff),
-        "left_exp": {l: rational_to_str(v) for l, v in t.left_exp},
-        "q_pow": {l: e for l, e in t.q_pow},
-        "right_exp": {l: rational_to_str(v) for l, v in t.right_exp},
-        "delta_L": t.delta_L,
-        "testfn": {l: fn_to_json(fn) for l, fn in t.testfn},
-    }
-
-
 def eq_expr_to_json(e: EQExpr) -> list[dict]:
-    return [eq_term_to_json(t) for t in e.terms]
+    return [
+        {
+            "coeff": coeff_to_json(t.coeff),
+            "left_exp": {l: rational_to_str(v) for l, v in t.left_exp},
+            "q_pow": dict(t.q_pow),
+            "right_exp": {l: rational_to_str(v) for l, v in t.right_exp},
+            "delta_L": t.delta_L,
+            "testfn": {l: fn_to_json(fn) for l, fn in t.testfn},
+        }
+        for t in e.terms
+    ]
 
 
 def theorem_report_to_json(r: TheoremReport) -> dict:

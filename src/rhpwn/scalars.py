@@ -13,10 +13,6 @@ from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
 
-# Arbitrary-precision rational in canonical reduced form (gcd 1, positive
-# denominator) -- exactly what the coefficient bookkeeping requires.
-Rational = Fraction
-
 
 def binom(K: int, L: int) -> int:
     """Binomial coefficient, with binom(K, L) = 0 whenever K < L."""

@@ -8,6 +8,7 @@ abstractly, so a lightweight formal-product symbol type lives here too.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Union
@@ -62,7 +63,13 @@ ZERO_FN = StepFn(())
 
 
 def _canon_pieces(raw: Iterable[tuple[Fraction, Fraction, CScalar]]) -> StepFn:
-    pieces = sorted((a, b, v) for a, b, v in raw if v)
+    """Canonical step function of pieces (a, b, v); every piece, zero-valued
+    ones included, must have a < b, and pieces may not overlap."""
+    raw = list(raw)
+    for a, b, _ in raw:
+        if a >= b:
+            raise ValueError(f"empty or reversed piece [{a}, {b})")
+    pieces = sorted(piece for piece in raw if piece[2])
     out: list[tuple[Fraction, Fraction, CScalar]] = []
     for a, b, v in pieces:
         if out and a < out[-1][1]:
@@ -83,8 +90,6 @@ def make_step(breakpoints: Iterable, values: Iterable) -> StepFn:
     """
     bps = [Fraction(b) for b in breakpoints]
     vals = [CScalar.of(v) for v in values]
-    if any(x >= y for x, y in zip(bps, bps[1:])):
-        raise ValueError("breakpoints must be strictly increasing")
     if len(vals) != max(len(bps) - 1, 0):
         raise ValueError(
             f"expected {max(len(bps) - 1, 0)} values for {len(bps)} breakpoints, "
@@ -111,16 +116,14 @@ def evaluate(f: StepFn, t) -> CScalar:
     return CS_ZERO
 
 
-def _endpoints(*fns: StepFn) -> list[Fraction]:
-    pts = sorted({p for f in fns for a, b, _ in f.pieces for p in (a, b)})
-    return pts
+def _pointwise(op, f: StepFn, g: StepFn) -> StepFn:
+    """op(f(t), g(t)) on each piece between consecutive endpoints of f and g."""
+    pts = sorted({p for h in (f, g) for a, b, _ in h.pieces for p in (a, b)})
+    return _canon_pieces((a, b, op(evaluate(f, a), evaluate(g, a))) for a, b in zip(pts, pts[1:]))
 
 
 def add(f: StepFn, g: StepFn) -> StepFn:
-    pts = _endpoints(f, g)
-    return _canon_pieces(
-        (a, b, evaluate(f, a) + evaluate(g, a)) for a, b in zip(pts, pts[1:])
-    )
+    return _pointwise(operator.add, f, g)
 
 
 def scale(c, f: StepFn) -> StepFn:
@@ -129,10 +132,7 @@ def scale(c, f: StepFn) -> StepFn:
 
 
 def pointwise_product(f: StepFn, g: StepFn) -> StepFn:
-    pts = _endpoints(f, g)
-    return _canon_pieces(
-        (a, b, evaluate(f, a) * evaluate(g, a)) for a, b in zip(pts, pts[1:])
-    )
+    return _pointwise(operator.mul, f, g)
 
 
 def conjugate(f: StepFn) -> StepFn:

@@ -9,7 +9,7 @@ expression is a canonically sorted sum of such words (scalars.LinComb).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping, Optional, Sequence
 
 from . import lie
@@ -152,28 +152,19 @@ def monomial_commutator(
     t, s = labels
     if t == s:
         raise DeltaAtZeroError("the commutator expansion needs two distinct labels")
-    terms = []
-    for L in range(1, min(k, N) + 1):
-        terms.append(
-            wn_term(
-                binom(k, L) * falling(N, L),
-                {t: n, s: N - L},
-                {t: k - L, s: K},
-                delta_pair=(t, s),
-                delta_L=L,
-            )
+    # The second sum is the first with the two monomials swapped, negated.
+    sums = ((1, (t, n, k), (s, N, K)), (-1, (s, N, K), (t, n, k)))
+    return wn_expr(
+        wn_term(
+            sign * binom(k1, L) * falling(n2, L),
+            {x1: n1, x2: n2 - L},
+            {x1: k1 - L, x2: k2},
+            delta_pair=(t, s),
+            delta_L=L,
         )
-    for L in range(1, min(K, n) + 1):
-        terms.append(
-            wn_term(
-                -binom(K, L) * falling(n, L),
-                {s: N, t: n - L},
-                {s: K - L, t: k},
-                delta_pair=(t, s),
-                delta_L=L,
-            )
-        )
-    return wn_expr(terms)
+        for sign, (x1, n1, k1), (x2, n2, k2) in sums
+        for L in range(1, min(k1, n2) + 1)
+    )
 
 
 def renormalize(e: WNExpr) -> WNExpr:
@@ -183,22 +174,12 @@ def renormalize(e: WNExpr) -> WNExpr:
     pair; under the surviving delta(t-s) the two choices are equivalent.
     Words with L in {0, 1} pass through unchanged, so the map is idempotent.
     """
-    out = []
-    for t in e.terms:
-        if t.delta_L >= 2:
-            out.append(
-                WNTerm(
-                    t.coeff,
-                    t.creators,
-                    t.annihilators,
-                    t.delta_pair,
-                    1,
-                    tuple(sorted(t.point_evals + (t.delta_pair[0],))),
-                )
-            )
-        else:
-            out.append(t)
-    return wn_expr(out)
+    return wn_expr(
+        replace(t, delta_L=1, point_evals=tuple(sorted(t.point_evals + (t.delta_pair[0],))))
+        if t.delta_L >= 2
+        else t
+        for t in e.terms
+    )
 
 
 def collapse_single_mode(e: WNExpr) -> dict[tuple[int, int], CScalar]:
@@ -280,15 +261,14 @@ def smear_bracket(
 
 # -- JSON rendering ----------------------------------------------------------
 
-def wn_term_to_json(t: WNTerm) -> dict:
-    return {
-        "coeff": coeff_to_json(t.coeff),
-        "creators": {label: e for label, e in t.creators},
-        "annihilators": {label: e for label, e in t.annihilators},
-        "delta_L": t.delta_L,
-        "point_evals": list(t.point_evals),
-    }
-
-
 def wn_expr_to_json(e: WNExpr) -> list[dict]:
-    return [wn_term_to_json(t) for t in e.terms]
+    return [
+        {
+            "coeff": coeff_to_json(t.coeff),
+            "creators": dict(t.creators),
+            "annihilators": dict(t.annihilators),
+            "delta_L": t.delta_L,
+            "point_evals": list(t.point_evals),
+        }
+        for t in e.terms
+    ]

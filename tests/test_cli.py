@@ -1,6 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -275,6 +278,49 @@ def test_normal_order_text_and_json(runner):
     assert payload[0]["point_evals"] == ["s"]
 
 
+_NORMAL_ORDER_TEXT = """\
+(9) bd[s]^2 bd[t]^2 b[s] b[t]^2 delta(s-t)
+(-2) bd[s]^3 bd[t] b[t]^3 delta(s-t)
+(18) bd[s] bd[t]^2 b[s] b[t] delta^2(s-t)
+(6) bd[t]^2 b[s] delta^3(s-t)
+"""
+_NORMAL_ORDER_TEXT_RENORMALIZED = """\
+(18) bd[s] bd[t]^2 b[s] b[t] delta(s-t) delta(s)
+(9) bd[s]^2 bd[t]^2 b[s] b[t]^2 delta(s-t)
+(-2) bd[s]^3 bd[t] b[t]^3 delta(s-t)
+(6) bd[t]^2 b[s] delta(s-t) delta(s)
+"""
+_NORMAL_ORDER_LATEX = (
+    "(9)\\,{b_s^{\\dagger}}^{2}\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,b_t^{2}\\,\\delta^{1}(s-t)"
+    " + (-2)\\,{b_s^{\\dagger}}^{3}\\,{b_t^{\\dagger}}^{1}\\,b_t^{3}\\,\\delta^{1}(s-t)"
+    " + (18)\\,{b_s^{\\dagger}}^{1}\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,b_t^{1}\\,\\delta^{2}(s-t)"
+    " + (6)\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,\\delta^{3}(s-t)\n"
+)
+_NORMAL_ORDER_LATEX_RENORMALIZED = (
+    "(18)\\,{b_s^{\\dagger}}^{1}\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,b_t^{1}\\,\\delta^{1}(s-t)\\,\\delta(s)"
+    " + (9)\\,{b_s^{\\dagger}}^{2}\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,b_t^{2}\\,\\delta^{1}(s-t)"
+    " + (-2)\\,{b_s^{\\dagger}}^{3}\\,{b_t^{\\dagger}}^{1}\\,b_t^{3}\\,\\delta^{1}(s-t)"
+    " + (6)\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,\\delta^{1}(s-t)\\,\\delta(s)\n"
+)
+
+
+@pytest.mark.parametrize(
+    "extra, expected",
+    [
+        ([], _NORMAL_ORDER_TEXT),
+        (["--renormalize"], _NORMAL_ORDER_TEXT_RENORMALIZED),
+        (["--format", "latex"], _NORMAL_ORDER_LATEX),
+        (["--format", "latex", "--renormalize"], _NORMAL_ORDER_LATEX_RENORMALIZED),
+    ],
+)
+def test_normal_order_keeps_its_bytes(runner, extra, expected):
+    # powers of 1 and above, delta^2 and delta^3, and delta(s) point evaluations
+    argv = ["normal-order", "--n", "2", "--k", "3", "--N", "3", "--K", "1"]
+    result = runner.invoke(main, argv + extra)
+    assert result.exit_code == 0
+    assert result.output == expected
+
+
 def test_oracle_command(runner):
     result = runner.invoke(
         main,
@@ -320,10 +366,16 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         # 401^2 * 201^2 product words, past cli.MAX_VERIFY_WORDS
         ["verify-w", "--n", "2..20", "--k", "-100..100"],
         ["bracket", "B[2,1]@step[0,2,1,0;1,3,1,0]"],  # overlapping pieces
+        ["bracket", "B[2,1]@step[2,1,1,0]"],  # a reversed piece
+        _SMEAR + ["--g", "reversed.json", "--f", "step.json"],
+        # 79799 basis indices, past lie.MAX_SCAN_INDICES: refused before any pair
+        ["closure", "--kind", "winfinity", "--n-range", "2..200", "--k-range", "-200..200"],
+        ["star-check", "--kind", "winfinity", "--n-range", "2..200", "--k-range", "-200..200"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
     (tmp_path / "step.json").write_text(json.dumps([{"from": "1", "to": "2", "re": "1"}]))
+    (tmp_path / "reversed.json").write_text(json.dumps([{"from": "2", "to": "1", "re": "1"}]))
     (tmp_path / "object.json").write_text('{"a": 1}')
     (tmp_path / "list.json").write_text("[1]")
     monkeypatch.chdir(tmp_path)
@@ -333,15 +385,25 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
 def test_smear_theta_past_the_string_limit_exits_2(runner, fmt):
     # 1000 orders, inside the cap; some theta has more digits than Python
-    # converts to a string, so printing it fails.
+    # converts to a string, so the run is refused before it prints a row.
     argv = ["smear", "--n", "1001", "--k", "1001", "--N", "1001", "--K", "1000000000"]
     result = runner.invoke(main, argv + ["--format", fmt])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
     assert "Traceback" not in result.output
+    assert result.stdout == ""
+
+
+def test_importing_the_package_root_loads_no_engine():
+    code = "import rhpwn, sys; print(sorted(m for m in sys.modules if m.startswith('rhpwn.')))"
+    src = os.path.dirname(os.path.dirname(rhpwn.cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
 
 
 def test_bracket_nested_to_the_cap_evaluates(runner):

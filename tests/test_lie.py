@@ -170,6 +170,22 @@ def test_exhaustive_jacobi_scan_grid_cap(monkeypatch):
     assert jacobi_scan(RHPWN, (0, 5), (0, 5), sample=50, seed=1).triples_checked == 50
 
 
+def test_pair_scan_grid_cap(monkeypatch):
+    # the same 30 indices: both pair scans run at a cap of 30 and refuse at 29
+    monkeypatch.setattr(rhpwn.lie, "MAX_SCAN_INDICES", 30)
+    assert closure_check(RHPWN, (0, 5), (0, 5)).pairs_checked == 30**2
+    assert star_scan(RHPWN, (0, 5), (0, 5)).pairs_checked == 30**2
+    monkeypatch.setattr(rhpwn.lie, "MAX_SCAN_INDICES", 29)
+
+    def no_bracket(*args):
+        raise AssertionError("a refused scan must not bracket any pair")
+
+    monkeypatch.setattr(rhpwn.lie, "structure", no_bracket)
+    for scan in (closure_check, star_scan):
+        with pytest.raises(ValueError, match="at most 29 basis indices, this grid has 30"):
+            scan(RHPWN, (0, 5), (0, 5))
+
+
 def test_jacobi_scan_sampling_records_seed():
     report = jacobi_scan(WINF, (2, 8), (-6, 6), sample=500, seed=42)
     assert report.sampled and report.seed == 42

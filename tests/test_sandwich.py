@@ -159,7 +159,7 @@ def test_multiply_rejects_bad_inputs():
 
 
 def test_eq_term_rejects_two_test_functions_at_one_label():
-    # multiply and eq_term_to_json rely on one test function per label
+    # multiply and eq_expr_to_json rely on one test function per label
     with pytest.raises(ValueError):
         eq_term(1, {"s": 1}, {"s": 1}, {}, testfn=[("s", fn_symbol("f")), ("s", fn_symbol("g"))])
 

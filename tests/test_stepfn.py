@@ -132,6 +132,19 @@ def test_records_round_trip(f):
     assert step_from_records(step_to_records(f)) == f
 
 
+@pytest.mark.parametrize(
+    "piece",
+    [
+        {"from": "2", "to": "1", "re": "1"},  # reversed
+        {"from": "1", "to": "1", "re": "1"},  # empty
+        {"from": "2", "to": "1", "re": "0"},  # reversed and zero-valued
+    ],
+)
+def test_step_from_records_rejects_empty_or_reversed_pieces(piece):
+    with pytest.raises(ValueError, match="empty or reversed piece"):
+        step_from_records([{"from": "0", "to": "1", "re": "1"}, piece])
+
+
 def test_symbol_product_and_conjugation():
     g = fn_symbol("g")
     f = fn_symbol("f", in_S0=False)
