@@ -135,6 +135,8 @@ def theta_cmd(l_range, n_range, k_range, nn_range, kk_range, fmt) -> None:
     """Tabulate the singular-part coefficients theta_L(n,k;N,K)."""
     if l_range[0] < 2:
         raise click.UsageError("theta needs L >= 2")
+    # theta at L = 2..L_max sums the binomials smear computes for L_max - 1 orders
+    _cap_grid(l_range[1] - 1, MAX_SMEAR_ORDERS, "singular orders")
     ranges = (l_range, n_range, k_range, nn_range, kk_range)
     _cap_grid(math.prod(len(_ints(r)) for r in ranges), MAX_THETA_ROWS, "theta rows")
     rows = ((*t, theta_fn(*t)) for t in itertools.product(*map(_ints, ranges)))
@@ -205,6 +207,11 @@ def _render_scan(fmt, name, report, checked, labels, detail, encode, extra, mode
     )
 
 
+# Largest sample jacobi draws: each triple costs up to six structure calls.
+# At the cap a run takes about 4 s on a 2-core VM with CPython 3.11.
+MAX_JACOBI_SAMPLE = 500_000
+
+
 @main.command("jacobi")
 @_scan_options
 @click.option("--sample", type=click.IntRange(min=1), default=None,
@@ -213,6 +220,7 @@ def _render_scan(fmt, name, report, checked, labels, detail, encode, extra, mode
 @_format_option
 def jacobi_cmd(kind, n_range, k_range, sample, seed, fmt) -> None:
     """Scan basis triples for Jacobi-identity defects."""
+    _cap_grid(sample or 0, MAX_JACOBI_SAMPLE, "sampled triples")
     with _rejected_input():
         r = lie.jacobi_scan(AlgebraKind[kind.upper()], n_range, k_range, sample=sample, seed=seed)
     _render_scan(

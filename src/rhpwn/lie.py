@@ -288,31 +288,49 @@ def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list,
     return inner_c, inner_row, outer_c, outer_k
 
 
+def _antisymmetric(size: int, tables: tuple) -> bool:
+    """Whether [y, z] = -[z, y] on the grid of ``_structure_tables``: row y
+    of ``inner_c`` negates its column y, and ``inner_row`` equals its
+    transpose (both rows are 0 where the coefficient vanishes)."""
+    inner_c, inner_row = tables[:2]
+    return all(
+        inner_c[y * size : (y + 1) * size] == [-c for c in inner_c[y::size]]
+        and inner_row[y * size : (y + 1) * size] == inner_row[y::size]
+        for y in range(size)
+    )
+
+
 def _failing_orbits(size: int, tables: tuple):
-    """Yield one representative (a, b, c) of each cyclic orbit of id triples
-    whose Jacobi residual is nonzero, from ``_structure_tables`` of ``size``
-    basis indices.
+    """Yield the set of id triples of each orbit whose Jacobi residual is
+    nonzero, from ``_structure_tables`` of ``size`` basis indices, one
+    representative per orbit walked.
 
     The rotations of (a, b, c) sum the same three terms [x, [y, z]] for any
-    table, so one triple per orbit settles all of its rotations. The
-    representatives are the triples with a <= b and a < c, whose orbits have
-    three triples, and the triples a = b = c, whose orbits have one. Each
-    (a, b) row is walked over c with [b, c] and [c, [a, b]] read from
-    contiguous slices and [c, a] from a strided one.
+    table, so one triple per cyclic orbit settles its rotations. If the table
+    is antisymmetric on the grid, a transposition negates each term:
+    [b, [a, c]] = -[b, [c, a]] and so on, by the outer bracket's linearity in
+    its second argument. So J(b, a, c) = -J(a, b, c): the residual alternates,
+    vanishes on repeated ids, and the triples a < b < c stand for all six
+    permutations each, about size**3 / 6 triples. Any other table walks the
+    cyclic representatives, a <= b and a < c (three rotations each) and
+    a = b = c (one), about size**3 / 3 triples. Each (a, b) row is walked
+    over c with [b, c] and [c, [a, b]] read from contiguous slices and
+    [c, a] from a strided one.
     """
     inner_c, inner_row, outer_c, outer_k = tables
+    alternating = _antisymmetric(size, tables)
     for a in range(size):
         aa = a * size + a
         # (a, a, a): three equal terms
-        if inner_c[aa] * outer_c[inner_row[aa] + a]:
-            yield a, a, a
-        lo = a + 1
-        ca_c, ca_row = inner_c[lo * size + a :: size], inner_row[lo * size + a :: size]
-        for b in range(a, size):
-            ab, bc = a * size + b, b * size
+        if not alternating and inner_c[aa] * outer_c[inner_row[aa] + a]:
+            yield {(a, a, a)}
+        for b in range(a + 1 if alternating else a, size):
+            lo = b + 1 if alternating else a + 1
+            ab, bc, ca = a * size + b, b * size, lo * size + a
             c_ab, r_ab = inner_c[ab], inner_row[ab]
             row = zip(
-                inner_c[bc + lo : bc + size], inner_row[bc + lo : bc + size], ca_c, ca_row,
+                inner_c[bc + lo : bc + size], inner_row[bc + lo : bc + size],
+                inner_c[ca::size], inner_row[ca::size],
                 outer_c[r_ab + lo : r_ab + size], outer_k[r_ab + lo : r_ab + size],
             )
             for c, (c_bc, r_bc, c_ca, r_ca, c3, k3) in enumerate(row, lo):
@@ -331,7 +349,10 @@ def _failing_orbits(size: int, tables: tuple):
                 else:
                     failed = v1 or v2 or v3
                 if failed:
-                    yield a, b, c
+                    orbit = {(a, b, c), (b, c, a), (c, a, b)}
+                    if alternating:
+                        orbit |= {(b, a, c), (a, c, b), (c, b, a)}
+                    yield orbit
 
 
 MAX_SCAN_INDICES = 500  # largest grid an exhaustive jacobi_scan or a pair scan accepts
@@ -350,11 +371,13 @@ def jacobi_scan(
     random sample of N triples is drawn instead (the seed is recorded in the
     report). Both modes read the structure-constant table bracket() uses.
     The exhaustive scan builds ``_structure_tables`` over the whole grid
-    once, about 10 * size**2 list entries, and walks one triple per cyclic
-    orbit (``_failing_orbits``), about size**3 / 3 triples; a failing orbit
-    counts each of its triples. A grid of more than ``MAX_SCAN_INDICES``
-    basis indices (at the cap about 2.4 million table entries and 40 MB, and
-    4.2e7 orbits) raises ValueError before any work. The kept failures are
+    once, about 10 * size**2 list entries, and walks one triple per orbit
+    (``_failing_orbits``): about size**3 / 6 triples a < b < c when the table
+    is antisymmetric on the grid, as both true tables are, else size**3 / 3
+    cyclic representatives. A failing orbit counts each of its triples. A
+    grid of more than ``MAX_SCAN_INDICES`` basis indices (at the cap about
+    2.4 million table entries and 40 MB, and 2.1e7 orbits on a true table)
+    raises ValueError before any work. The kept failures are
     the first ``_FAILURE_CAP`` failing triples in lexicographic order, as a
     walk over every triple would find them. A sample asks
     ``_jacobi_residual`` of each drawn triple, so its cost grows with N
@@ -375,8 +398,7 @@ def jacobi_scan(
 
         def failing_triples():
             nonlocal failure_count
-            for a, b, c in _failing_orbits(size, tables):
-                orbit = {(a, b, c), (b, c, a), (c, a, b)}
+            for orbit in _failing_orbits(size, tables):
                 failure_count += len(orbit)
                 yield from orbit
 

@@ -371,6 +371,12 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         # 79799 basis indices, past lie.MAX_SCAN_INDICES: refused before any pair
         ["closure", "--kind", "winfinity", "--n-range", "2..200", "--k-range", "-200..200"],
         ["star-check", "--kind", "winfinity", "--n-range", "2..200", "--k-range", "-200..200"],
+        # a sample past cli.MAX_JACOBI_SAMPLE: refused before any triple
+        ["jacobi", "--kind", "rhpwn", "--n-range", "0..3", "--k-range", "0..3",
+         "--sample", "1000000000000"],
+        # L up to 5000000, past cli.MAX_SMEAR_ORDERS + 1: refused before any row
+        ["theta", "--L", "5000000..5000000", "--n", "0..0", "--k", "10000000..10000000",
+         "--N", "10000000..10000000", "--K", "0..0"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -575,6 +581,11 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         ("MAX_VERIFY_WORDS", "product words", 25, ["verify-w", "--n", "2..3", "--k", "0"]),
         # L = 2 only
         ("MAX_SMEAR_ORDERS", "singular orders", 1, _SMEAR),
+        ("MAX_JACOBI_SAMPLE", "sampled triples", 20,
+         ["jacobi", "--kind", "rhpwn", "--n-range", "0..3", "--k-range", "0..3", "--sample", "20"]),
+        # L = 2..3: the binomial sums of two smear orders
+        ("MAX_SMEAR_ORDERS", "singular orders", 2,
+         ["theta", "--L", "2..3", "--n", "2", "--k", "3", "--N", "4", "--K", "1"]),
     ],
 )
 def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, size, argv):
@@ -586,6 +597,7 @@ def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, s
     monkeypatch.setattr(rhpwn.oracle, "check_exchange_seed", None)
     monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", None)
     monkeypatch.setattr(rhpwn.wick, "smear_bracket", None)
+    monkeypatch.setattr(rhpwn.lie, "jacobi_scan", None)
     result = runner.invoke(main, argv)
     # stdout and stderr together: the error line and nothing else
     assert result.exit_code == 2

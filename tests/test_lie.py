@@ -228,11 +228,16 @@ def test_scan_path_agrees_with_element_path(data):
 
 def _corrupted_structure(mode, modulus, residue):
     """The true table with the brackets [B^n_k, B^N_K] whose indices hit a
-    residue class skewed (c + 1), escaping (n' -> -n') or zeroed (c = 0)."""
+    residue class skewed (c + 1), escaping (n' -> -n') or zeroed (c = 0), or,
+    in mode "swap", doubled (2c) where n + k + N + K hits it: a class closed
+    under swapping the two generators, so that table stays antisymmetric."""
 
     def table(kind, n, k, N, K):
         c, n2, k2 = structure(kind, n, k, N, K)
-        if (n + 2 * k + 3 * N + 5 * K) % modulus == residue:
+        if mode == "swap":
+            if (n + k + N + K) % modulus == residue:
+                c *= 2
+        elif (n + 2 * k + 3 * N + 5 * K) % modulus == residue:
             if mode == "skew":
                 c += 1
             elif mode == "escape":
@@ -273,7 +278,7 @@ def test_orbit_walk_agrees_with_the_walk_over_every_triple(data):
     k_range = (k0, k0 + data.draw(st.integers(0, 3)))
     modulus = data.draw(st.integers(1, 4))
     corrupt = _corrupted_structure(
-        data.draw(st.sampled_from(["skew", "escape", "zero"])),
+        data.draw(st.sampled_from(["skew", "escape", "zero", "swap"])),
         modulus,
         data.draw(st.integers(0, modulus - 1)),
     )
@@ -300,6 +305,28 @@ def test_orbit_walk_keeps_rotations_among_the_first_failures(monkeypatch):
     kept = [tuple(ids[p] for p in f[:3]) for f in report.failures]
     # kept triples that are not their orbit's representative (a <= b, a < c)
     assert [t for t in kept if t[0] > min(t[1:]) or t[0] == t[2] != t[1]]
+
+
+@pytest.mark.parametrize(
+    "kind, n_range, k_range", [(RHPWN, (0, 6), (0, 6)), (WINF, (2, 8), (-6, 6))]
+)
+def test_true_tables_are_antisymmetric_on_the_acceptance_grids(kind, n_range, k_range):
+    # so criteria 2 and 3 walk only the triples a < b < c
+    pairs = basis_indices(kind, n_range, k_range)
+    assert rhpwn.lie._antisymmetric(len(pairs), rhpwn.lie._structure_tables(kind, pairs))
+
+
+def test_swapped_corruption_walks_a_b_c_increasing(monkeypatch):
+    # doubled brackets keep the table antisymmetric but break Jacobi
+    monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure("swap", 2, 0))
+    pairs = basis_indices(WINF, (2, 4), (-2, 2))
+    assert rhpwn.lie._antisymmetric(len(pairs), rhpwn.lie._structure_tables(WINF, pairs))
+    report = _assert_orbit_walk_agrees(WINF, (2, 4), (-2, 2))
+    assert report.failure_count == 1908 and len(report.failures) == 100
+    ids = {p: i for i, p in enumerate(pairs)}
+    kept = [tuple(ids[p] for p in f[:3]) for f in report.failures]
+    # kept triples that are not their orbit's representative (a < b < c)
+    assert [t for t in kept if not t[0] < t[1] < t[2]]
 
 
 def test_closure_examples():
