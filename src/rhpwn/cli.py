@@ -121,7 +121,12 @@ def main() -> None:
 
 # -- theta --------------------------------------------------------------------
 
-MAX_THETA_ROWS = 100_000  # largest table theta prints: a json report holds every row
+# Largest table theta prints, counted as rows times the L_max - 1 singular
+# orders of its largest L, since a row's digits grow with L: a json report
+# holds every row, and at L = 1001 with k, N near 1500 a row prints about
+# 3.4 kB, so about 170 kB at the cap. Every theta run in the tests and the
+# benchmark counts at most 324.
+MAX_THETA_ORDERS = 50_000
 
 
 @main.command("theta")
@@ -138,7 +143,8 @@ def theta_cmd(l_range, n_range, k_range, nn_range, kk_range, fmt) -> None:
     # theta at L = 2..L_max sums the binomials smear computes for L_max - 1 orders
     _cap_grid(l_range[1] - 1, MAX_SMEAR_ORDERS, "singular orders")
     ranges = (l_range, n_range, k_range, nn_range, kk_range)
-    _cap_grid(math.prod(len(_ints(r)) for r in ranges), MAX_THETA_ROWS, "theta rows")
+    orders = math.prod(len(_ints(r)) for r in ranges) * (l_range[1] - 1)
+    _cap_grid(orders, MAX_THETA_ORDERS, "theta row orders")
     rows = ((*t, theta_fn(*t)) for t in itertools.product(*map(_ints, ranges)))
     names = ("L", "n", "k", "N", "K", "theta")
     with _rejected_input():
@@ -444,8 +450,9 @@ def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
 # -- oracle -------------------------------------------------------------------
 
 # Largest eq1 grid oracle checks, counted as tuples times the D + 1 columns of
-# each: the default grid has 625 * 41 = 25625, and [0,4]^4 at D = 1600 (near
-# the cap) takes about 4 s on a 2-core VM with CPython 3.11.
+# each: the default grid has 625 * 41 = 25625. At the cap, [0,4]^4 at
+# D = 1599 takes about 1.5-1.8 s and [0,11]^4 at D = 47 about 3.2 s on a
+# 2-core VM with CPython 3.11.
 MAX_EQ1_COLUMNS = 1_000_000
 
 # Largest exchange-seed suite oracle checks, counted as ladder steps: the check
@@ -472,7 +479,7 @@ def oracle_cmd(eq1_max, eq1_trunc, seed_max, seed_trunc, fmt) -> None:
     # Both suites run before any output, so a rejected truncation prints nothing.
     with _rejected_input():
         grid = itertools.product(range(eq1_max + 1), repeat=4)
-        eq1 = [(t, oracle.check_eq1(*t, eq1_trunc)) for t in grid]
+        eq1 = [(t, oracle.check_eq1(*t, eq1_trunc) > 0) for t in grid]
         seeds = [(m, oracle.check_exchange_seed(m, seed_trunc)) for m in range(seed_max + 1)]
     ok = all(p for _, p in eq1) and all(p for _, p in seeds)
     _render(

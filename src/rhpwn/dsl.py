@@ -7,8 +7,8 @@ Grammar (element-valued; scalars only ever multiply generator expressions):
     postfixed := primary ('^*')*
     primary   := atom | '[' expr ',' expr ']' | '(' expr ')'
     atom      := ('B'|'Bh') '[' int ',' int ']' ['@' label]
-    label     := ['~'] name | '(' ['~'] name ('*' ['~'] name)* ')'
-               | 'step' '[' [piece (';' piece)*] ']'
+    label     := ['!'] symbol | 'step' '[' [piece (';' piece)*] ']'
+    symbol    := ['~'] name | '(' ['~'] name ('*' ['~'] name)* ')'
     piece     := rational ',' rational ',' rational ',' rational
     rational  := ['-'] int ['/' int]
     scalar    := part | '(' ['-'] part (('+'|'-') part)* ')'
@@ -16,7 +16,8 @@ Grammar (element-valued; scalars only ever multiply generator expressions):
 
 B atoms are RHPWN generators, Bh atoms are w-infinity generators, '^*' is the
 involution, '[x, y]' the bracket, and '~' marks a conjugated test-function
-factor. A step label lists the pieces (from, to, re, im) of a step function
+factor. A symbol is taken to vanish at zero (in S0) unless a '!' precedes
+it. A step label lists the pieces (from, to, re, im) of a step function
 on [from, to), as render prints them; pieces may not overlap. A name 'step'
 not followed by '[' is a symbol. Complex scalars with two parts must be
 parenthesized, e.g.
@@ -57,7 +58,7 @@ _TOKEN_RE = re.compile(
     r"|(?P<starpost>\^\*)"
     r"|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[\[\](),;+\-*/@~])",
+    r"|(?P<punct>[\[\](),;+\-*/@~!])",
     re.ASCII,
 )
 
@@ -241,6 +242,9 @@ class _Parser:
     def _parse_label(self) -> AnyTestFn:
         if self.peek()[1] == "step" and self.tokens[self.pos + 1][0] == "[":
             return self._parse_step()
+        in_S0 = self.peek()[0] != "!"
+        if not in_S0:
+            self.advance()
         if self.peek()[0] == "(":
             self.advance()
             factors = [self._parse_label_factor()]
@@ -248,8 +252,8 @@ class _Parser:
                 self.advance()
                 factors.append(self._parse_label_factor())
             self.expect(")", (")",))
-            return FnSymbol(tuple(sorted(factors)), True)
-        return FnSymbol((self._parse_label_factor(),), True)
+            return FnSymbol(tuple(sorted(factors)), in_S0)
+        return FnSymbol((self._parse_label_factor(),), in_S0)
 
     def _parse_label_factor(self) -> str:
         prefix = ""
@@ -398,9 +402,10 @@ def _label_text(label) -> str:
     if isinstance(label, StepFn):
         pieces = ";".join(f"{a},{b},{v.re},{v.im}" for a, b, v in label.pieces)
         return f"@step[{pieces}]"
+    mark = "@" if label.in_S0 else "@!"
     if len(label.factors) == 1:
-        return f"@{label.factors[0]}"
-    return "@(" + "*".join(label.factors) + ")"
+        return mark + label.factors[0]
+    return mark + "(" + "*".join(label.factors) + ")"
 
 
 def _label_latex(label) -> str:

@@ -11,6 +11,7 @@ import enum
 import functools
 import heapq
 import itertools
+import operator
 import random
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -249,7 +250,8 @@ def _jacobi_residual(kind: AlgebraKind, p1: tuple, p2: tuple, p3: tuple) -> tupl
 
 def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list, list]:
     """Flat tables of ``structure`` over the basis ``pairs``, read once per
-    exhaustive scan.
+    exhaustive scan and built one basis row at a time: ``structure`` is
+    mapped over the row's index quadruples, so the grid's are never all held.
 
     Basis index i is ``pairs[i]``. Each distinct target t of an inner bracket
     gets a row offset r = (t's id) * len(pairs), id 1 upward; with e = y*size + z:
@@ -268,23 +270,25 @@ def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list,
     stay at about 10 * size**2 entries.
     """
     size = len(pairs)
+    table = functools.partial(structure, kind)
     rows: dict[tuple[int, int], int] = {}
     inner_c = [0] * (size * size)
     inner_row = [0] * (size * size)
-    for e, (y, z) in enumerate(itertools.product(pairs, repeat=2)):
-        c, n2, k2 = structure(kind, *y, *z)
-        if c:
-            inner_c[e] = c
-            inner_row[e] = rows.setdefault((n2, k2), (len(rows) + 1) * size)
+    for y, first in enumerate(pairs):
+        row = itertools.starmap(table, map(operator.add, itertools.repeat(first), pairs))
+        for e, (c, n2, k2) in enumerate(row, y * size):
+            if c:
+                inner_c[e] = c
+                inner_row[e] = rows.setdefault((n2, k2), (len(rows) + 1) * size)
     keys: dict[tuple[int, int], int] = {}
     outer_c = [0] * (size * (len(rows) + 1))
     outer_k = [0] * (size * (len(rows) + 1))
-    for target, row in rows.items():
-        for x, (n, k) in enumerate(pairs):
-            c, n2, k2 = structure(kind, n, k, *target)
+    for target, offset in rows.items():
+        row = itertools.starmap(table, map(operator.add, pairs, itertools.repeat(target)))
+        for e, (c, n2, k2) in enumerate(row, offset):
             if c:
-                outer_c[row + x] = c
-                outer_k[row + x] = keys.setdefault((n2, k2), len(keys))
+                outer_c[e] = c
+                outer_k[e] = keys.setdefault((n2, k2), len(keys))
     return inner_c, inner_row, outer_c, outer_k
 
 

@@ -3,28 +3,30 @@
 The annihilator acts as d/dx and the creator as multiplication by x on the
 monomial basis x^0 .. x^D, so every operator is exact integer arithmetic and
 the canonical commutation relation holds algebraically on all basis vectors
-whose images stay below the truncation degree. Operators act column by column:
-a column is the image of one monomial x^c, a dict from degree to nonzero
-coefficient, reached by stepping the ladder operators on x^c. A normally
-ordered word maps each monomial to a multiple of one monomial, so its column
-map, cached per word on ``build(D)``, holds (degree, coefficient) or None.
-Every term of the commutator expansion maps x^c to a multiple of the same
-monomial, so each guard-safe column reduces to one integer, the sum of the
-terms' coefficients, and a term at any other degree fails the check. This
-gives an independent brute-force check of the two-point commutator
-coefficients (at coincident points, with every delta set to 1) and of the
-seed identity behind the exponential exchange rules.
+whose images stay below the truncation degree. A column is the image of one
+monomial x^c, a dict from degree to nonzero coefficient, reached by stepping
+the ladder operators on x^c. A normally ordered word maps each monomial to a
+multiple of one monomial, so it is kept, cached per word on ``build(D)``, as
+two parallel int lists over the columns 0..D: degrees, and coefficients (0
+where the column vanishes). Every term of the commutator expansion maps x^c
+to a multiple of the same monomial, so each term is one vector over the
+guard-safe columns, a product of two words is a gather, each column reduces
+to one integer, the sum of the terms' coefficients, and a term at any other
+degree fails the check. This gives an independent brute-force check of the
+two-point commutator coefficients (at coincident points, with every delta set
+to 1) and of the seed identity behind the exponential exchange rules.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Optional
+from itertools import compress, repeat
+from operator import add, mul
 
 from .scalars import binom, falling
 
 Column = dict[int, int]
-WordMap = list[Optional[tuple[int, int]]]
+Word = tuple[list[int], list[int]]
 
 # [a - a^+, a + a^+] = 2: the central commutator behind the exchange seed.
 PQ_COMMUTATOR = 2
@@ -66,7 +68,7 @@ class PolyRepOps:
         if D < 2:
             raise ValueError(f"truncation degree must be at least 2, got {D}")
         self.D = D
-        self._words: dict[tuple[int, int], WordMap] = {}
+        self._words: dict[tuple[int, int], Word] = {}
         for c in range(D):  # column D is the guard row
             x = {c: 1}
             comm = _combine(
@@ -87,20 +89,25 @@ class PolyRepOps:
             col = _step(col, self.D, 1, 1)
         return col
 
-    def word(self, n: int, k: int) -> WordMap:
-        """Column map of the normally ordered word creator^n annihilator^k:
-        entry c is the (degree, coefficient) of its image of x^c, or None."""
+    def word(self, n: int, k: int) -> Word:
+        """The normally ordered word creator^n annihilator^k as (degrees,
+        coefficients) over the columns 0..D: it maps x^c to coefficients[c]
+        x^degrees[c], and coefficients[c] is 0 where the image vanishes.
+
+        Built from word(n-1, k) with one creator step per column, or from
+        word(0, k-1) with one annihilator step, so each word is stepped once."""
         key = (n, k)
         if key not in self._words:
-            cols = []
-            for c in range(self.D + 1):
-                col = {c: 1}
-                for _ in range(k):
-                    col = self.annihilate(col)
-                for _ in range(n):
-                    col = self.create(col)
-                cols.append(next(iter(col.items()), None))
-            self._words[key] = cols
+            if n:
+                deg, co = self.word(n - 1, k)
+                D = self.D  # x^D truncates to zero
+                co = [v if d < D else 0 for d, v in zip(deg, co)]
+                self._words[key] = [d + 1 for d in deg], co
+            elif k:
+                deg, co = self.word(0, k - 1)
+                self._words[key] = [d - 1 for d in deg], list(map(mul, deg, co))
+            else:
+                self._words[key] = list(range(self.D + 1)), [1] * (self.D + 1)
         return self._words[key]
 
 
@@ -109,17 +116,12 @@ def build(D: int) -> PolyRepOps:
     return PolyRepOps(D)
 
 
-def _apply(words: tuple[WordMap, ...], c: int) -> Optional[tuple[int, int]]:
-    """(degree, coefficient) of the image of x^c under the product of
-    ``words``, the first applied first, or None where it vanishes."""
-    coeff = 1
-    for word in words:
-        hit = word[c]
-        if not hit:
-            return None
-        c, v = hit
-        coeff *= v
-    return c, coeff
+def _product(first: Word, then: Word, m: int) -> Word:
+    """The word ``then`` * ``first`` (``first`` applied first) over the columns
+    0..m-1: two gathers through the degrees of ``first``."""
+    deg, co = first
+    at = deg[:m]
+    return list(map(then[0].__getitem__, at)), list(map(mul, co[:m], map(then[1].__getitem__, at)))
 
 
 def _column_bound(steps: list[tuple[int, int]], D: int) -> int:
@@ -152,45 +154,43 @@ def _safe_columns(n: int, k: int, N: int, K: int, D: int) -> range:
     return range(min(D, bound) + 1)
 
 
-def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> bool:
+def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> int:
     """Compare the commutator of two words with the expansion
 
         sum_L binom(k,L) falling(N,L) word(n+N-L, k+K-L)
       - sum_L binom(K,L) falling(n,L) word(N+n-L, K+k-L)
 
     coefficient-exactly on every guard-safe column (those whose degree paths
-    never exceed D): each term maps x^c to a multiple of x^(c + n + N - k - K),
-    so the column is one integer, which must vanish, and a term landing at
-    any other degree fails. This is the coincident-point shadow of the
-    two-point commutator, with every delta power set to 1.
+    never exceed D), and return how many columns were compared, or 0 when the
+    check fails. Each term is one vector over those columns and maps x^c to a
+    multiple of x^(c + n + N - k - K), so the scaled sum of the vectors must
+    vanish, and a nonzero coefficient at any other degree fails. So does a
+    tuple comparing no more than D - (n + k + N + K) columns. This is the
+    coincident-point shadow of the two-point commutator, with every delta
+    power set to 1.
     """
     if min(n, k, N, K) < 0:
         raise ValueError("indices must be nonnegative")
     if D <= n + k + N + K:
         raise ValueError(f"guard band violated: need D > {n + k + N + K}, got {D}")
+    m = len(_safe_columns(n, k, N, K, D))
+    if m <= D - (n + k + N + K):
+        return 0
     ops = build(D)
     w1, w2 = ops.word(n, k), ops.word(N, K)
-    rhs = []
+    terms = [(1, _product(w2, w1, m)), (-1, _product(w1, w2, m))]
     for L in range(1, min(k, N) + 1):
-        rhs.append((binom(k, L) * falling(N, L), ops.word(n + N - L, k + K - L)))
+        terms.append((-binom(k, L) * falling(N, L), ops.word(n + N - L, k + K - L)))
     for L in range(1, min(K, n) + 1):
-        rhs.append((-binom(K, L) * falling(n, L), ops.word(N + n - L, K + k - L)))
-    safe_columns = _safe_columns(n, k, N, K, D)
-    assert safe_columns, "guard band left no safe columns"
-    # Every term maps x^c to a multiple of x^(c + shift): one integer per column.
-    shift = n + N - k - K
-    terms = [(1, (w2, w1)), (-1, (w1, w2)), *((-scale, (word,)) for scale, word in rhs)]
-    for c in safe_columns:
-        total = 0
-        for scale, words in terms:
-            hit = _apply(words, c)
-            if hit:
-                if hit[0] != c + shift:
-                    return False
-                total += scale * hit[1]
-        if total:
-            return False
-    return True
+        terms.append((binom(K, L) * falling(n, L), ops.word(N + n - L, K + k - L)))
+    at_shift = range(n + N - k - K, n + N - k - K + m)
+    total = [0] * m
+    for scale, (deg, co) in terms:
+        deg, co = deg[:m], co[:m]
+        if list(compress(deg, co)) != list(compress(at_shift, co)):
+            return 0
+        total = list(map(add, total, map(mul, repeat(scale), co)))
+    return 0 if any(total) else m
 
 
 def check_exchange_seed(m: int, D: int = 16) -> bool:

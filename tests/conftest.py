@@ -38,6 +38,12 @@ fn_symbols = st.builds(
     lambda factors: FnSymbol(tuple(sorted(factors)), True),
     st.lists(_names, min_size=1, max_size=2),
 )
+# symbols known to vanish at zero or not: the DSL reads both label forms
+any_fn_symbols = st.builds(
+    lambda factors, in_S0: FnSymbol(tuple(sorted(factors)), in_S0),
+    st.lists(_names, min_size=1, max_size=2),
+    st.booleans(),
+)
 
 
 def _index_pool(kind: AlgebraKind):

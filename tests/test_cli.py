@@ -358,7 +358,7 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         ["bracket", "(" * 300 + "B[2,1]" + ")" * 300],
         # 1675 basis indices, past lie.MAX_SCAN_INDICES: refused before any table is built
         ["jacobi", "--kind", "rhpwn", "--n-range", "0..40", "--k-range", "0..40"],
-        # grids past cli.MAX_THETA_ROWS and cli.MAX_EQ1_COLUMNS: refused before any row
+        # grids past cli.MAX_THETA_ORDERS and cli.MAX_EQ1_COLUMNS: refused before any row
         ["theta", "--n", "0..200", "--k", "0..200", "--N", "0..200", "--K", "0..200"],
         ["oracle", "--eq1-max", "100", "--eq1-trunc", "1000"],
         # 19999 singular orders, past cli.MAX_SMEAR_ORDERS: refused before any theta
@@ -377,6 +377,9 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         # L up to 5000000, past cli.MAX_SMEAR_ORDERS + 1: refused before any row
         ["theta", "--L", "5000000..5000000", "--n", "0..0", "--k", "10000000..10000000",
          "--N", "10000000..10000000", "--K", "0..0"],
+        # 100 rows of 1000 orders, past cli.MAX_THETA_ORDERS: refused before any row
+        ["theta", "--L", "1000..1001", "--n", "0..0", "--k", "1500..1509",
+         "--N", "1500..1504", "--K", "0..0"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -572,7 +575,7 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
 @pytest.mark.parametrize(
     "cap, what, size, argv",
     [
-        ("MAX_THETA_ROWS", "theta rows", 2,
+        ("MAX_THETA_ORDERS", "theta row orders", 2,
          ["theta", "--n", "2..3", "--k", "3", "--N", "4", "--K", "1"]),
         ("MAX_EQ1_COLUMNS", "eq1 columns", 5, _ORACLE),
         # powers 0..1 at D = 4: 4 * (0 + 1) ladder steps
@@ -586,6 +589,9 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         # L = 2..3: the binomial sums of two smear orders
         ("MAX_SMEAR_ORDERS", "singular orders", 2,
          ["theta", "--L", "2..3", "--n", "2", "--k", "3", "--N", "4", "--K", "1"]),
+        # four rows, each up to L = 3: two orders
+        ("MAX_THETA_ORDERS", "theta row orders", 8,
+         ["theta", "--L", "2..3", "--n", "2..3", "--k", "3", "--N", "4", "--K", "1"]),
     ],
 )
 def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, size, argv):

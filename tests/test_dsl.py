@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import elements, fn_symbols, step_fns
+from conftest import any_fn_symbols, elements, step_fns
 from rhpwn.dsl import (
     AddNode,
     AtomNode,
@@ -168,9 +168,20 @@ def test_step_labels_parse_as_rendered():
             parse(bad)
 
 
+def test_labels_outside_S0_parse_as_rendered():
+    x = basis(WINF, 2, 1, fn_symbol("f", in_S0=False))
+    assert render(x) == "Bh[2,1]@!f"
+    assert parse("Bh[2,1]@!f").label == FnSymbol(("f",), False)
+    assert evaluate(parse(render(x))) == x
+    y = basis(RHPWN, 2, 1, FnSymbol(("f", "~g"), False))
+    assert render(y) == "B[2,1]@!(f*~g)" and evaluate(parse(render(y))) == y
+    # labels in S0 keep their bytes
+    assert render(basis(WINF, 2, 1, fn_symbol("f"))) == "Bh[2,1]@f"
+
+
 @given(
     st.sampled_from([RHPWN, WINF]).flatmap(
-        lambda kind: elements(kind, labeled=True, labels=step_fns() | fn_symbols)
+        lambda kind: elements(kind, labeled=True, labels=step_fns() | any_fn_symbols)
     )
 )
 def test_text_round_trip_with_step_labels(x):
@@ -193,7 +204,7 @@ def test_parenthesized_expressions_and_scalars():
     assert evaluate(parse("2*i*B[2,1]")) == evaluate(parse("(2*i)*B[2,1]"))
 
 
-@given(elements(RHPWN, labeled=True))
+@given(elements(RHPWN, labeled=True, labels=any_fn_symbols))
 def test_round_trip_rhpwn(x):
     if x.is_zero:
         # the text form of zero erases the kind; json keeps it
@@ -202,7 +213,7 @@ def test_round_trip_rhpwn(x):
         assert evaluate(parse(render(x, "text"))) == x
 
 
-@given(elements(WINF, labeled=True))
+@given(elements(WINF, labeled=True, labels=any_fn_symbols))
 def test_round_trip_winfinity(x):
     if x.is_zero:
         assert render(x, "text") == "0"
@@ -210,6 +221,6 @@ def test_round_trip_winfinity(x):
         assert evaluate(parse(render(x, "text"))) == x
 
 
-@given(elements(RHPWN, labeled=True))
+@given(elements(RHPWN, labeled=True, labels=any_fn_symbols))
 def test_json_round_trip(x):
     assert element_from_json(json.loads(render(x, "json"))) == x

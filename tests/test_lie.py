@@ -316,6 +316,39 @@ def test_true_tables_are_antisymmetric_on_the_acceptance_grids(kind, n_range, k_
     assert rhpwn.lie._antisymmetric(len(pairs), rhpwn.lie._structure_tables(kind, pairs))
 
 
+def _reference_tables(kind, pairs):
+    """``_structure_tables`` built one entry at a time."""
+    size = len(pairs)
+    rows = {}
+    inner_c, inner_row = [0] * (size * size), [0] * (size * size)
+    for e, (y, z) in enumerate(itertools.product(pairs, repeat=2)):
+        c, n2, k2 = rhpwn.lie.structure(kind, *y, *z)
+        if c:
+            inner_c[e] = c
+            inner_row[e] = rows.setdefault((n2, k2), (len(rows) + 1) * size)
+    keys = {}
+    outer_c, outer_k = [0] * (size * (len(rows) + 1)), [0] * (size * (len(rows) + 1))
+    for target, row in rows.items():
+        for x, (n, k) in enumerate(pairs):
+            c, n2, k2 = rhpwn.lie.structure(kind, n, k, *target)
+            if c:
+                outer_c[row + x] = c
+                outer_k[row + x] = keys.setdefault((n2, k2), len(keys))
+    return inner_c, inner_row, outer_c, outer_k
+
+
+@pytest.mark.parametrize("mode", [None, "skew", "escape", "zero", "swap"])
+@pytest.mark.parametrize(
+    "kind, n_range, k_range", [(RHPWN, (0, 6), (0, 6)), (WINF, (2, 8), (-6, 6))]
+)
+def test_structure_tables_match_the_entry_by_entry_build(monkeypatch, kind, n_range, k_range,
+                                                         mode):
+    if mode:
+        monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure(mode, 3, 1))
+    pairs = basis_indices(kind, n_range, k_range)
+    assert rhpwn.lie._structure_tables(kind, pairs) == _reference_tables(kind, pairs)
+
+
 def test_swapped_corruption_walks_a_b_c_increasing(monkeypatch):
     # doubled brackets keep the table antisymmetric but break Jacobi
     monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure("swap", 2, 0))

@@ -14,15 +14,22 @@ from rhpwn.oracle import (
 from rhpwn.scalars import binom, falling
 
 
+def _hit(word, c):
+    """(degree, coefficient) of the image of x^c under ``word``, or None where
+    it vanishes."""
+    deg, co = word
+    return (deg[c], co[c]) if co[c] else None
+
+
 def test_ladder_columns():
     D = 6
     ops = build(D)
     for m in range(D + 1):
         # d/dx on x^m, and x * x^m with x * x^D truncated to zero
         assert ops.annihilate({m: 1}) == ({m - 1: m} if m else {})
-        assert ops.word(0, 1)[m] == ((m - 1, m) if m else None)
+        assert _hit(ops.word(0, 1), m) == ((m - 1, m) if m else None)
         assert ops.create({m: 1}) == ({m + 1: 1} if m < D else {})
-        assert ops.word(1, 0)[m] == ((m + 1, 1) if m < D else None)
+        assert _hit(ops.word(1, 0), m) == ((m + 1, 1) if m < D else None)
     with pytest.raises(ValueError):
         PolyRepOps(1)
 
@@ -32,7 +39,7 @@ def test_number_operator_diagonal():
     number = ops.word(1, 1)
     for m in range(11):
         # x^m is an eigenvector with eigenvalue m; x^0 is annihilated
-        assert number[m] == ((m, m) if m else None)
+        assert _hit(number, m) == ((m, m) if m else None)
 
 
 def test_build_is_cached():
@@ -59,9 +66,9 @@ def test_check_eq1_fails_on_a_term_at_the_wrong_degree(monkeypatch):
     # creator^2 annihilator^3, the first expansion word of (1, 3, 2, 1), with
     # the right coefficients one degree too high
     ops = build(14)
-    word = ops.word(2, 3)
+    deg, co = ops.word(2, 3)
     assert check_eq1(1, 3, 2, 1, 14)
-    monkeypatch.setitem(ops._words, (2, 3), [hit and (hit[0] + 1, hit[1]) for hit in word])
+    monkeypatch.setitem(ops._words, (2, 3), ([d + 1 for d in deg], co))
     assert not check_eq1(1, 3, 2, 1, 14)
 
 
@@ -125,3 +132,88 @@ def test_safe_columns_match_the_step_by_step_walk():
                 and all(_path_ok(c, [step], D) for step in steps)
             ]
             assert list(_safe_columns(n, k, N, K, D)) == walked, (n, k, N, K, D)
+
+
+def test_check_eq1_counts_the_compared_columns():
+    # criterion 4's grid: every tuple compares its guard-safe columns
+    counts = [check_eq1(*t, 40) for t in itertools.product(range(5), repeat=4)]
+    assert min(counts) == 33 and max(counts) == 41 and sum(counts) == 24625
+    for t in [(0, 0, 0, 0), (4, 4, 4, 4), (1, 3, 2, 1)]:
+        assert check_eq1(*t, 40) == len(_safe_columns(*t, 40))
+
+
+def test_check_eq1_fails_at_the_column_floor(monkeypatch):
+    # a tuple comparing no more than D - (n + k + N + K) columns fails
+    assert check_eq1(2, 2, 2, 2, 16) == 17
+    monkeypatch.setattr(rhpwn.oracle, "_safe_columns", lambda *args: range(8))
+    assert check_eq1(2, 2, 2, 2, 16) == 0
+    monkeypatch.setattr(rhpwn.oracle, "_safe_columns", lambda *args: range(9))
+    assert check_eq1(2, 2, 2, 2, 16) == 9
+
+
+def _walk_eq1(n, k, N, K, D):
+    """check_eq1 column by column: each term's image of x^c is stepped through
+    its words one at a time, must land at degree c + n + N - k - K, and the
+    column's images must sum to zero."""
+    ops = build(D)
+    w1, w2 = ops.word(n, k), ops.word(N, K)
+    terms = [(1, (w2, w1)), (-1, (w1, w2))]
+    for L in range(1, min(k, N) + 1):
+        scale = rhpwn.oracle.binom(k, L) * rhpwn.oracle.falling(N, L)
+        terms.append((-scale, (ops.word(n + N - L, k + K - L),)))
+    for L in range(1, min(K, n) + 1):
+        scale = rhpwn.oracle.binom(K, L) * rhpwn.oracle.falling(n, L)
+        terms.append((scale, (ops.word(N + n - L, K + k - L),)))
+    columns = _safe_columns(n, k, N, K, D)
+    if len(columns) <= D - (n + k + N + K):
+        return 0
+    for c in columns:
+        total = 0
+        for scale, words in terms:
+            d, v = c, scale
+            for word in words:
+                hit = _hit(word, d)
+                if hit is None:
+                    break
+                d, v = hit[0], v * hit[1]
+            else:
+                if d != c + n + N - k - K:
+                    return 0
+                total += v
+        if total:
+            return 0
+    return len(columns)
+
+
+def _assert_walk_agrees(D=40):
+    for t in itertools.product(range(5), repeat=4):
+        assert check_eq1(*t, D) == _walk_eq1(*t, D), t
+
+
+def test_check_eq1_agrees_with_the_column_walk():
+    _assert_walk_agrees()
+
+
+@pytest.mark.parametrize("name, true_fn", [("binom", binom), ("falling", falling)])
+def test_check_eq1_agrees_with_the_column_walk_off_by_one(monkeypatch, name, true_fn):
+    monkeypatch.setattr(rhpwn.oracle, name, lambda n, k: true_fn(n, k) + 1)
+    _assert_walk_agrees()
+
+
+def test_check_eq1_agrees_with_the_column_walk_on_a_corrupted_word(monkeypatch):
+    # the number operator with one coefficient off: eigenvalue 4 on x^3
+    ops = build(40)
+    deg, co = ops.word(1, 1)
+    monkeypatch.setitem(ops._words, (1, 1), (deg, [4 if c == 3 else v for c, v in enumerate(co)]))
+    _assert_walk_agrees()
+    # [N, a^+] = a^+ fails on x^2: N a^+ x^2 = 4 x^3, a^+ N x^2 = 2 x^3
+    assert check_eq1(1, 1, 1, 0, 40) == 0
+
+
+def test_check_eq1_compares_its_last_column(monkeypatch):
+    # [a, a^+] = 1, with the identity word off by one on the last compared column only
+    ops = build(8)
+    m = check_eq1(0, 1, 1, 0, 8)
+    deg, co = ops.word(0, 0)
+    monkeypatch.setitem(ops._words, (0, 0), (deg, [v + (c == m - 1) for c, v in enumerate(co)]))
+    assert check_eq1(0, 1, 1, 0, 8) == 0
