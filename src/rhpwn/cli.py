@@ -336,9 +336,12 @@ def _index_options(func):
     return func
 
 
-# Most singular orders smear computes: each theta is a big-integer binomial
-# sum. At the cap, n = k = N = K = 1001 takes 0.12 s and n = N = 1001,
-# k = K = 10^12 about 1.2-1.6 s on a 2-core VM with CPython 3.11.
+# Most singular orders smear computes, and most commutator orders of each sum
+# normal-order expands: each order is a big-integer binomial term. At the cap,
+# smear at n = k = N = K = 1001 takes 0.12 s and at n = N = 1001, k = K = 10^12
+# about 1.2-1.6 s; normal-order at n = k = N = K = 1000 takes 0.7 s and writes
+# 3.3 MB, and at n = N = 10^12, k = K = 1000 is refused at the string limit
+# after about 1 s, on a 2-core VM with CPython 3.11.
 MAX_SMEAR_ORDERS = 1000
 
 
@@ -415,9 +418,9 @@ _WN_FORMS = {
 }
 
 
-def _wn_term(t: wick.WNTerm, fmt: str) -> str:
+def _wn_term(t: wick.WNTerm, coeff: str, fmt: str) -> str:
     power, creator, annihilator, delta, times = _WN_FORMS[fmt]
-    parts = [f"({t.coeff})"]
+    parts = [f"({coeff})"]
     parts += [creator.format(x) + power(e) for x, e in t.creators]
     parts += [annihilator.format(x) + power(e) for x, e in t.annihilators]
     if t.delta_L:
@@ -434,15 +437,19 @@ def _wn_term(t: wick.WNTerm, fmt: str) -> str:
 @_format_option
 def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
     """Expand the two-point commutator of normally ordered monomials."""
+    # The expansion's two sums run over L = 1..min(k, N) and L = 1..min(K, n).
+    _cap_grid(max(min(k, nn), min(kk, n)), MAX_SMEAR_ORDERS, "commutator orders")
     with _rejected_input():
         expr = wick.monomial_commutator(n, k, nn, kk)
-    if apply_renorm:
-        expr = wick.renormalize(expr)
+        if apply_renorm:
+            expr = wick.renormalize(expr)
+        # A coefficient past Python's integer-to-string limit is refused before any output.
+        terms = [(t, str(t.coeff)) for t in expr.terms]
     zero = ["0"] if expr.is_zero else []
     _render(
         fmt,
-        itertools.chain(zero, (_wn_term(t, "text") for t in expr.terms)),
-        zero or [" + ".join(_wn_term(t, "latex") for t in expr.terms)],
+        itertools.chain(zero, (_wn_term(t, c, "text") for t, c in terms)),
+        zero or [" + ".join(_wn_term(t, c, "latex") for t, c in terms)],
         lambda: wick.wn_expr_to_json(expr),
     )
 

@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from . import lie
 from .lie import AlgebraKind, Element, element_to_json
@@ -80,33 +79,28 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 # -- AST ----------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AtomNode:
+class AtomNode(NamedTuple):
     kind: AlgebraKind
     n: int
     k: int
     label: Optional[AnyTestFn]
 
 
-@dataclass(frozen=True)
-class BracketNode:
+class BracketNode(NamedTuple):
     a: "DslExpr"
     b: "DslExpr"
 
 
-@dataclass(frozen=True)
-class StarNode:
+class StarNode(NamedTuple):
     a: "DslExpr"
 
 
-@dataclass(frozen=True)
-class ScaleNode:
+class ScaleNode(NamedTuple):
     c: CScalar
     a: "DslExpr"
 
 
-@dataclass(frozen=True)
-class AddNode:
+class AddNode(NamedTuple):
     a: "DslExpr"
     b: "DslExpr"
 

@@ -13,8 +13,7 @@ import heapq
 import itertools
 import operator
 import random
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .scalars import CScalar, LinComb, coeff_from_json, coeff_to_json
 from .stepfn import (
@@ -47,8 +46,7 @@ def in_domain(kind: AlgebraKind, n: int, k: int) -> bool:
     return n == 2
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     """Basis symbol B^n_k, optionally smeared with a test function label."""
 
     kind: AlgebraKind
@@ -78,16 +76,13 @@ def generator(
     return Generator(kind, n, k, label)
 
 
-@dataclass(frozen=True)
-class Element(LinComb):
+class Element(LinComb, NamedTuple("Element", [("kind", AlgebraKind), ("terms", tuple)])):
     """Finite linear combination of generators of a single algebra kind.
 
     Terms are (generator, coefficient) pairs ordered by Generator.sort_key.
     """
 
-    kind: AlgebraKind
-    terms: tuple[tuple[Generator, CScalar], ...]
-
+    __slots__ = ()
     order = staticmethod(Generator.sort_key)
 
     @property
@@ -214,8 +209,7 @@ def basis_indices(kind: AlgebraKind, n_range: Range, k_range: Range) -> list[tup
 _FAILURE_CAP = 100
 
 
-@dataclass(frozen=True)
-class JacobiReport:
+class JacobiReport(NamedTuple):
     kind: AlgebraKind
     n_range: Range
     k_range: Range
@@ -433,8 +427,7 @@ def jacobi_scan(
     )
 
 
-@dataclass(frozen=True)
-class PairReport:
+class PairReport(NamedTuple):
     """Outcome of a check run on every ordered pair of in-domain basis indices."""
 
     kind: AlgebraKind

@@ -29,11 +29,10 @@ the table lookup run on every check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Literal, Mapping, Optional
+from typing import Iterable, Literal, Mapping, NamedTuple, Optional
 
 from . import lie
 from .lie import DomainError
@@ -80,8 +79,7 @@ def _canon_params(m: Mapping[str, Fraction] | Iterable) -> ParamMap:
     return _Block(sorted((l, v) for l, v in out.items() if v))
 
 
-@dataclass(frozen=True)
-class EQTerm:
+class EQTerm(NamedTuple):
     """One sandwich word with exact coefficient and delta-power bookkeeping."""
 
     coeff: CScalar
@@ -127,12 +125,11 @@ def eq_term(
     )
 
 
-@dataclass(frozen=True)
-class EQExpr(LinComb):
+class EQExpr(LinComb, NamedTuple("EQExpr", [("terms", tuple)])):
     """Canonical sum of sandwich words, ordered by EQTerm.word_key with test
     functions in stepfn's order."""
 
-    terms: tuple[EQTerm, ...]
+    __slots__ = ()
 
     @staticmethod
     def split(t: EQTerm) -> tuple:
@@ -328,8 +325,7 @@ def _merged_blocks(left_exp: ParamMap, right_exp: ParamMap, testfn: FnMap, targe
     )
 
 
-@dataclass(frozen=True)
-class ReduceResult:
+class ReduceResult(NamedTuple):
     reduced: EQExpr
     l0_residual: EQExpr
     dropped_singular: int
@@ -373,8 +369,7 @@ def reduce(e: EQExpr) -> ReduceResult:
     return ReduceResult(eq_expr(reduced), EQExpr(tuple(residual)), dropped)
 
 
-@dataclass(frozen=True)
-class TheoremReport:
+class TheoremReport(NamedTuple):
     """Outcome of one realization check at indices (n, k, N, K)."""
 
     n: int

@@ -8,10 +8,10 @@ exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
+from typing import NamedTuple
 
 
 def binom(K: int, L: int) -> int:
@@ -65,16 +65,13 @@ def _rational(x) -> Fraction:
     raise TypeError(f"exact scalars take int or Fraction, got {type(x).__name__}")
 
 
-@dataclass(frozen=True)
-class CScalar:
+class CScalar(NamedTuple("CScalar", [("re", Fraction), ("im", Fraction)])):
     """Complex number with exact rational real and imaginary parts."""
 
-    re: Fraction = _F0
-    im: Fraction = _F0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "re", _rational(self.re))
-        object.__setattr__(self, "im", _rational(self.im))
+    def __new__(cls, re=_F0, im=_F0) -> "CScalar":
+        return tuple.__new__(cls, (_rational(re), _rational(im)))
 
     @staticmethod
     def of(value) -> "CScalar":
@@ -142,12 +139,8 @@ class CScalar:
 
 def _cscalar(re: Fraction, im: Fraction) -> CScalar:
     """A CScalar from parts that are already Fractions: the arithmetic's
-    constructor, which skips the coercion in __post_init__."""
-    c = object.__new__(CScalar)
-    parts = c.__dict__
-    parts["re"] = re
-    parts["im"] = im
-    return c
+    constructor, which skips the coercion in CScalar.__new__."""
+    return tuple.__new__(CScalar, (re, im))
 
 
 CS_ZERO = CScalar()
@@ -179,11 +172,13 @@ class LinComb:
     """Canonical finite sum of terms with CScalar coefficients.
 
     Like terms are merged, zero coefficients dropped and the rest sorted, so
-    equal sums are equal dataclasses. A subclass is a frozen dataclass whose
-    last field is ``terms``; it says how a term splits into (key, coeff), how
-    keys are ordered and how a term is rebuilt from a key and a coeff.
+    equal sums are equal tuples. A subclass also derives from a named tuple
+    whose last field is ``terms``, after LinComb so that its ``+`` and ``-``
+    win over tuple concatenation; it says how a term splits into (key, coeff),
+    how keys are ordered and how a term is rebuilt from a key and a coeff.
     """
 
+    __slots__ = ()
     terms: tuple
 
     order = None  # sort key over term keys; None sorts the keys themselves

@@ -9,15 +9,13 @@ abstractly, so a lightweight formal-product symbol type lives here too.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Union
+from typing import Iterable, NamedTuple, Optional, Union
 
 from .scalars import CS_ONE, CS_ZERO, CScalar, rational_from_str, rational_to_str
 
 
-@dataclass(frozen=True)
-class IntervalSet:
+class IntervalSet(NamedTuple):
     """Finite union of disjoint, sorted half-open rational intervals [a, b)."""
 
     intervals: tuple[tuple[Fraction, Fraction], ...]
@@ -42,14 +40,13 @@ def interval_set(pairs: Iterable[tuple]) -> IntervalSet:
     return IntervalSet(tuple((a, b) for a, b in merged))
 
 
-@dataclass(frozen=True)
-class StepFn:
+class StepFn(NamedTuple):
     """Right-continuous complex step function with compact support.
 
     Stored as sorted disjoint pieces (a, b, v): the function equals v on
     [a, b) and 0 outside every piece. Canonical form keeps only nonzero
     values and merges contiguous equal-valued pieces, so equality of the
-    dataclass is equality of functions.
+    tuples is equality of functions.
     """
 
     pieces: tuple[tuple[Fraction, Fraction, CScalar], ...]
@@ -180,8 +177,7 @@ def step_from_records(records: Iterable[dict]) -> StepFn:
 
 # -- Abstract test-function symbols -----------------------------------------
 
-@dataclass(frozen=True)
-class FnSymbol:
+class FnSymbol(NamedTuple):
     """Formal pointwise product of named test functions.
 
     Factors are stored as a sorted multiset of names; a '~' prefix marks

@@ -9,8 +9,7 @@ expression is a canonically sorted sum of such words (scalars.LinComb).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import lie
 from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, falling, theta
@@ -50,8 +49,7 @@ def canon_pows(pows: Mapping[str, int] | Iterable[tuple[str, int]]) -> PowMap:
     return tuple(sorted(out.items()))
 
 
-@dataclass(frozen=True)
-class WNTerm:
+class WNTerm(NamedTuple):
     """One normally ordered word with an exact complex coefficient."""
 
     coeff: CScalar
@@ -111,11 +109,10 @@ def wn_term(
     )
 
 
-@dataclass(frozen=True)
-class WNExpr(LinComb):
+class WNExpr(LinComb, NamedTuple("WNExpr", [("terms", tuple)])):
     """Canonical finite sum of words, ordered by WNTerm.word_key."""
 
-    terms: tuple[WNTerm, ...]
+    __slots__ = ()
 
     @staticmethod
     def split(t: WNTerm) -> tuple:
@@ -175,7 +172,7 @@ def renormalize(e: WNExpr) -> WNExpr:
     Words with L in {0, 1} pass through unchanged, so the map is idempotent.
     """
     return wn_expr(
-        replace(t, delta_L=1, point_evals=tuple(sorted(t.point_evals + (t.delta_pair[0],))))
+        t._replace(delta_L=1, point_evals=tuple(sorted(t.point_evals + (t.delta_pair[0],))))
         if t.delta_L >= 2
         else t
         for t in e.terms
@@ -200,8 +197,7 @@ def collapse_single_mode(e: WNExpr) -> dict[tuple[int, int], CScalar]:
     return {key: c for key, c in acc.items() if c}
 
 
-@dataclass(frozen=True)
-class SingularTerm:
+class SingularTerm(NamedTuple):
     """One order-L singular contribution of the smeared bracket."""
 
     L: int
@@ -210,8 +206,7 @@ class SingularTerm:
     scalar: Optional[CScalar]  # None when it cannot be decided symbolically
 
 
-@dataclass(frozen=True)
-class BracketDecomposition:
+class BracketDecomposition(NamedTuple):
     """Smeared-bracket split into a regular part and singular terms.
 
     The regular part is regular_coeff * B^{n'}_{k'}(g f) with (n', k') =

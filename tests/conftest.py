@@ -46,18 +46,23 @@ any_fn_symbols = st.builds(
 )
 
 
-def _index_pool(kind: AlgebraKind):
+def _index_pool(kind: AlgebraKind, relaxed: bool = False):
+    if relaxed:
+        # every index around the family, out-of-domain ones included
+        return [(n, k) for n in range(-2, 7) for k in range(-5, 6)]
     if kind is AlgebraKind.RHPWN:
         return basis_indices(kind, (0, 6), (0, 6))
     return basis_indices(kind, (2, 6), (-5, 5))
 
 
 @st.composite
-def elements(draw, kind: AlgebraKind, labeled: bool = False, labels=fn_symbols):
-    pool = _index_pool(kind)
+def elements(
+    draw, kind: AlgebraKind, labeled: bool = False, labels=fn_symbols, relaxed: bool = False
+):
+    pool = _index_pool(kind, relaxed)
     pairs = draw(st.lists(st.sampled_from(pool), min_size=0, max_size=4))
     label_st = st.one_of(st.none(), labels) if labeled else st.none()
     items = [
-        (generator(kind, n, k, draw(label_st)), draw(cscalars)) for n, k in pairs
+        (generator(kind, n, k, draw(label_st), relaxed), draw(cscalars)) for n, k in pairs
     ]
     return element(kind, items)

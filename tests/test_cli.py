@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import rhpwn.cli
 import rhpwn.dsl
@@ -141,7 +143,7 @@ def test_verify_w_failure_exits_1_and_reports_the_residual(runner, monkeypatch):
     def one_failure(n, k, N, K):
         r = verify(n, k, N, K)
         if (n, k, N, K) == (2, 1, 3, 0):
-            return dataclasses.replace(r, passed=False, l0_residual=residual)
+            return r._replace(passed=False, l0_residual=residual)
         return r
 
     monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", one_failure)
@@ -363,6 +365,8 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         ["oracle", "--eq1-max", "100", "--eq1-trunc", "1000"],
         # 19999 singular orders, past cli.MAX_SMEAR_ORDERS: refused before any theta
         ["smear", "--n", "20000", "--k", "20000", "--N", "20000", "--K", "20000"],
+        # 100000 commutator orders, past cli.MAX_SMEAR_ORDERS: refused before any term
+        ["normal-order", "--n", "100000", "--k", "100000", "--N", "100000", "--K", "100000"],
         # 401^2 * 201^2 product words, past cli.MAX_VERIFY_WORDS
         ["verify-w", "--n", "2..20", "--k", "-100..100"],
         ["bracket", "B[2,1]@step[0,2,1,0;1,3,1,0]"],  # overlapping pieces
@@ -395,10 +399,19 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])
-def test_smear_theta_past_the_string_limit_exits_2(runner, fmt):
-    # 1000 orders, inside the cap; some theta has more digits than Python
-    # converts to a string, so the run is refused before it prints a row.
-    argv = ["smear", "--n", "1001", "--k", "1001", "--N", "1001", "--K", "1000000000"]
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 1000 orders each, inside the cap; some theta or coefficient has more
+        # digits than Python converts to a string, so the run is refused before
+        # it prints a row or a term.
+        ["smear", "--n", "1001", "--k", "1001", "--N", "1001", "--K", "1000000000"],
+        ["normal-order", "--n", "1000000000000", "--k", "1000",
+         "--N", "1000000000000", "--K", "1000"],
+    ],
+    ids=["smear", "normal-order"],
+)
+def test_a_number_past_the_string_limit_exits_2(runner, argv, fmt):
     result = runner.invoke(main, argv + ["--format", fmt])
     assert result.exit_code == 2
     assert result.stderr.startswith("error: ") and result.stderr.count("\n") == 1
@@ -406,13 +419,25 @@ def test_smear_theta_past_the_string_limit_exits_2(runner, fmt):
     assert result.stdout == ""
 
 
-def test_importing_the_package_root_loads_no_engine():
-    code = "import rhpwn, sys; print(sorted(m for m in sys.modules if m.startswith('rhpwn.')))"
+def _fresh_interpreter(code: str) -> str:
+    """The stdout of ``code`` run by a new interpreter that imports this rhpwn."""
     src = os.path.dirname(os.path.dirname(rhpwn.cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    return result.stdout
+
+
+def test_importing_the_package_root_loads_no_engine():
+    code = "import rhpwn, sys; print(sorted(m for m in sys.modules if m.startswith('rhpwn.')))"
+    assert _fresh_interpreter(code) == "[]\n"
+
+
+def test_importing_the_cli_loads_no_dataclasses():
+    # A dataclass execs its generated methods at import, about 1 ms a class in
+    # every process; the value types are named tuples, built in C.
+    code = "import rhpwn.cli, sys; print('dataclasses' in sys.modules)"
+    assert _fresh_interpreter(code) == "False\n"
 
 
 def test_bracket_nested_to_the_cap_evaluates(runner):
@@ -592,6 +617,9 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         # four rows, each up to L = 3: two orders
         ("MAX_THETA_ORDERS", "theta row orders", 8,
          ["theta", "--L", "2..3", "--n", "2..3", "--k", "3", "--N", "4", "--K", "1"]),
+        # L = 1..min(k, N) = 1..2 and L = 1..min(K, n) = 1..1: two orders
+        ("MAX_SMEAR_ORDERS", "commutator orders", 2,
+         ["normal-order", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]),
     ],
 )
 def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, size, argv):
@@ -603,6 +631,7 @@ def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, s
     monkeypatch.setattr(rhpwn.oracle, "check_exchange_seed", None)
     monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", None)
     monkeypatch.setattr(rhpwn.wick, "smear_bracket", None)
+    monkeypatch.setattr(rhpwn.wick, "monomial_commutator", None)
     monkeypatch.setattr(rhpwn.lie, "jacobi_scan", None)
     result = runner.invoke(main, argv)
     # stdout and stderr together: the error line and nothing else
@@ -643,3 +672,64 @@ def test_verify_w_latex_prints_each_row_as_it_is_checked(runner, monkeypatch):
         "\\begin{tabular}{rrrrrr}\nn & k & N & K & c & pass \\\\\n\\hline\n"
         "2 & 0 & 2 & 0 & 0 & True \\\\\n"
     )
+
+
+# -- argv fuzz ----------------------------------------------------------------
+
+def _range_text(lo, hi, width=3):
+    """An index range 'a..b' inside [lo, hi], a single index, or a malformed one."""
+    valid = st.tuples(st.integers(lo, hi), st.integers(0, width)).map(
+        lambda t: f"{t[0]}..{min(t[0] + t[1], hi)}"
+    )
+    return valid | st.integers(lo, hi).map(str) | st.sampled_from(["3..1", "a..b", "..", "1.5"])
+
+
+def _argv(name, *parts):
+    return st.tuples(*parts).map(lambda ps: [name] + [a for p in ps for a in p])
+
+
+def _given(flag, values):
+    return values.map(lambda v: [flag, v])
+
+
+def _option(flag, values):
+    """``[flag, value]`` or nothing."""
+    return st.just([]) | _given(flag, values)
+
+
+_fmt = _option("--format", st.sampled_from(["text", "json", "latex", "yaml"]))
+_index = st.integers(-2, 8).map(str)
+_scan = st.tuples(
+    st.sampled_from(["rhpwn", "winfinity", "witt", "none"]), _range_text(-2, 5), _range_text(-3, 3)
+).map(lambda t: ["--kind", t[0], "--n-range", t[1], "--k-range", t[2]])
+
+
+_ARGV = st.one_of(
+    _argv("theta", _option("--L", _range_text(1, 4)), _option("--n", _range_text(-1, 3)),
+          _option("--k", _range_text(-1, 3)), _option("--N", _range_text(-1, 3)),
+          _option("--K", _range_text(-1, 3)), _fmt),
+    _argv("bracket", st.lists(st.text("B[]h,0123-+*@~!()^/ifgstep; ", max_size=24), max_size=2),
+          st.sampled_from([[], ["--relaxed"]]), _fmt),
+    _argv("jacobi", _scan,
+          _option("--sample", st.integers(-1, 200).map(str)),
+          _option("--seed", st.integers(0, 9).map(str)), _fmt),
+    _argv("closure", _scan, _fmt),
+    _argv("star-check", _scan, _fmt),
+    _argv("verify-w", _option("--n", _range_text(1, 4, width=1)),
+          _option("--k", _range_text(-2, 2, width=1)), _fmt),
+    _argv("smear", *(_given(f, _index) for f in ("--n", "--k", "--N", "--K")), _fmt),
+    _argv("normal-order", *(_given(f, _index) for f in ("--n", "--k", "--N", "--K")),
+          st.sampled_from([[], ["--renormalize"]]), _fmt),
+    _argv("oracle", *(_option(f, st.integers(-1, m).map(str)) for f, m in
+                      (("--eq1-max", 2), ("--eq1-trunc", 8), ("--seed-max", 3),
+                       ("--seed-trunc", 8))), _fmt),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ARGV)
+def test_any_small_argv_exits_0_1_or_2_without_a_traceback(argv):
+    result = CliRunner().invoke(main, argv, input="B[2,1]\n")
+    assert result.exit_code in (0, 1, 2), (argv, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.output

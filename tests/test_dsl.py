@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from conftest import any_fn_symbols, elements, step_fns
@@ -16,7 +16,7 @@ from rhpwn.dsl import (
     parse,
     render,
 )
-from rhpwn.lie import AlgebraKind, basis, element_from_json, involution, zero
+from rhpwn.lie import AlgebraKind, Element, basis, element_from_json, involution, zero
 from rhpwn.scalars import CScalar
 from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, step_from_records
 from fractions import Fraction
@@ -224,3 +224,29 @@ def test_round_trip_winfinity(x):
 @given(elements(RHPWN, labeled=True, labels=any_fn_symbols))
 def test_json_round_trip(x):
     assert element_from_json(json.loads(render(x, "json"))) == x
+
+
+@given(
+    st.sampled_from([RHPWN, WINF]).flatmap(
+        lambda kind: elements(kind, labeled=True, labels=step_fns() | any_fn_symbols, relaxed=True)
+    )
+)
+def test_relaxed_elements_round_trip_through_text_and_json(x):
+    assume(not x.is_zero)  # the text form of zero erases the kind
+    text, as_json = render(x, "text"), render(x, "json")
+    from_text = evaluate(parse(text, relaxed=True))
+    from_json = element_from_json(json.loads(as_json))
+    assert from_text == x and from_json == x
+    for y in (from_text, from_json):
+        assert render(y, "text") == text and render(y, "json") == as_json
+    # Elements are tuples, but equal-looking ones of another kind or label still differ.
+    (g, c), *_ = x.terms
+    other = WINF if x.kind is RHPWN else RHPWN
+    one = Element(x.kind, ((g, c),))
+    assert one != Element(other, ((g._replace(kind=other), c),))
+    relabeled = fn_symbol("f") if g.label is None else None
+    assert one != Element(x.kind, ((g._replace(label=relabeled), c),))
+    if isinstance(g.label, FnSymbol):
+        flipped = g.label._replace(in_S0=not g.label.in_S0)
+        assert one != Element(x.kind, ((g._replace(label=flipped), c),))
+    assert zero(RHPWN) != zero(WINF)
