@@ -271,10 +271,17 @@ def star_check_cmd(kind, n_range, k_range, fmt) -> None:
 
 # -- verify-w -----------------------------------------------------------------
 
-# Largest grid verify-w checks, counted as product words: a tuple (n, k, N, K)
-# expands a commutator of about n N words, so a grid has (sum of n)^2 times
-# (number of k)^2. The acceptance grid, n 2..7 and k -4..4, has 59049.
-MAX_VERIFY_WORDS = 1_000_000
+# Largest grid verify-w checks, counted as product words and as weight digits.
+# A tuple (n, k, N, K) expands a commutator of about n N words, so a grid has
+# (sum of n)^2 times (number of k)^2 words; the acceptance grid, n 2..7 and
+# k -4..4, has 59049. A word's weight binom(n-1, j) binom(N-1, i) K^(n-1-j)
+# k^(N-1-i) is at most about (2 max |k|)^(2 (max n - 1)), and a grid's weight
+# digits are its words times the digits of that bound. The slowest runs the
+# caps accept take about 4 s on a 2-core VM with CPython 3.11: many tuples of
+# small words (n 2..2, k -70..70) or one tuple of large weights (n = 18 with a
+# 4300-digit k, the most digits Python reads).
+MAX_VERIFY_WORDS = 80_000
+MAX_VERIFY_DIGITS = 50_000_000
 
 
 @main.command("verify-w")
@@ -286,7 +293,10 @@ def verify_w_cmd(n_range, k_range, fmt) -> None:
     if n_range[0] < 2:
         raise click.UsageError("realization indices need n >= 2")
     ns, ks = _ints(n_range), _ints(k_range)
-    _cap_grid(sum(ns) ** 2 * len(ks) ** 2, MAX_VERIFY_WORDS, "product words")
+    words = sum(ns) ** 2 * len(ks) ** 2
+    _cap_grid(words, MAX_VERIFY_WORDS, "product words")
+    k_digits = len(str(max(-k_range[0], k_range[1], 0))) + 1  # digits of 2 max |k|, at most
+    _cap_grid(words * 2 * (n_range[1] - 1) * k_digits, MAX_VERIFY_DIGITS, "weight digits")
     tuples = len(ns) ** 2 * len(ks) ** 2
     failed = []
 

@@ -369,6 +369,10 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         ["normal-order", "--n", "100000", "--k", "100000", "--N", "100000", "--K", "100000"],
         # 401^2 * 201^2 product words, past cli.MAX_VERIFY_WORDS
         ["verify-w", "--n", "2..20", "--k", "-100..100"],
+        # 1000^2 product words, past cli.MAX_VERIFY_WORDS, each of about 1000 digits
+        ["verify-w", "--n", "1000..1000", "--k", "3..3"],
+        # 1600 product words of about 78000 digits each, past cli.MAX_VERIFY_DIGITS
+        ["verify-w", "--n", "40..40", "--k", f"{10 ** 1000}..{10 ** 1000}"],
         ["bracket", "B[2,1]@step[0,2,1,0;1,3,1,0]"],  # overlapping pieces
         ["bracket", "B[2,1]@step[2,1,1,0]"],  # a reversed piece
         _SMEAR + ["--g", "reversed.json", "--f", "step.json"],
@@ -507,6 +511,7 @@ _ESCAPED = [((2, 1), (1, 2), (-3, -2, 2)), ((2, 1), (2, 2), (-2, -3, 2)),
 
 
 _FAILING_JACOBI = ["jacobi", "--kind", "winfinity", "--n-range", "2..3", "--k-range", "-1..1"]
+_VERIFY_W = ["verify-w", "--n", "2..5", "--k", "-3..3", "--format"]
 _SAMPLED_JACOBI = ["jacobi", "--kind", "rhpwn", "--n-range", "0..3", "--k-range", "0..2",
                    "--sample", "500", "--seed", "42"]
 
@@ -581,6 +586,17 @@ def _table(header, *rows):
             "5f7d4e8cb47503f5b8788ecc4b1c570b170123e123d75199a7b3a2825070b00f")),
         (_SAMPLED_JACOBI + ["--format", "json"], True, 1, _Digest(
             "{", 3540, "514cef97ca8afddb89b45a3d823053215b742b940f04fa6b6a85bbed4a8c44b9")),
+        # The realization check, pinned before its kernel was rewritten.
+        (_VERIFY_W + ["text"], False, 0, _Digest(
+            "n=2 k=-3 N=2 K=-3 coeff=0 dropped=0 PASS", 785,
+            "c887fb7b0a3a5b3da1ef2e8b8cdb61b9cb5199a123986791ac2953de234bb246")),
+        (_VERIFY_W + ["json"], False, 0, _Digest(
+            "{", 7847, "860cda022600984cf8532e0692cf6e95b4a0697703589800861e0f82fe2237a7")),
+        (_VERIFY_W + ["latex"], False, 0, _Digest(
+            "\\begin{tabular}{rrrrrr}", 788,
+            "cf08c0d7c442993f42c144b86ee160ae2318eda8789186167c8fc053b43f3c7b")),
+        (["verify-w", "--n", "2..3", "--k", "-1..1", "--format", "json"], True, 1, _Digest(
+            "{", 367, "0a539fce0d862fc3c19657b62a76a86c152c7cb8c595595beb47e85b9bb38875")),
     ],
 )
 def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, corrupt, exit_code,
@@ -607,6 +623,8 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         ("MAX_SEED_STEPS", "exchange-seed steps", 4, _ORACLE),
         # (2 + 3)^2 sums n N over the four tuples at k = K = 0
         ("MAX_VERIFY_WORDS", "product words", 25, ["verify-w", "--n", "2..3", "--k", "0"]),
+        # 25 words times 2 (3 - 1) times the two digits of 2 * 0, counted as 1 + 1
+        ("MAX_VERIFY_DIGITS", "weight digits", 200, ["verify-w", "--n", "2..3", "--k", "0"]),
         # L = 2 only
         ("MAX_SMEAR_ORDERS", "singular orders", 1, _SMEAR),
         ("MAX_JACOBI_SAMPLE", "sampled triples", 20,

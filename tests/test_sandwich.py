@@ -1,3 +1,4 @@
+import functools
 import itertools
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cscalars, fn_symbols, step_fns
+from conftest import cscalars, fn_symbols, rationals, s0_step_fns, step_fns
 
 from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
@@ -21,7 +22,7 @@ from rhpwn.sandwich import (
     verify_theorem,
 )
 from rhpwn.scalars import CScalar, binom
-from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, pointwise_product
+from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol, indicator, pointwise_product
 from rhpwn.wick import DeltaAtZeroError, SingularPartError
 
 lams = st.fractions(min_value=-6, max_value=6, max_denominator=8)
@@ -42,6 +43,23 @@ def test_gen_to_word_examples():
     assert w.right_exp == (("s", Fraction(-1)),)
     with pytest.raises(DomainError):
         gen_to_word(1, 0, "t")
+
+
+@pytest.mark.parametrize("label", ["s", "t"])
+@pytest.mark.parametrize(
+    "fn", [None, fn_symbol("g"), indicator([(1, 2)])], ids=["none", "symbol", "step"]
+)
+def test_generator_words_equal_their_eq_term_build(label, fn):
+    for n, k in itertools.product(range(2, 9), range(-6, 7)):
+        built = eq_term(
+            Fraction(1, 2 ** (n - 1)),
+            {label: Fraction(k, 2)},
+            {label: n - 1},
+            {label: Fraction(k, 2)},
+            testfn={} if fn is None else {label: fn},
+        )
+        word = gen_to_word(n, k, label, fn)
+        assert word == built and hash(word) == hash(built)
 
 
 def test_generator_words_are_built_once_per_process():
@@ -297,6 +315,72 @@ def test_reduce_merges_each_block_set_on_its_own():
     assert result.reduced == eq_expr(merged)
     assert result.l0_residual == eq_expr(words[-1:])
     assert result.dropped_singular == 0
+
+
+def _reference_reduce(e):
+    """reduce word by word: each delta-1 word merged on its own through
+    eq_term, and the merged words summed with eq_expr."""
+    merged, residual, dropped = [], [], 0
+    for t in e.terms:
+        if t.delta_L == 0:
+            residual.append(t)
+        elif t.delta_L == 1:
+            target = min(label for block in t[1:4] + (t.testfn,) for label, _ in block)
+            fns = [fn for _, fn in t.testfn]
+            merged.append(eq_term(
+                t.coeff,
+                {target: sum(v for _, v in t.left_exp)},
+                {target: sum(p for _, p in t.q_pow)},
+                {target: sum(v for _, v in t.right_exp)},
+                testfn={target: functools.reduce(fn_product, fns)} if fns else {},
+            ))
+        else:
+            dropped += 1  # the drawn singular words all vanish at zero
+    return eq_expr(merged), eq_expr(residual), dropped
+
+
+@st.composite
+def _block_sets(draw, labels):
+    """Exponential and test-function blocks over ``labels``, with test
+    functions of one kind, and a variant that differs from them in one block."""
+    exps = st.dictionaries(st.sampled_from(labels), _exponents, max_size=len(labels))
+    kind = draw(st.sampled_from([fn_symbols, s0_step_fns()]))
+    fns = st.dictionaries(st.sampled_from(labels), kind, max_size=len(labels))
+    blocks = [draw(exps), draw(exps), draw(fns)]
+    variant = list(blocks)
+    changed = draw(st.integers(0, 2))
+    variant[changed] = draw(fns if changed == 2 else exps)
+    return blocks, variant
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([("s", "t"), ("t", "u"), ("s", "t", "u")]), st.data())
+def test_reduce_matches_the_word_by_word_merge(labels, data):
+    # Delta-1 words that share a block set merge into one word; a pair whose
+    # field powers split one total differently cancels once merged.
+    block_sets = [b for _ in range(data.draw(st.integers(1, 2)))
+                  for b in data.draw(_block_sets(labels))]
+    pows = st.dictionaries(st.sampled_from(labels), st.integers(0, 3), min_size=1)
+    words = []
+    for _ in range(data.draw(st.integers(1, 8))):
+        left, right, fns = data.draw(st.sampled_from(block_sets))
+        delta, q = data.draw(st.sampled_from([0, 1, 1, 1, 2])), data.draw(pows)
+        if not (any(left.values()) or any(right.values()) or fns or any(q.values())):
+            q = {labels[-1]: 1}  # a delta word needs a label to merge at
+        if delta == 2:
+            fns = {**fns, labels[0]: fn_symbol("g")}  # a singular word vanishing at zero
+        coeff = data.draw(st.one_of(cscalars, rationals))
+        words.append(eq_term(coeff, left, q, right, delta, fns))
+        if delta == 1 and data.draw(st.booleans()):
+            words.append(eq_term(-coeff, left, {labels[0]: sum(q.values())}, right, 1, fns))
+    e = eq_expr(words)
+    result = reduce(e)
+    assert (result.reduced, result.l0_residual, result.dropped_singular) == _reference_reduce(e)
+
+
+def test_reduce_refuses_a_delta_word_without_a_label():
+    with pytest.raises(ValueError, match="a delta word needs a label"):
+        reduce(eq_expr([eq_term(1, delta_L=1)]))
 
 
 def test_reduce_drops_singular_and_keeps_residual():
