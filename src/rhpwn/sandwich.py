@@ -22,11 +22,14 @@ binom(q,i) y^(q-i) of both orders add up in one table keyed by the field
 powers. For generator words x and y are +-k and +-K, so the weights are
 integers; a real shared scalar p/q gives each nonzero weight w its
 coefficient as one Fraction(p w, q), and the words come out in canonical
-order without a merge. ``reduce`` sums the coefficients of the delta-1 words
-that merge into one word before it builds that word. Generator words and the
-merged blocks of ``reduce`` are built once per process (bounded caches; a
-word is frozen and does not depend on the structure table). Products,
-reductions and the table lookup run on every check.
+order without a merge. Given a bound on the delta power, the kernel builds
+only the words up to it and counts the nonzero weights above it. The
+realization check builds the delta <= 1 words, the only ones renormalization
+keeps, and counts the singular rest. ``reduce`` sums the coefficients of the
+delta-1 words that merge into one word before it builds that word. Generator
+words and the test-function products of ``reduce`` are built once per process
+(bounded caches; a word is frozen and does not depend on the structure
+table). Products, reductions and the table lookup run on every check.
 """
 
 from __future__ import annotations
@@ -221,8 +224,9 @@ def _single_label_parts(t: EQTerm):
             right[0][1] if right else _F0)
 
 
-def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
-    """a b, or a b - b a when ``minus_ba``, renormalized to sandwich shape.
+def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQExpr, int]:
+    """(a b, or a b - b a when ``minus_ba``, renormalized to sandwich shape;
+    the number of its words left out for a delta power above ``max_delta``).
 
     In a b, b's left exponential moves leftward across a's field block and a's
     right exponential moves rightward across b's field block; only these
@@ -232,6 +236,8 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
     weights: ints when every exponent is a half-integer, as in generator
     words. A real product p/q of the two scalars gives each nonzero weight w
     its coefficient as one Fraction(p w, q); a complex one multiplies w.
+    Words above ``max_delta`` are only counted, as nonzero weights: no word,
+    coefficient or block is built for them. With no bound every word is built.
     """
     if a.delta_L or b.delta_L:
         raise ValueError("product factors must not carry delta powers")
@@ -241,7 +247,7 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
     if pa is None or pb is None:
         # One factor is a pure scalar: both orders concatenate to the same word.
         if minus_ba:
-            return EQ_ZERO
+            return EQ_ZERO, 0
         merged = eq_term(
             base,
             a.left_exp + b.left_exp,
@@ -249,7 +255,7 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
             a.right_exp + b.right_exp,
             testfn=a.testfn + b.testfn,
         )
-        return eq_expr([merged])
+        return eq_expr([merged]), 0
     la, alpha_l, p, alpha_r = pa
     lb, beta_l, q, beta_r = pb
     if la == lb:
@@ -257,7 +263,7 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
     if p < 0 or q < 0:
         raise ValueError(f"negative power in a product factor: {p}, {q}")
     if not base:
-        return EQ_ZERO
+        return EQ_ZERO, 0
     grid = [[0] * (q + 1) for _ in range(p + 1)]
     # a b: Q^p keeps u at a's label, Q^q keeps v at b's label.
     right = _exchange_row(q, _twice(alpha_r))
@@ -280,12 +286,14 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
         items = ((la, x), (lb, y)) if a_first else ((lb, y), (la, x))
         return tuple(item for item in items if item[1])
 
+    fewest = 0 if max_delta is None else p + q - max_delta  # least u + v built
     words = [
         ((p + q - u - v, pair_map(u, v)), w)
         for u, row in enumerate(grid)
         for v, w in enumerate(row)
-        if w
+        if w and u + v >= fewest
     ]
+    over = sum(len(row) - row.count(0) for row in grid) - len(words) if fewest > 0 else 0
     # (delta power, field block) is the EQExpr order: the other key fields are shared.
     words.sort(key=itemgetter(0))
     left_exp = _Block(pair_map(alpha_l, beta_l))
@@ -301,30 +309,32 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> EQExpr:
             EQTerm(c, left_exp, q_pow, right_exp, delta_L, testfn)
             for ((delta_L, q_pow), _), c in zip(words, coeffs)
         )
-    )
+    ), over
 
 
 def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
     """Product of two single-label sandwich words, renormalized to sandwich shape."""
-    return _products(a, b, minus_ba=False)
+    return _products(a, b, minus_ba=False)[0]
 
 
 def commutator(a: EQTerm, b: EQTerm) -> EQExpr:
     """multiply(a, b) - multiply(b, a), canonical, accumulated in one pass."""
-    return _products(a, b, minus_ba=True)
+    return _products(a, b, minus_ba=True)[0]
 
 
 @lru_cache(maxsize=4096)
-def _merged_blocks(left_exp: ParamMap, right_exp: ParamMap, testfn: FnMap, target: str) -> tuple:
-    """Exponential blocks summed and test functions multiplied at ``target``."""
+def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
+    """A word's test functions multiplied at ``target``."""
     product = None
     for _, fn in testfn:
         product = fn if product is None else fn_product(product, fn)
-    return (
-        _canon_params({target: sum((v for _, v in left_exp), Fraction(0))}),
-        _canon_params({target: sum((v for _, v in right_exp), Fraction(0))}),
-        _Block(() if product is None else ((target, product),)),
-    )
+    return _Block(() if product is None else ((target, product),))
+
+
+def _summed_at(exp: ParamMap, target: str) -> ParamMap:
+    """An exponential block's exponents summed at ``target``."""
+    lam = sum((v for _, v in exp[1:]), exp[0][1]) if exp else 0
+    return _Block(((target, lam),) if lam else ())
 
 
 class ReduceResult(NamedTuple):
@@ -344,13 +354,13 @@ def reduce(e: EQExpr) -> ReduceResult:
     otherwise. Words with delta power 1 have their labels identified at the
     smallest one and their blocks merged additively: their coefficients are
     first summed per (blocks, merged field power, target label), and each
-    such group becomes one word. The merged exponential and test-function
-    blocks are built once per block set and process.
+    such group becomes one word. The exponents of a group are summed for
+    it; the test-function product is built once per test-function block and
+    process, and whether a block vanishes at zero is asked once per call.
     """
     groups: dict = {}
     residual = []
-    dropped = 0
-    offenders = []
+    singular = []
     for t in e.terms:
         if t.delta_L == 0:
             residual.append(t)
@@ -360,12 +370,12 @@ def reduce(e: EQExpr) -> ReduceResult:
             if target is None:
                 raise ValueError("a delta word needs a label to merge at")
             key = (t.left_exp, t.right_exp, t.testfn, sum(e for _, e in t.q_pow), target)
-            old = groups.get(key)
-            groups[key] = t.coeff if old is None else old + t.coeff
-        elif any(fn_vanishes_at_zero(fn) for _, fn in t.testfn):
-            dropped += 1
+            groups.setdefault(key, []).append(t.coeff)
         else:
-            offenders.append(t)
+            singular.append(t)
+    fn_blocks = {t.testfn for t in singular}
+    vanishes = {fns: any(fn_vanishes_at_zero(fn) for _, fn in fns) for fns in fn_blocks}
+    offenders = [t for t in singular if not vanishes[t.testfn]]
     if offenders:
         raise SingularPartError(
             f"{len(offenders)} singular term(s) do not vanish: "
@@ -373,12 +383,14 @@ def reduce(e: EQExpr) -> ReduceResult:
             offenders,
         )
     reduced = []
-    for (left_exp, right_exp, testfn, power, target), c in groups.items():
-        left_exp, right_exp, testfn = _merged_blocks(left_exp, right_exp, testfn, target)
+    for (left_exp, right_exp, testfn, power, target), coeffs in groups.items():
+        c = sum(coeffs[1:], coeffs[0])
         q_pow = ((target, power),) if power else ()
-        reduced.append(EQTerm(c, left_exp, q_pow, right_exp, 0, testfn))
-    # The residual is a subsequence of a canonical sum, so it is canonical.
-    return ReduceResult(eq_expr(reduced), EQExpr(tuple(residual)), dropped)
+        left_exp, right_exp = _summed_at(left_exp, target), _summed_at(right_exp, target)
+        reduced.append(EQTerm(c, left_exp, q_pow, right_exp, 0, _merged_blocks(testfn, target)))
+    # A single word is canonical; so is the residual, a subsequence of a canonical sum.
+    reduced = eq_expr(reduced) if len(reduced) > 1 else EQExpr(tuple(t for t in reduced if t.coeff))
+    return ReduceResult(reduced, EQExpr(tuple(residual)), len(singular) - len(offenders))
 
 
 class TheoremReport(NamedTuple):
@@ -405,9 +417,9 @@ def verify_theorem(
 ) -> TheoremReport:
     """Check the w-infinity relation for the sandwich generators.
 
-    Builds the two generator words, expands their commutator, reduces it, and
-    compares structurally against c times the generator word at (n', k'),
-    carrying the test-function product g f, where
+    Builds the two generator words, expands the delta <= 1 words of their
+    commutator, reduces them, and compares structurally against c times the
+    generator word at (n', k'), carrying the test-function product g f, where
 
         [B^n_k, B^N_K] = c B^{n'}_{k'}
 
@@ -415,7 +427,10 @@ def verify_theorem(
     and (n', k') = (n+N-2, k+K)), the table the Jacobi scans certify.
     Passing requires the reduced expression to equal that word exactly and
     the delta-free residual to vanish. A nonzero bracket whose target leaves
-    the family n' >= 2 has no sandwich word and fails.
+    the family n' >= 2 has no sandwich word and fails. The singular words
+    (delta >= 2) all carry g and f: they are only counted, and dropped when g
+    or f vanishes at zero; otherwise the full commutator is expanded and
+    ``reduce`` raises SingularPartError on it.
     """
     if n < 2 or N < 2:
         raise DomainError("realization indices need n, N >= 2")
@@ -425,7 +440,10 @@ def verify_theorem(
         f = fn_symbol("f")
     a = gen_to_word(n, k, "t", g)
     b = gen_to_word(N, K, "s", f)
-    result = reduce(commutator(a, b))
+    comm, singular = _products(a, b, minus_ba=True, max_delta=1)
+    if singular and not (fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f)):
+        reduce(commutator(a, b))  # raises SingularPartError on the singular words
+    result = reduce(comm)
     expected_coeff, n2, k2 = lie.structure(lie.AlgebraKind.WINFINITY, n, k, N, K)
     in_family = n2 >= 2
     # reduce merges the two labels into the smaller one, "s"
@@ -447,7 +465,7 @@ def verify_theorem(
         expected_coeff,
         result.reduced,
         result.l0_residual,
-        result.dropped_singular,
+        singular,
     )
 
 

@@ -3,14 +3,17 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import cscalars, fn_symbols, rationals, s0_step_fns, step_fns
+from conftest import any_fn_symbols, cscalars, fn_symbols, rationals, s0_step_fns, step_fns
 
+from rhpwn import lie
 from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
+    EQExpr,
     _merged_blocks,
+    _products,
     commutator,
     eq_expr,
     eq_term,
@@ -445,6 +448,75 @@ def test_verify_theorem_rejects_non_s0_functions():
     bad = indicator([(-1, 1)])
     with pytest.raises(SingularPartError):
         verify_theorem(3, 1, 3, 2, g=bad, f=bad)
+
+
+def _reference_theorem(n, k, N, K, g, f):
+    """verify_theorem's fields from the full commutator, every word built and
+    reduced: (computed, l0_residual, dropped_singular, passed)."""
+    result = reduce(commutator(gen_to_word(n, k, "t", g), gen_to_word(N, K, "s", f)))
+    c, n2, k2 = lie.structure(lie.AlgebraKind.WINFINITY, n, k, N, K)
+    expected = eq_expr([])
+    if n2 >= 2 and c:
+        expected = eq_expr([gen_to_word(n2, k2, "s", fn_product(g, f))]).scaled(c)
+    passed = (
+        (n2 >= 2 or not c) and result.l0_residual.is_zero and result.reduced == expected
+    )
+    return result.reduced, result.l0_residual, result.dropped_singular, passed
+
+
+def _outcome(fn, *args):
+    """What fn(*args) returns, or its error's type, message and terms."""
+    try:
+        return fn(*args)
+    except (SingularPartError, TypeError) as err:
+        return type(err), str(err), getattr(err, "terms", None)
+
+
+# Symbols and step functions, each vanishing at zero or not; mixed kinds
+# cannot be multiplied, and both paths must refuse them alike.
+_theorem_fns = st.one_of(
+    any_fn_symbols,
+    s0_step_fns(),
+    step_fns(),
+    st.sampled_from([indicator([(1, 2)]), indicator([(-1, 1)]), indicator([(-2, 0)])]),
+)
+_small_k = st.one_of(st.just(0), st.integers(-6, 6))
+
+
+@st.composite
+def _theorem_tuples(draw):
+    n, N, k = draw(st.integers(2, 8)), draw(st.integers(2, 8)), draw(_small_k)
+    K = draw(st.one_of(_small_k, st.just(-k)))  # k + K = 0 merges to no exponential
+    return n, k, N, K
+
+
+@settings(max_examples=200, deadline=None)
+@given(_theorem_tuples(), _theorem_fns, _theorem_fns)
+@example((2, 0, 2, 0), fn_symbol("g"), fn_symbol("f"))
+@example((3, 2, 4, -2), fn_symbol("g", in_S0=False), fn_symbol("f", in_S0=False))
+@example((3, 1, 3, 2), indicator([(-1, 1)]), indicator([(-1, 1)]))
+@example((2, 3, 5, 0), fn_symbol("g", in_S0=False), indicator([(1, 2)]))
+def test_verify_theorem_matches_the_full_reduction(indices, g, f):
+    # Only the delta <= 1 words are built; the counted singular words must
+    # give the same drop count, or the same SingularPartError.
+    def fields(*args):
+        r = verify_theorem(*args)
+        return r.computed, r.l0_residual, r.dropped_singular, r.passed
+
+    assert _outcome(fields, *indices, g, f) == _outcome(_reference_theorem, *indices, g, f)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from([("s", "t"), ("t", "s"), ("u", "s")]), st.integers(-1, 13), st.data())
+def test_bounded_products_keep_the_low_delta_words(labels, bound, data):
+    a, _ = data.draw(_word_parts(labels[0]))
+    b, _ = data.draw(_word_parts(labels[1]))
+    for x, y in ((a, b), (b, a)):
+        for minus_ba, full in ((False, multiply(x, y)), (True, commutator(x, y))):
+            kept, over = _products(x, y, minus_ba, max_delta=bound)
+            assert kept == EQExpr(tuple(t for t in full.terms if t.delta_L <= bound))
+            assert over == sum(t.delta_L > bound for t in full.terms)
+            assert _products(x, y, minus_ba) == (full, 0)
 
 
 @settings(max_examples=40, deadline=None)
