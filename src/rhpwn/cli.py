@@ -143,7 +143,7 @@ def theta_cmd(l_range, n_range, k_range, nn_range, kk_range, fmt) -> None:
     # theta at L = 2..L_max sums the binomials smear computes for L_max - 1 orders
     _cap_grid(l_range[1] - 1, MAX_SMEAR_ORDERS, "singular orders")
     ranges = (l_range, n_range, k_range, nn_range, kk_range)
-    orders = math.prod(len(_ints(r)) for r in ranges) * (l_range[1] - 1)
+    orders = math.prod(hi - lo + 1 for lo, hi in ranges) * (l_range[1] - 1)
     _cap_grid(orders, MAX_THETA_ORDERS, "theta row orders")
     rows = ((*t, theta_fn(*t)) for t in itertools.product(*map(_ints, ranges)))
     names = ("L", "n", "k", "N", "K", "theta")
@@ -278,9 +278,10 @@ def star_check_cmd(kind, n_range, k_range, fmt) -> None:
 # binom(n-1, j) binom(N-1, i) K^(n-1-j) k^(N-1-i) is at most about
 # (2 max |k|)^(2 (max n - 1)), and a grid's weight digits are its words times
 # the digits of that bound. The slowest runs the caps accept, on a 2-core VM
-# with CPython 3.11: one tuple of large weights (n = 18 with a 4300-digit k,
-# the most digits Python reads) takes about 4 s, nearly all of it multiplying
-# weights; many tuples of small words (n 2..2, k -70..70) about 2.5 s.
+# with CPython 3.11: many tuples of small words (n 2..2, k -70..70) take
+# about 2.5 s; one tuple of large weights (n = 18 with a 4300-digit k, the
+# most digits Python reads) about 0.1 s, as only its delta <= 1 weights are
+# multiplied out.
 MAX_VERIFY_WORDS = 80_000
 MAX_VERIFY_DIGITS = 50_000_000
 
@@ -293,16 +294,20 @@ def verify_w_cmd(n_range, k_range, fmt) -> None:
     """Grid-check the sandwich realization of the w-infinity relations."""
     if n_range[0] < 2:
         raise click.UsageError("realization indices need n >= 2")
-    ns, ks = _ints(n_range), _ints(k_range)
-    words = sum(ns) ** 2 * len(ks) ** 2
+    tuples = ((n_range[1] - n_range[0] + 1) * (k_range[1] - k_range[0] + 1)) ** 2
+    words = tuples * (n_range[0] + n_range[1]) ** 2 // 4  # (sum of n)^2 (number of k)^2
     _cap_grid(words, MAX_VERIFY_WORDS, "product words")
     k_digits = len(str(max(-k_range[0], k_range[1], 0))) + 1  # digits of 2 max |k|, at most
     _cap_grid(words * 2 * (n_range[1] - 1) * k_digits, MAX_VERIFY_DIGITS, "weight digits")
-    tuples = len(ns) ** 2 * len(ks) ** 2
+    # The largest coefficient (N-1) k - (n-1) K sits at a corner of the grid:
+    # one past Python's integer-to-string limit is refused before any output.
+    with _rejected_input():
+        str(max(abs(lie.structure(AlgebraKind.WINFINITY, *corner)[0])
+                for corner in itertools.product(n_range, k_range, repeat=2)))
     failed = []
 
     def checked():
-        for n, k, N, K in itertools.product(ns, ks, repeat=2):
+        for n, k, N, K in itertools.product(_ints(n_range), _ints(k_range), repeat=2):
             r = sandwich.verify_theorem(n, k, N, K)
             if not r.passed:
                 failed.append(r)

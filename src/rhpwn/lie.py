@@ -196,14 +196,43 @@ def witt_check(k: int, K: int) -> bool:
 Range = tuple[int, int]
 
 
+def _runs(kind: AlgebraKind, n_range: Range, k_range: Range) -> list[tuple[int, ...]]:
+    """The in-domain index pairs inside the inclusive ranges, in sorted order,
+    as rectangles (first n, first k, row width, size) of equal rows: the
+    ranges are cut to the family without walking them. RHPWN rows n = 0, 1, 2
+    start at k = 3 - n."""
+    (n_lo, n_hi), (k_lo, k_hi) = n_range, k_range
+    if kind is AlgebraKind.RHPWN:
+        cuts = [(n, n, max(k_lo, 3 - n)) for n in range(max(n_lo, 0), min(n_hi, 2) + 1)]
+        cuts.append((max(n_lo, 3), n_hi, max(k_lo, 0)))
+    else:
+        cuts = [(max(n_lo, 2), n_hi if kind is AlgebraKind.WINFINITY else min(n_hi, 2), k_lo)]
+    return [(n0, k0, k_hi - k0 + 1, (n1 - n0 + 1) * (k_hi - k0 + 1))
+            for n0, n1, k0 in cuts if n1 >= n0 and k_hi >= k0]
+
+
+def _basis_at(runs: list, i: int) -> tuple[int, int]:
+    """The i-th index pair of ``runs``."""
+    for n0, k0, width, size in runs:
+        if i < size:
+            return n0 + i // width, k0 + i % width
+        i -= size
+
+
 def basis_indices(kind: AlgebraKind, n_range: Range, k_range: Range) -> list[tuple[int, int]]:
     """In-domain index pairs inside the inclusive ranges, sorted."""
-    return [
-        (n, k)
-        for n in range(n_range[0], n_range[1] + 1)
-        for k in range(k_range[0], k_range[1] + 1)
-        if in_domain(kind, n, k)
-    ]
+    runs = _runs(kind, n_range, k_range)
+    return [_basis_at(runs, i) for i in range(sum(run[3] for run in runs))]
+
+
+def _checked_basis(kind: AlgebraKind, n_range: Range, k_range: Range, what: str, hint="") -> list:
+    """basis_indices, refused with ValueError past ``MAX_SCAN_INDICES`` before any is listed."""
+    size = sum(run[3] for run in _runs(kind, n_range, k_range))
+    if size > MAX_SCAN_INDICES:
+        raise ValueError(
+            f"{what} takes at most {MAX_SCAN_INDICES} basis indices, this grid has {size}{hint}"
+        )
+    return basis_indices(kind, n_range, k_range)
 
 
 _FAILURE_CAP = 100
@@ -377,19 +406,15 @@ def jacobi_scan(
     2.4 million table entries and 40 MB, and 2.1e7 orbits on a true table)
     raises ValueError before any work. The kept failures are
     the first ``_FAILURE_CAP`` failing triples in lexicographic order, as a
-    walk over every triple would find them. A sample asks
-    ``_jacobi_residual`` of each drawn triple, so its cost grows with N
-    alone; it also gives the residuals of the exhaustive scan's kept
-    failures.
+    walk over every triple would find them. A sample draws its triples by
+    index from a grid it never lists and asks ``_jacobi_residual`` of each,
+    so its cost grows with N alone; ``_jacobi_residual`` also gives the
+    residuals of the exhaustive scan's kept failures.
     """
-    pairs = basis_indices(kind, n_range, k_range)
-    size = len(pairs)
     if sample is None:
-        if size > MAX_SCAN_INDICES:
-            raise ValueError(
-                f"an exhaustive Jacobi scan takes at most {MAX_SCAN_INDICES} basis indices, "
-                f"this grid has {size}; sample it instead"
-            )
+        pairs = _checked_basis(kind, n_range, k_range, "an exhaustive Jacobi scan",
+                               "; sample it instead")
+        size = len(pairs)
         checked = size**3
         tables = _structure_tables(kind, pairs)
         failure_count = 0
@@ -404,27 +429,23 @@ def jacobi_scan(
         triples = [(pairs[a], pairs[b], pairs[c]) for a, b, c in kept]
         failures = [(*t, _jacobi_residual(kind, *t)) for t in triples]
     else:
-        checked = sample if pairs else 0
+        runs = _runs(kind, n_range, k_range)
+        size = sum(run[3] for run in runs)
+        checked = sample if size else 0
         rng = random.Random(seed)
         failure_count = 0
         failures = []
         for _ in range(checked):
-            p1, p2, p3 = rng.choice(pairs), rng.choice(pairs), rng.choice(pairs)
+            # the draws of rng.choice on basis_indices, without listing them
+            p1, p2, p3 = (_basis_at(runs, rng.randrange(size)) for _ in range(3))
             residual = _jacobi_residual(kind, p1, p2, p3)
             if residual:
                 failure_count += 1
                 if len(failures) < _FAILURE_CAP:
                     failures.append((p1, p2, p3, residual))
-    return JacobiReport(
-        kind,
-        tuple(n_range),
-        tuple(k_range),
-        checked,
-        failure_count,
-        tuple(failures),
-        sample is not None,
-        seed if sample is not None else None,
-    )
+    sampled = sample is not None
+    return JacobiReport(kind, tuple(n_range), tuple(k_range), checked, failure_count,
+                        tuple(failures), sampled, seed if sampled else None)
 
 
 class PairReport(NamedTuple):
@@ -446,12 +467,7 @@ def _pair_scan(kind: AlgebraKind, n_range: Range, k_range: Range, defect) -> Pai
     """Ask ``defect(p, q)`` of every ordered pair; any result but None fails.
     A grid of more than ``MAX_SCAN_INDICES`` basis indices raises ValueError
     before any pair."""
-    pairs = basis_indices(kind, n_range, k_range)
-    if len(pairs) > MAX_SCAN_INDICES:
-        raise ValueError(
-            f"a pair scan takes at most {MAX_SCAN_INDICES} basis indices, "
-            f"this grid has {len(pairs)}"
-        )
+    pairs = _checked_basis(kind, n_range, k_range, "a pair scan")
     failure_count = 0
     failures: list = []
     for p, q in itertools.product(pairs, repeat=2):

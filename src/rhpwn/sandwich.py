@@ -18,22 +18,22 @@ Every sum of words is kept as a canonically sorted sum (scalars.LinComb).
 A product or commutator of two single-label words is built in one pass. Both
 orders share the exponential blocks, the test functions and the product of
 the two scalars, so the binomial exchange weights binom(p,j) x^(p-j)
-binom(q,i) y^(q-i) of both orders add up in one table keyed by the field
+binom(q,i) y^(q-i) of both orders add up to one weight per pair of field
 powers. For generator words x and y are +-k and +-K, so the weights are
 integers; a real shared scalar p/q gives each nonzero weight w its
-coefficient as one Fraction(p w, q), and the words come out in canonical
-order without a merge. Given a bound on the delta power, the kernel builds
-only the words up to it and counts the nonzero weights above it. The
-realization check builds the delta <= 1 words, the only ones renormalization
-keeps, and counts the singular rest. ``reduce`` sums the coefficients of the
-delta-1 words that merge into one word before it builds that word. Generator
-words and the test-function products of ``reduce`` are built once per process
-(bounded caches; a word is frozen and does not depend on the structure
-table). Products, reductions and the table lookup run on every check.
+coefficient as one Fraction(p w, q). Given a bound on the delta power, only
+the weights up to it are formed; the nonzero ones above it are counted from
+the exchange rows' ratio classes. The realization check builds the delta <= 1
+words, the only ones renormalization keeps, and counts the singular rest.
+``reduce`` merges delta-1 words by summing coefficients first. Generator
+words, exchange rows and their ratio classes, and the blocks ``reduce``
+builds are cached per process (bounded caches; a word is frozen and does not
+depend on the structure table).
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -112,14 +112,8 @@ def eq_term(
     fns = _Block(sorted(fn_items, key=lambda it: it[0]))
     if len({label for label, _ in fns}) < len(fns):
         raise ValueError("a word takes one test function per label")
-    return EQTerm(
-        CScalar.of(coeff),
-        _canon_params(left_exp),
-        canon_pows(q_pow),
-        _canon_params(right_exp),
-        delta_L,
-        fns,
-    )
+    coeff, left = CScalar.of(coeff), _canon_params(left_exp)
+    return EQTerm(coeff, left, canon_pows(q_pow), _canon_params(right_exp), delta_L, fns)
 
 
 class EQExpr(LinComb, NamedTuple("EQExpr", [("terms", tuple)])):
@@ -169,10 +163,21 @@ def _twice(lam: Fraction):
     return 2 * lam.numerator // den if den <= 2 else 2 * lam
 
 
-def _exchange_row(m: int, x) -> list:
+@lru_cache(maxsize=4096)
+def _exchange_row(m: int, x) -> tuple:
     """binom(m, j) x^(m-j) for j = 0..m: the weights of Q^j delta^(m-j) when an
     exponential E(lam) crosses Q^m, with x = 2 lam rightward and -2 lam leftward."""
-    return [binom(m, j) * x ** (m - j) for j in range(m + 1)]
+    return tuple(binom(m, j) * x ** (m - j) for j in range(m + 1))
+
+
+@lru_cache(maxsize=4096)
+def _ratio_classes(xs: tuple, ws: tuple) -> tuple[int, Counter]:
+    """(number of pairs (0, 0), number of pairs per ratio class) of the pairs
+    (xs[u], ws[u]). The class of x : w is the reduced ratio as (numerator,
+    denominator > 0), and (1, 0) for x : 0; int and Fraction rows agree."""
+    classes = Counter(Fraction(x, w).as_integer_ratio() if w else (1, 0) if x else None
+                      for x, w in zip(xs, ws))
+    return classes.pop(None, 0), classes
 
 
 def exchange_E_past_Q(
@@ -232,12 +237,13 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
     right exponential moves rightward across b's field block; only these
     cross-label exchanges are ever needed. For field powers p and q, every
     word of either order has powers u <= p at a's label and v <= q at b's
-    label and delta power p+q-u-v, so both orders add up in one grid of
-    weights: ints when every exponent is a half-integer, as in generator
-    words. A real product p/q of the two scalars gives each nonzero weight w
-    its coefficient as one Fraction(p w, q); a complex one multiplies w.
-    Words above ``max_delta`` are only counted, as nonzero weights: no word,
-    coefficient or block is built for them. With no bound every word is built.
+    label and delta power p+q-u-v, so both orders add up to one weight
+    x_u y_v - w_u z_v of four exchange rows: ints when every exponent is a
+    half-integer, as in generator words. Only the weights of words kept,
+    u + v >= p + q - ``max_delta``, are formed; with no bound, all. A real
+    product p/q of the two scalars gives each nonzero weight w its
+    coefficient as one Fraction(p w, q); a complex one multiplies w. The
+    nonzero weights above the bound are counted from the rows' ratio classes.
     """
     if a.delta_L or b.delta_L:
         raise ValueError("product factors must not carry delta powers")
@@ -264,21 +270,12 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
         raise ValueError(f"negative power in a product factor: {p}, {q}")
     if not base:
         return EQ_ZERO, 0
-    grid = [[0] * (q + 1) for _ in range(p + 1)]
-    # a b: Q^p keeps u at a's label, Q^q keeps v at b's label.
-    right = _exchange_row(q, _twice(alpha_r))
-    for u, x in enumerate(_exchange_row(p, -_twice(beta_l))):
-        if x:
-            row = grid[u]
-            for v, y in enumerate(right):
-                row[v] += x * y
+    # a b: Q^p keeps u at a's label, Q^q keeps v at b's label; b a likewise.
+    xs, ys = _exchange_row(p, -_twice(beta_l)), _exchange_row(q, _twice(alpha_r))
     if minus_ba:
-        # b a: Q^q keeps v at b's label, Q^p keeps u at a's label.
-        right = _exchange_row(p, _twice(beta_r))
-        for v, x in enumerate(_exchange_row(q, -_twice(alpha_l))):
-            if x:
-                for u, y in enumerate(right):
-                    grid[u][v] -= x * y
+        zs, ws = _exchange_row(q, -_twice(alpha_l)), _exchange_row(p, _twice(beta_r))
+    else:
+        zs, ws = (0,) * (q + 1), (0,) * (p + 1)
     a_first = la < lb
 
     def pair_map(x, y) -> tuple:
@@ -286,14 +283,23 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
         items = ((la, x), (lb, y)) if a_first else ((lb, y), (la, x))
         return tuple(item for item in items if item[1])
 
-    fewest = 0 if max_delta is None else p + q - max_delta  # least u + v built
-    words = [
-        ((p + q - u - v, pair_map(u, v)), w)
-        for u, row in enumerate(grid)
-        for v, w in enumerate(row)
-        if w and u + v >= fewest
-    ]
-    over = sum(len(row) - row.count(0) for row in grid) - len(words) if fewest > 0 else 0
+    fewest = 0 if max_delta is None else max(p + q - max_delta, 0)  # least u + v built
+    words = []
+    for u in range(max(fewest - q, 0), p + 1):
+        x, w = xs[u], ws[u]
+        for v in range(max(fewest - u, 0), q + 1):
+            weight = x * ys[v] - w * zs[v]
+            if weight:
+                words.append(((p + q - u - v, pair_map(u, v)), weight))
+    over = 0
+    if fewest:
+        # x_u y_v - w_u z_v is 0 on rows and columns of a pair (0, 0), and
+        # where the classes of x_u : w_u and z_v : y_v agree.
+        zero_rows, rows = _ratio_classes(xs, ws)
+        zero_cols, cols = _ratio_classes(zs, ys)
+        zero = sum(n * cols[key] for key, n in rows.items())
+        zero += zero_rows * (q + 1) + zero_cols * (p + 1 - zero_rows)
+        over = (p + 1) * (q + 1) - zero - len(words)
     # (delta power, field block) is the EQExpr order: the other key fields are shared.
     words.sort(key=itemgetter(0))
     left_exp = _Block(pair_map(alpha_l, beta_l))
@@ -331,6 +337,7 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
     return _Block(() if product is None else ((target, product),))
 
 
+@lru_cache(maxsize=4096)
 def _summed_at(exp: ParamMap, target: str) -> ParamMap:
     """An exponential block's exponents summed at ``target``."""
     lam = sum((v for _, v in exp[1:]), exp[0][1]) if exp else 0
@@ -457,15 +464,7 @@ def verify_theorem(
         and result.reduced == expected
     )
     return TheoremReport(
-        n,
-        k,
-        N,
-        K,
-        passed,
-        expected_coeff,
-        result.reduced,
-        result.l0_residual,
-        singular,
+        n, k, N, K, passed, expected_coeff, result.reduced, result.l0_residual, singular
     )
 
 

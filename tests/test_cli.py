@@ -342,6 +342,7 @@ def test_oracle_command(runner):
 
 
 _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
+_HUGE = str(10**30)  # a range bound far past every walkable grid
 
 
 @pytest.mark.parametrize(
@@ -388,6 +389,18 @@ _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
         # 100 rows of 1000 orders, past cli.MAX_THETA_ORDERS: refused before any row
         ["theta", "--L", "1000..1001", "--n", "0..0", "--k", "1500..1509",
          "--N", "1500..1504", "--K", "0..0"],
+        # 30-digit range bounds: every grid is sized arithmetically and refused
+        # before any range is walked
+        ["verify-w", "--n", "2..2", "--k", f"-{_HUGE}..{_HUGE}"],
+        ["verify-w", "--n", f"2..{_HUGE}", "--k", "0..0"],
+        ["theta", "--n", f"0..{_HUGE}"],
+        ["jacobi", "--kind", "winfinity", "--n-range", f"2..{_HUGE}", "--k-range", "0..0"],
+        ["jacobi", "--kind", "rhpwn", "--n-range", "0..3", "--k-range", f"-{_HUGE}..{_HUGE}"],
+        ["closure", "--kind", "winfinity", "--n-range", f"2..{_HUGE}", "--k-range", "0..0"],
+        ["star-check", "--kind", "rhpwn", "--n-range", "0..3", "--k-range", f"-{_HUGE}..{_HUGE}"],
+        # a coefficient 2 k of 4301 digits, past Python's integer-to-string
+        # limit: refused before any tuple is printed
+        ["verify-w", "--n", "2..4", "--k", f"{5 * 10**4299}..{5 * 10**4299}"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):

@@ -186,6 +186,31 @@ def test_pair_scan_grid_cap(monkeypatch):
             scan(RHPWN, (0, 5), (0, 5))
 
 
+def test_basis_indices_are_the_in_domain_pairs():
+    # basis_indices cuts the ranges to each family arithmetically; in_domain
+    # states the families pair by pair
+    bounds = [(lo, hi) for lo in range(-4, 7) for hi in range(lo, 7)]
+    for kind, n_range, k_range in itertools.product(AlgebraKind, bounds, bounds):
+        assert basis_indices(kind, n_range, k_range) == [
+            (n, k)
+            for n in range(n_range[0], n_range[1] + 1)
+            for k in range(k_range[0], k_range[1] + 1)
+            if in_domain(kind, n, k)
+        ]
+
+
+def test_scans_cut_huge_ranges_to_the_family():
+    huge = 10**30
+    # Witt is the n = 2 slice of w-infinity, RHPWN needs n, k >= 0
+    assert jacobi_scan(WITT, (-huge, huge), (-3, 3)).triples_checked == 7**3
+    assert closure_check(RHPWN, (-huge, 2), (-huge, 1)).pairs_checked == 1
+    # a sample draws from a grid it never lists
+    report = jacobi_scan(WINF, (2, huge), (-huge, huge), sample=20, seed=5)
+    assert report.passed and report.triples_checked == 20
+    with pytest.raises(ValueError, match=f"this grid has {huge - 1}"):
+        star_scan(WINF, (2, huge), (0, 0))
+
+
 def test_jacobi_scan_sampling_records_seed():
     report = jacobi_scan(WINF, (2, 8), (-6, 6), sample=500, seed=42)
     assert report.sampled and report.seed == 42

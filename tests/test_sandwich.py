@@ -12,8 +12,11 @@ from rhpwn import lie
 from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
     EQExpr,
+    _exchange_row,
     _merged_blocks,
     _products,
+    _ratio_classes,
+    _summed_at,
     commutator,
     eq_expr,
     eq_term,
@@ -72,6 +75,8 @@ def test_generator_words_are_built_once_per_process():
     # Both caches are bounded, and large enough for the 2916-tuple grid.
     assert gen_to_word.cache_info().maxsize >= 1024
     assert _merged_blocks.cache_info().maxsize >= 1024
+    for cache in (_exchange_row, _ratio_classes, _summed_at):
+        assert cache.cache_info().maxsize is not None
     for _ in range(2):  # a refused index is refused on every call
         with pytest.raises(DomainError):
             gen_to_word(1, 0, "t")
@@ -506,17 +511,57 @@ def test_verify_theorem_matches_the_full_reduction(indices, g, f):
     assert _outcome(fields, *indices, g, f) == _outcome(_reference_theorem, *indices, g, f)
 
 
+@st.composite
+def _word_pairs(draw):
+    la, lb = draw(st.sampled_from([("s", "t"), ("t", "s"), ("u", "s")]))
+    return draw(_word_parts(la))[0], draw(_word_parts(lb))[0]
+
+
+def _word(label, left, power, right):
+    return eq_term(Fraction(-3, 2), {label: left}, {label: power}, {label: right},
+                   testfn={label: fn_symbol("f")})
+
+
+_f = fn_symbol("f")
+
+
 @settings(max_examples=80, deadline=None)
-@given(st.sampled_from([("s", "t"), ("t", "s"), ("u", "s")]), st.integers(-1, 13), st.data())
-def test_bounded_products_keep_the_low_delta_words(labels, bound, data):
-    a, _ = data.draw(_word_parts(labels[0]))
-    b, _ = data.draw(_word_parts(labels[1]))
+@given(st.integers(-1, 13), _word_pairs())
+# k = 0 or K = 0: a word without exponentials crosses with rows (0, ..., 0, 1), so
+# all pairs but one are (0, 0) and whole rows or columns of weights vanish
+@example(1, (gen_to_word(4, 0, "t", _f), gen_to_word(5, 3, "s", _f)))
+@example(2, (gen_to_word(5, -3, "t", _f), gen_to_word(3, 0, "s", _f)))
+# k + K = 0, and equal classes x : w = z : y = +-1 on every row and column
+@example(1, (gen_to_word(3, 2, "t", _f), gen_to_word(4, -2, "s", _f)))
+@example(0, (gen_to_word(6, 1, "t", _f), gen_to_word(6, 1, "s", _f)))
+# negative ratios (-1/2)^j at u's rows
+@example(2, (_word("u", Fraction(1, 2), 4, Fraction(-1, 2)), _word("s", 1, 5, 2)))
+# int rows at t against Fraction rows at s with equal classes +-1
+@example(1, (_word("t", Fraction(1, 2), 3, Fraction(1, 2)),
+             _word("s", Fraction(1, 3), 4, Fraction(1, 3))))
+# a 300-digit exponent
+@example(1, (gen_to_word(5, 10**300 + 7, "t", _f), gen_to_word(4, -(10**299), "s", _f)))
+def test_bounded_products_keep_the_low_delta_words(bound, words):
+    a, b = words
     for x, y in ((a, b), (b, a)):
         for minus_ba, full in ((False, multiply(x, y)), (True, commutator(x, y))):
             kept, over = _products(x, y, minus_ba, max_delta=bound)
             assert kept == EQExpr(tuple(t for t in full.terms if t.delta_L <= bound))
             assert over == sum(t.delta_L > bound for t in full.terms)
             assert _products(x, y, minus_ba) == (full, 0)
+
+
+def test_dropped_singular_count_has_a_closed_form():
+    # The singular words of [B^n_k, B^N_K] are the (i <= N-1, j <= n-1) with
+    # i + j odd and >= 3, j = 0 or K != 0, and i = 0 or k != 0.
+    for n, N in itertools.product(range(2, 9), repeat=2):
+        for k, K in itertools.product(range(-5, 6), repeat=2):
+            expected = sum(
+                (i + j) % 2 == 1 and i + j >= 3 and (j == 0 or K != 0) and (i == 0 or k != 0)
+                for i in range(N)
+                for j in range(n)
+            )
+            assert verify_theorem(n, k, N, K).dropped_singular == expected, (n, k, N, K)
 
 
 @settings(max_examples=40, deadline=None)
