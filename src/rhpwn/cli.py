@@ -24,7 +24,7 @@ import click
 
 from . import dsl, lie, oracle, sandwich, wick
 from .lie import AlgebraKind
-from .scalars import coeff_to_json, theta as theta_fn
+from .scalars import coeff_to_json, count_to_str, theta as theta_fn
 from .stepfn import FnSymbol, fn_symbol, fn_to_json, step_from_records, step_to_records
 
 
@@ -111,7 +111,7 @@ def _cap_grid(size: int, cap: int, what: str) -> None:
     """Refuse a grid of more than ``cap`` ``what`` before any work."""
     if size > cap:
         with _rejected_input():
-            raise ValueError(f"at most {cap} {what} per run, this grid has {size}")
+            raise ValueError(f"at most {cap} {what} per run, this grid has {count_to_str(size)}")
 
 
 @click.group()

@@ -15,7 +15,7 @@ import operator
 import random
 from typing import Iterable, NamedTuple, Optional
 
-from .scalars import CScalar, LinComb, coeff_from_json, coeff_to_json
+from .scalars import CScalar, LinComb, coeff_from_json, coeff_to_json, count_to_str
 from .stepfn import (
     AnyTestFn,
     fn_conjugate,
@@ -229,9 +229,8 @@ def _checked_basis(kind: AlgebraKind, n_range: Range, k_range: Range, what: str,
     """basis_indices, refused with ValueError past ``MAX_SCAN_INDICES`` before any is listed."""
     size = sum(run[3] for run in _runs(kind, n_range, k_range))
     if size > MAX_SCAN_INDICES:
-        raise ValueError(
-            f"{what} takes at most {MAX_SCAN_INDICES} basis indices, this grid has {size}{hint}"
-        )
+        raise ValueError(f"{what} takes at most {MAX_SCAN_INDICES} basis indices, "
+                         f"this grid has {count_to_str(size)}{hint}")
     return basis_indices(kind, n_range, k_range)
 
 
@@ -328,31 +327,22 @@ def _antisymmetric(size: int, tables: tuple) -> bool:
 
 
 def _failing_orbits(size: int, tables: tuple):
-    """Yield the set of id triples of each orbit whose Jacobi residual is
-    nonzero, from ``_structure_tables`` of ``size`` basis indices, one
-    representative per orbit walked.
+    """Yield the six id triples of each permutation orbit whose Jacobi
+    residual is nonzero, from ``_structure_tables`` of ``size`` basis indices
+    that are antisymmetric on the grid (``_antisymmetric``).
 
-    The rotations of (a, b, c) sum the same three terms [x, [y, z]] for any
-    table, so one triple per cyclic orbit settles its rotations. If the table
-    is antisymmetric on the grid, a transposition negates each term:
-    [b, [a, c]] = -[b, [c, a]] and so on, by the outer bracket's linearity in
-    its second argument. So J(b, a, c) = -J(a, b, c): the residual alternates,
-    vanishes on repeated ids, and the triples a < b < c stand for all six
-    permutations each, about size**3 / 6 triples. Any other table walks the
-    cyclic representatives, a <= b and a < c (three rotations each) and
-    a = b = c (one), about size**3 / 3 triples. Each (a, b) row is walked
-    over c with [b, c] and [c, [a, b]] read from contiguous slices and
-    [c, a] from a strided one.
+    The rotations of (a, b, c) sum the same three terms [x, [y, z]]. A
+    transposition negates each term: [b, [a, c]] = -[b, [c, a]] and so on, by
+    the outer bracket's linearity in its second argument. So J(b, a, c) =
+    -J(a, b, c): the residual alternates, vanishes on repeated ids, and the
+    triples a < b < c stand for all six permutations each, about size**3 / 6
+    triples. Each (a, b) row is walked over c with [b, c] and [c, [a, b]]
+    read from contiguous slices and [c, a] from a strided one.
     """
     inner_c, inner_row, outer_c, outer_k = tables
-    alternating = _antisymmetric(size, tables)
     for a in range(size):
-        aa = a * size + a
-        # (a, a, a): three equal terms
-        if not alternating and inner_c[aa] * outer_c[inner_row[aa] + a]:
-            yield {(a, a, a)}
-        for b in range(a + 1 if alternating else a, size):
-            lo = b + 1 if alternating else a + 1
+        for b in range(a + 1, size):
+            lo = b + 1
             ab, bc, ca = a * size + b, b * size, lo * size + a
             c_ab, r_ab = inner_c[ab], inner_row[ab]
             row = zip(
@@ -376,10 +366,7 @@ def _failing_orbits(size: int, tables: tuple):
                 else:
                     failed = v1 or v2 or v3
                 if failed:
-                    orbit = {(a, b, c), (b, c, a), (c, a, b)}
-                    if alternating:
-                        orbit |= {(b, a, c), (a, c, b), (c, b, a)}
-                    yield orbit
+                    yield (a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)
 
 
 MAX_SCAN_INDICES = 500  # largest grid an exhaustive jacobi_scan or a pair scan accepts
@@ -398,51 +385,51 @@ def jacobi_scan(
     random sample of N triples is drawn instead (the seed is recorded in the
     report). Both modes read the structure-constant table bracket() uses.
     The exhaustive scan builds ``_structure_tables`` over the whole grid
-    once, about 10 * size**2 list entries, and walks one triple per orbit
-    (``_failing_orbits``): about size**3 / 6 triples a < b < c when the table
-    is antisymmetric on the grid, as both true tables are, else size**3 / 3
-    cyclic representatives. A failing orbit counts each of its triples. A
-    grid of more than ``MAX_SCAN_INDICES`` basis indices (at the cap about
+    once, about 10 * size**2 list entries. On a table antisymmetric on the
+    grid, as both true tables are, it walks the triples a < b < c, about
+    size**3 / 6 (``_failing_orbits``); a failing orbit counts its six triples.
+    A grid of more than ``MAX_SCAN_INDICES`` basis indices (at the cap about
     2.4 million table entries and 40 MB, and 2.1e7 orbits on a true table)
-    raises ValueError before any work. The kept failures are
-    the first ``_FAILURE_CAP`` failing triples in lexicographic order, as a
-    walk over every triple would find them. A sample draws its triples by
-    index from a grid it never lists and asks ``_jacobi_residual`` of each,
-    so its cost grows with N alone; ``_jacobi_residual`` also gives the
-    residuals of the exhaustive scan's kept failures.
+    raises ValueError before any work. The kept failures are the first
+    ``_FAILURE_CAP`` failing triples in lexicographic order, with residuals
+    from ``_jacobi_residual``. Any other table, and a sample, ask
+    ``_jacobi_residual`` of one triple at a time: every triple in order, or
+    N triples drawn by index from a grid never listed, so a sample's cost
+    grows with N alone.
     """
+    failure_count, failures, triples = 0, [], ()
     if sample is None:
         pairs = _checked_basis(kind, n_range, k_range, "an exhaustive Jacobi scan",
                                "; sample it instead")
         size = len(pairs)
         checked = size**3
         tables = _structure_tables(kind, pairs)
-        failure_count = 0
+        if _antisymmetric(size, tables):
 
-        def failing_triples():
-            nonlocal failure_count
-            for orbit in _failing_orbits(size, tables):
-                failure_count += len(orbit)
-                yield from orbit
+            def failing_triples():
+                nonlocal failure_count
+                for orbit in _failing_orbits(size, tables):
+                    failure_count += len(orbit)
+                    yield from orbit
 
-        kept = heapq.nsmallest(_FAILURE_CAP, failing_triples())
-        triples = [(pairs[a], pairs[b], pairs[c]) for a, b, c in kept]
-        failures = [(*t, _jacobi_residual(kind, *t)) for t in triples]
+            for a, b, c in heapq.nsmallest(_FAILURE_CAP, failing_triples()):
+                t = pairs[a], pairs[b], pairs[c]
+                failures.append((*t, _jacobi_residual(kind, *t)))
+        else:
+            triples = itertools.product(pairs, repeat=3)
     else:
         runs = _runs(kind, n_range, k_range)
         size = sum(run[3] for run in runs)
         checked = sample if size else 0
         rng = random.Random(seed)
-        failure_count = 0
-        failures = []
-        for _ in range(checked):
-            # the draws of rng.choice on basis_indices, without listing them
-            p1, p2, p3 = (_basis_at(runs, rng.randrange(size)) for _ in range(3))
-            residual = _jacobi_residual(kind, p1, p2, p3)
-            if residual:
-                failure_count += 1
-                if len(failures) < _FAILURE_CAP:
-                    failures.append((p1, p2, p3, residual))
+        # the draws of rng.choice on basis_indices, without listing them
+        triples = ([_basis_at(runs, rng.randrange(size)) for _ in range(3)] for _ in range(checked))
+    for p1, p2, p3 in triples:
+        residual = _jacobi_residual(kind, p1, p2, p3)
+        if residual:
+            failure_count += 1
+            if len(failures) < _FAILURE_CAP:
+                failures.append((p1, p2, p3, residual))
     sampled = sample is not None
     return JacobiReport(kind, tuple(n_range), tuple(k_range), checked, failure_count,
                         tuple(failures), sampled, seed if sampled else None)

@@ -1,34 +1,35 @@
 """Sandwich words and the mechanical w-infinity realization check.
 
 A sandwich word is [left exponential block][field-power block][right
-exponential block], where E_x(lam) = exp(lam (b_x - b_x^+)) and
-Q_x = b_x + b_x^+. The generators under study are
+exponential block], each block a sorted tuple of (label, value) pairs, where
+E_x(lam) = exp(lam (b_x - b_x^+)) and Q_x = b_x + b_x^+. The generators are
 
     (1/2)^(n-1) E_x(k/2) Q_x^(n-1) E_x(k/2)
 
 smeared against a test function. Since [b_x - b_x^+, b_y - b_y^+] = 0 and
 [b_x - b_x^+, Q_y] = 2 delta(x-y) is central, exponentials commute with each
-other and move across field powers by a binomial exchange rule; products of
-two such words normalize back to sandwich shape with delta powers as the only
-residue. Reducing the delta powers (renormalization plus test functions
-vanishing at zero) turns the commutator of two generators into a single
-generator, which is compared structurally against the w-infinity bracket.
-Every sum of words is kept as a canonically sorted sum (scalars.LinComb).
+other and move across field powers by a binomial exchange rule (the product
+of two one-factor words, ``exchange_E_past_Q``); products of two such words
+normalize back to sandwich shape with delta powers as the only residue.
+Reducing the delta powers (renormalization plus test functions vanishing at
+zero) turns the commutator of two generators into a single generator, which
+is compared structurally against the w-infinity bracket. Every sum of words
+is kept as a canonically sorted sum (scalars.LinComb).
 
-A product or commutator of two single-label words is built in one pass. Both
-orders share the exponential blocks, the test functions and the product of
-the two scalars, so the binomial exchange weights binom(p,j) x^(p-j)
-binom(q,i) y^(q-i) of both orders add up to one weight per pair of field
-powers. For generator words x and y are +-k and +-K, so the weights are
-integers; a real shared scalar p/q gives each nonzero weight w its
-coefficient as one Fraction(p w, q). Given a bound on the delta power, only
-the weights up to it are formed; the nonzero ones above it are counted from
-the exchange rows' ratio classes. The realization check builds the delta <= 1
-words, the only ones renormalization keeps, and counts the singular rest.
-``reduce`` merges delta-1 words by summing coefficients first. Generator
-words, exchange rows and their ratio classes, and the blocks ``reduce``
-builds are cached per process (bounded caches; a word is frozen and does not
-depend on the structure table).
+A product or commutator of two single-label words is built in one pass, by
+``_products``, the kernel of ``multiply`` and ``commutator``. Both orders
+share the exponential blocks, the test functions and the product of the two
+scalars, so the binomial exchange weights binom(p,j) x^(p-j) binom(q,i)
+y^(q-i) of both orders add up to one weight per pair of field powers. For
+generator words x and y are +-k and +-K, so the weights are integers; a real
+shared scalar p/q gives each nonzero weight w its coefficient as one
+Fraction(p w, q). Given a bound on the delta power, only the weights up to it
+are formed; the nonzero ones above it are counted from the exchange rows'
+ratio classes. The realization check builds the delta <= 1 words, the only
+ones renormalization keeps, and counts the singular rest. ``reduce`` merges
+delta-1 words by summing coefficients first. Generator words, exchange rows
+and their ratio classes, and the blocks ``reduce`` builds are cached per
+process (bounded caches; a word is frozen and independent of the table).
 """
 
 from __future__ import annotations
@@ -53,24 +54,6 @@ from .stepfn import (
 from .wick import DeltaAtZeroError, PowMap, SingularPartError, canon_pows
 
 
-class _Block(tuple):
-    """An exponential or test-function block of a word: a sorted tuple of
-    (label, value) pairs that hashes its Fractions and test functions once.
-    Word keys are hashed on every accumulation and a product's terms share
-    their blocks, so the hash is worth keeping; it equals the plain tuple's."""
-
-    def __hash__(self) -> int:
-        try:
-            return self._hash
-        except AttributeError:
-            self._hash = tuple.__hash__(self)
-            return self._hash
-
-    def __reduce__(self):
-        # String hashes differ between processes: never carry the cache along.
-        return _Block, (tuple(self),)
-
-
 ParamMap = tuple[tuple[str, Fraction], ...]
 FnMap = tuple[tuple[str, AnyTestFn], ...]
 
@@ -79,9 +62,8 @@ def _canon_params(m: Mapping[str, Fraction] | Iterable) -> ParamMap:
     items = m.items() if isinstance(m, Mapping) else m
     out: dict[str, Fraction] = {}
     for label, lam in items:
-        lam = Fraction(lam)
-        out[label] = out.get(label, Fraction(0)) + lam
-    return _Block(sorted((l, v) for l, v in out.items() if v))
+        out[label] = out.get(label, _F0) + Fraction(lam)
+    return tuple(sorted((l, v) for l, v in out.items() if v))
 
 
 class EQTerm(NamedTuple):
@@ -109,7 +91,7 @@ def eq_term(
     if delta_L < 0:
         raise ValueError("delta exponent must be nonnegative")
     fn_items = testfn.items() if isinstance(testfn, Mapping) else testfn
-    fns = _Block(sorted(fn_items, key=lambda it: it[0]))
+    fns = tuple(sorted(fn_items, key=lambda it: it[0]))
     if len({label for label, _ in fns}) < len(fns):
         raise ValueError("a word takes one test function per label")
     coeff, left = CScalar.of(coeff), _canon_params(left_exp)
@@ -148,8 +130,8 @@ def gen_to_word(n: int, k: int, label: str = "t", fn: Optional[AnyTestFn] = None
     """The sandwich word (1/2)^(n-1) E(k/2) Q^(n-1) E(k/2) at one label."""
     if n < 2:
         raise DomainError(f"sandwich generators need n >= 2, got n={n}")
-    exp = _Block(((label, Fraction(k, 2)),) if k else ())
-    fns = _Block(() if fn is None else ((label, fn),))
+    exp = ((label, Fraction(k, 2)),) if k else ()
+    fns = () if fn is None else ((label, fn),)
     return EQTerm(_cscalar(Fraction(1, 2 ** (n - 1)), _F0), exp, ((label, n - 1),), exp, 0, fns)
 
 
@@ -190,27 +172,19 @@ def exchange_E_past_Q(
     leftward:   Q_t^m E_s(lam)
         = E_s(lam) sum_j binom(m,j) (-2 lam)^(m-j) Q_t^j delta^(m-j)(t-s)
 
-    Both follow from the central commutator [b_s - b_s^+, Q_t] = 2 delta(t-s).
+    Both follow from the central commutator [b_s - b_s^+, Q_t] = 2 delta(t-s),
+    and both are ``multiply`` of the one-factor words E_s(lam) and Q_t^m.
     """
     if src_label == dst_label:
         raise DeltaAtZeroError("same-label exchange would create delta(0)")
     if m < 0:
         raise ValueError("field power must be nonnegative")
-    lam = Fraction(lam)
-    x = _twice(lam) if direction == "rightward" else -_twice(lam)
-    if direction not in ("rightward", "leftward"):
-        raise ValueError(f"unknown direction {direction!r}")
-    exp_map = {src_label: lam}
-    return eq_expr(
-        eq_term(
-            coeff,
-            left_exp=exp_map if direction == "leftward" else {},
-            q_pow={dst_label: j},
-            right_exp=exp_map if direction == "rightward" else {},
-            delta_L=m - j,
-        )
-        for j, coeff in enumerate(_exchange_row(m, x))
-    )
+    field = eq_term(1, q_pow={dst_label: m})
+    if direction == "rightward":
+        return multiply(eq_term(1, right_exp={src_label: lam}), field)
+    if direction == "leftward":
+        return multiply(field, eq_term(1, left_exp={src_label: lam}))
+    raise ValueError(f"unknown direction {direction!r}")
 
 
 def _single_label_parts(t: EQTerm):
@@ -302,9 +276,8 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
         over = (p + 1) * (q + 1) - zero - len(words)
     # (delta power, field block) is the EQExpr order: the other key fields are shared.
     words.sort(key=itemgetter(0))
-    left_exp = _Block(pair_map(alpha_l, beta_l))
-    right_exp = _Block(pair_map(alpha_r, beta_r))
-    testfn = _Block(a.testfn + b.testfn if a_first else b.testfn + a.testfn)
+    left_exp, right_exp = pair_map(alpha_l, beta_l), pair_map(alpha_r, beta_r)
+    testfn = a.testfn + b.testfn if a_first else b.testfn + a.testfn
     if base.im:
         coeffs = [base * w for _, w in words]
     else:
@@ -334,14 +307,14 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
     product = None
     for _, fn in testfn:
         product = fn if product is None else fn_product(product, fn)
-    return _Block(() if product is None else ((target, product),))
+    return () if product is None else ((target, product),)
 
 
 @lru_cache(maxsize=4096)
 def _summed_at(exp: ParamMap, target: str) -> ParamMap:
     """An exponential block's exponents summed at ``target``."""
     lam = sum((v for _, v in exp[1:]), exp[0][1]) if exp else 0
-    return _Block(((target, lam),) if lam else ())
+    return ((target, lam),) if lam else ()
 
 
 class ReduceResult(NamedTuple):

@@ -28,6 +28,16 @@ def falling(n: int, L: int) -> int:
     return math.perm(n, L)
 
 
+def count_to_str(n: int) -> str:
+    """A count in decimal, or "at least 10^d" when it has too many digits for
+    str (Python's integer-to-string limit), so a message can always name it."""
+    try:
+        return str(n)
+    except ValueError:
+        d = int(n.bit_length() * math.log10(2))  # the digit count or one less
+        return f"at least 10^{d if n >= 10**d else d - 1}"
+
+
 def epsilon(n: int, k: int) -> int:
     """Complement of the Kronecker delta: 0 when n == k, else 1."""
     return 0 if n == k else 1

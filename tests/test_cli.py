@@ -343,6 +343,18 @@ def test_oracle_command(runner):
 
 _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
 _HUGE = str(10**30)  # a range bound far past every walkable grid
+_NINES = "9" * 4300  # the longest integer Python reads from a string
+# Grids whose size has more digits than Python converts to a string, and the
+# refusal each prints: it names the cap and the grid all the same.
+_SIZE_PAST_THE_STRING_LIMIT = {
+    ("theta", "--n", f"0..{_NINES}"):
+        "at most 50000 theta row orders per run, this grid has at least 10^4301",
+    ("verify-w", "--n", "2..2", "--k", f"-{_NINES}..{_NINES}"):
+        "at most 80000 product words per run, this grid has at least 10^8601",
+    ("jacobi", "--kind", "rhpwn", "--n-range", "0..3", "--k-range", f"0..{_NINES}"):
+        "an exhaustive Jacobi scan takes at most 500 basis indices, "
+        "this grid has at least 10^4300; sample it instead",
+}
 
 
 @pytest.mark.parametrize(
@@ -401,6 +413,7 @@ _HUGE = str(10**30)  # a range bound far past every walkable grid
         # a coefficient 2 k of 4301 digits, past Python's integer-to-string
         # limit: refused before any tuple is printed
         ["verify-w", "--n", "2..4", "--k", f"{5 * 10**4299}..{5 * 10**4299}"],
+        *map(list, _SIZE_PAST_THE_STRING_LIMIT),
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -413,6 +426,9 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
     assert result.exit_code == 2
     # stdout and stderr together: the error line and nothing else
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    if tuple(argv) in _SIZE_PAST_THE_STRING_LIMIT:
+        assert result.stdout == ""
+        assert result.stderr == f"error: {_SIZE_PAST_THE_STRING_LIMIT[tuple(argv)]}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])

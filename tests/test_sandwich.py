@@ -116,6 +116,46 @@ def test_exchange_same_label_rejected():
         exchange_E_past_Q(Fraction(1, 2), "t", 2, "t", "rightward")
 
 
+@pytest.mark.parametrize("direction", ["rightward", "leftward"])
+@pytest.mark.parametrize("lam, m", [(0, 2), (Fraction(1, 2), 0), (0, 0)])
+def test_exchange_same_label_rejected_without_a_factor_to_cross(lam, m, direction):
+    # E(0) and Q^0 are words with no label, which multiply would concatenate
+    # without a delta(0): the label check comes first.
+    with pytest.raises(DeltaAtZeroError):
+        exchange_E_past_Q(lam, "t", m, "t", direction)
+
+
+def test_exchange_checks_power_then_direction():
+    with pytest.raises(ValueError, match="nonnegative"):
+        exchange_E_past_Q(Fraction(1, 2), "s", -1, "t", "upward")
+    with pytest.raises(ValueError, match="unknown direction"):
+        exchange_E_past_Q(Fraction(1, 2), "s", 2, "t", "upward")
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(st.just(Fraction(0)), st.just(Fraction(1, 3)), lams),
+    st.integers(0, 6),
+    st.sampled_from(["rightward", "leftward"]),
+)
+def test_exchange_matches_the_binomial_formula(lam, m, direction):
+    # E_s(lam) Q_t^m = sum_j C(m,j) (2 lam)^(m-j) Q_t^j delta^(m-j) E_s(lam), and
+    # Q_t^m E_s(lam) = E_s(lam) sum_j C(m,j) (-2 lam)^(m-j) Q_t^j delta^(m-j)
+    x = 2 * lam if direction == "rightward" else -2 * lam
+    exp = {"s": lam}
+    terms = [
+        eq_term(
+            binom(m, j) * x ** (m - j),
+            exp if direction == "leftward" else {},
+            {"t": j},
+            exp if direction == "rightward" else {},
+            delta_L=m - j,
+        )
+        for j in range(m + 1)
+    ]
+    assert exchange_E_past_Q(lam, "s", m, "t", direction) == eq_expr(terms)
+
+
 @settings(max_examples=60)
 @given(lams, st.integers(0, 6))
 def test_exchange_round_trip_is_identity(lam, m):
