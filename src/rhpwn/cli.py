@@ -7,9 +7,9 @@ bytes.
 Every report goes through ``_render``. A command gives it text lines, latex
 lines, a function that builds the JSON payload, and a predicate, asked once
 the output is written, that says whether a check failed. Text and latex lines
-are written as they are produced; JSON is one sorted document. Input that a
-command rejects ends in ``_rejected_input``: one ``error:`` line on stderr
-and exit 2.
+are written as they are produced, to one stdout stream flushed once per report
+and before any ``error:`` line; JSON is one sorted document. A rejected input
+ends in ``_rejected_input``: one ``error:`` line on stderr and exit 2.
 """
 
 from __future__ import annotations
@@ -86,23 +86,29 @@ def _latex_table(header, rows):
 
 
 def _render(fmt, text, latex, payload, failed=lambda: False) -> None:
-    """Write one report in the chosen format, then exit 1 if a check failed."""
+    """Write one report in the chosen format to stdout, flushed once at its end;
+    exit 1 if a check failed."""
     if fmt == "json":
         lines = [json.dumps(payload(), sort_keys=True, indent=2)]
     else:
         lines = text if fmt == "text" else latex
-    for line in lines:
-        click.echo(line)
+    out = click.get_text_stream("stdout")
+    try:
+        for line in lines:
+            out.write(line + "\n")
+    finally:
+        out.flush()
     if failed():
         raise SystemExit(1)
 
 
 @contextmanager
 def _rejected_input(context: str = ""):
-    """Turn input the engines reject into one ``error:`` line and exit 2."""
+    """Turn input the engines reject into one ``error:`` line, after stdout's rows, and exit 2."""
     try:
         yield
     except (ValueError, TypeError, KeyError, OSError) as exc:
+        click.get_text_stream("stdout").flush()
         click.echo(f"error: {context}{exc}", err=True)
         raise SystemExit(2)
 
@@ -167,10 +173,14 @@ def bracket_cmd(exprs, relaxed, fmt) -> None:
     lines = list(exprs)
     if not lines:
         lines = [line.strip() for line in sys.stdin if line.strip()]
-    for line in lines:
-        with _rejected_input():
-            result = dsl.evaluate(dsl.parse(line, relaxed=relaxed))
-        click.echo(dsl.render(result, fmt))
+    out = click.get_text_stream("stdout")
+    try:
+        for line in lines:
+            with _rejected_input():
+                result = dsl.evaluate(dsl.parse(line, relaxed=relaxed))
+            out.write(dsl.render(result, fmt) + "\n")
+    finally:
+        out.flush()
 
 
 # -- scans --------------------------------------------------------------------

@@ -27,9 +27,9 @@ Fraction(p w, q). Given a bound on the delta power, only the weights up to it
 are formed; the nonzero ones above it are counted from the exchange rows'
 ratio classes. The realization check builds the delta <= 1 words, the only
 ones renormalization keeps, and counts the singular rest. ``reduce`` merges
-delta-1 words by summing coefficients first. Generator words, exchange rows
-and their ratio classes, and the blocks ``reduce`` builds are cached per
-process (bounded caches; a word is frozen and independent of the table).
+delta-1 words by summing coefficients first. Generator words, exchange rows,
+their ratio classes and merged test functions are cached per process
+(bounded caches; a word is frozen and independent of the table).
 """
 
 from __future__ import annotations
@@ -123,6 +123,7 @@ def eq_expr(terms: Iterable[EQTerm] = ()) -> EQExpr:
 
 
 EQ_ZERO = EQExpr(())
+_G, _F = fn_symbol("g"), fn_symbol("f")  # verify_theorem's default test functions
 
 
 @lru_cache(maxsize=4096)
@@ -310,7 +311,6 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
     return () if product is None else ((target, product),)
 
 
-@lru_cache(maxsize=4096)
 def _summed_at(exp: ParamMap, target: str) -> ParamMap:
     """An exponential block's exponents summed at ``target``."""
     lam = sum((v for _, v in exp[1:]), exp[0][1]) if exp else 0
@@ -333,10 +333,13 @@ def reduce(e: EQExpr) -> ReduceResult:
     of the word is known to vanish at zero, and raise SingularPartError
     otherwise. Words with delta power 1 have their labels identified at the
     smallest one and their blocks merged additively: their coefficients are
-    first summed per (blocks, merged field power, target label), and each
-    such group becomes one word. The exponents of a group are summed for
-    it; the test-function product is built once per test-function block and
-    process, and whether a block vanishes at zero is asked once per call.
+    first summed per group, keyed by the identity of the exponential and
+    test-function blocks (the words of one product share them), the merged
+    field power and the target label. Each group becomes one word, and equal
+    blocks that are not identical merge in the canonical sort. The exponents
+    of a group are summed for it; the test-function product is built once
+    per test-function block and process, and whether a block vanishes at
+    zero is asked once per call.
     """
     groups: dict = {}
     residual = []
@@ -345,12 +348,12 @@ def reduce(e: EQExpr) -> ReduceResult:
         if t.delta_L == 0:
             residual.append(t)
         elif t.delta_L == 1:
-            blocks = (t.left_exp, t.q_pow, t.right_exp, t.testfn)
-            target = min((b[0][0] for b in blocks if b), default=None)
-            if target is None:
+            labels = [b[0][0] for b in (t.left_exp, t.q_pow, t.right_exp, t.testfn) if b]
+            if not labels:
                 raise ValueError("a delta word needs a label to merge at")
-            key = (t.left_exp, t.right_exp, t.testfn, sum(e for _, e in t.q_pow), target)
-            groups.setdefault(key, []).append(t.coeff)
+            power, target = sum(e for _, e in t.q_pow), min(labels)
+            key = (id(t.left_exp), id(t.right_exp), id(t.testfn), power, target)
+            groups.setdefault(key, (t, []))[1].append(t.coeff)  # t holds the blocks
         else:
             singular.append(t)
     fn_blocks = {t.testfn for t in singular}
@@ -363,11 +366,11 @@ def reduce(e: EQExpr) -> ReduceResult:
             offenders,
         )
     reduced = []
-    for (left_exp, right_exp, testfn, power, target), coeffs in groups.items():
+    for (*_, power, target), (t, coeffs) in groups.items():
         c = sum(coeffs[1:], coeffs[0])
         q_pow = ((target, power),) if power else ()
-        left_exp, right_exp = _summed_at(left_exp, target), _summed_at(right_exp, target)
-        reduced.append(EQTerm(c, left_exp, q_pow, right_exp, 0, _merged_blocks(testfn, target)))
+        left_exp, right_exp = _summed_at(t.left_exp, target), _summed_at(t.right_exp, target)
+        reduced.append(EQTerm(c, left_exp, q_pow, right_exp, 0, _merged_blocks(t.testfn, target)))
     # A single word is canonical; so is the residual, a subsequence of a canonical sum.
     reduced = eq_expr(reduced) if len(reduced) > 1 else EQExpr(tuple(t for t in reduced if t.coeff))
     return ReduceResult(reduced, EQExpr(tuple(residual)), len(singular) - len(offenders))
@@ -414,10 +417,7 @@ def verify_theorem(
     """
     if n < 2 or N < 2:
         raise DomainError("realization indices need n, N >= 2")
-    if g is None:
-        g = fn_symbol("g")
-    if f is None:
-        f = fn_symbol("f")
+    g, f = (_G if g is None else g), (_F if f is None else f)
     a = gen_to_word(n, k, "t", g)
     b = gen_to_word(N, K, "s", f)
     comm, singular = _products(a, b, minus_ba=True, max_delta=1)

@@ -39,6 +39,18 @@ def test_bracket_stdin(runner):
     assert result.output == "3*B[2,2]\nBh[3,-2]\n"
 
 
+def test_bracket_stdin_rows_come_before_the_error_line(runner):
+    # stdout is flushed before the error line goes to stderr, so the two
+    # streams, mixed in write order, keep the order of the input lines
+    result = runner.invoke(main, ["bracket"], input="[B[1,2],B[2,1]]\nB[2,1]\nB[1,1]\nB[3,0]\n")
+    assert result.exit_code == 2
+    assert result.stdout == "3*B[2,2]\nB[2,1]\n"
+    assert result.output == (
+        "3*B[2,2]\nB[2,1]\n"
+        "error: at byte 0: index (1, 1) outside the RHPWN family (pass --relaxed to admit it)\n"
+    )
+
+
 def test_bracket_parse_error_exits_2(runner):
     result = runner.invoke(main, ["bracket", "[B[2,1], B[1,2]"])
     assert result.exit_code == 2
@@ -459,6 +471,17 @@ def _fresh_interpreter(code: str) -> str:
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert result.returncode == 0, result.stderr
     return result.stdout
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_verify_w_through_a_pipe_writes_the_bytes_the_runner_sees(runner, fmt):
+    # a real process's stdout on a pipe is block-buffered and flushed at exit
+    argv = ["verify-w", "--n", "2..3", "--k", "-1..1", "--format", fmt]
+    src = os.path.dirname(os.path.dirname(rhpwn.cli.__file__))
+    piped = subprocess.run([sys.executable, "-m", "rhpwn.cli", *argv],
+                           capture_output=True, env={**os.environ, "PYTHONPATH": src})
+    assert piped.returncode == 0, piped.stderr
+    assert piped.stdout == runner.invoke(main, argv).stdout_bytes
 
 
 def test_importing_the_package_root_loads_no_engine():

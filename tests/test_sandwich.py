@@ -16,7 +16,6 @@ from rhpwn.sandwich import (
     _merged_blocks,
     _products,
     _ratio_classes,
-    _summed_at,
     commutator,
     eq_expr,
     eq_term,
@@ -75,7 +74,7 @@ def test_generator_words_are_built_once_per_process():
     # Both caches are bounded, and large enough for the 2916-tuple grid.
     assert gen_to_word.cache_info().maxsize >= 1024
     assert _merged_blocks.cache_info().maxsize >= 1024
-    for cache in (_exchange_row, _ratio_classes, _summed_at):
+    for cache in (_exchange_row, _ratio_classes):
         assert cache.cache_info().maxsize is not None
     for _ in range(2):  # a refused index is refused on every call
         with pytest.raises(DomainError):
@@ -426,6 +425,23 @@ def test_reduce_matches_the_word_by_word_merge(labels, data):
     assert (result.reduced, result.l0_residual, result.dropped_singular) == _reference_reduce(e)
 
 
+def test_reduce_merges_equal_blocks_that_are_not_identical():
+    # reduce groups delta-1 words by the identity of their blocks; blocks
+    # built apart are equal but not identical, and still merge
+    def word(coeff, q_pow):
+        exp = {"t": Fraction(1, 3), "s": Fraction(5, 2)}
+        return eq_term(coeff, exp, q_pow, exp, delta_L=1, testfn={"t": fn_symbol("g")})
+
+    a = word(7, {"t": 1, "s": 2})
+    for coeff, total in ((Fraction(-3, 2), Fraction(11, 2)), (-7, 0)):  # summed, cancelled
+        other = word(coeff, {"s": 3})
+        assert a.left_exp == other.left_exp and a.left_exp is not other.left_exp
+        e = eq_expr([a, other])
+        result = reduce(e)
+        assert (result.reduced, result.l0_residual, result.dropped_singular) == _reference_reduce(e)
+        assert [t.coeff for t in result.reduced.terms] == ([CScalar.of(total)] if total else [])
+
+
 def test_reduce_refuses_a_delta_word_without_a_label():
     with pytest.raises(ValueError, match="a delta word needs a label"):
         reduce(eq_expr([eq_term(1, delta_L=1)]))
@@ -471,6 +487,24 @@ def test_verify_theorem_examples():
 
     report = verify_theorem(3, 2, 4, -1)
     assert report.passed and report.expected_coeff == 8
+
+
+def test_the_realization_path_hashes_no_fraction(monkeypatch):
+    # reduce groups words by block identity and the caches on the path take
+    # int and str keys, so a checked tuple hashes no Fraction once warm
+    grid = list(itertools.product(range(2, 6), range(-3, 4), repeat=2))
+    for indices in grid:
+        verify_theorem(*indices)
+    hashed = []
+    fraction_hash = Fraction.__hash__
+
+    def counting_hash(self):
+        hashed.append(self)
+        return fraction_hash(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting_hash)
+    assert all(verify_theorem(*indices).passed for indices in grid)
+    assert len(hashed) == 0
 
 
 def test_verify_theorem_rejects_small_indices():
