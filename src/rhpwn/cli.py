@@ -511,8 +511,7 @@ def oracle_cmd(eq1_max, eq1_trunc, seed_max, seed_trunc, fmt) -> None:
     _cap_grid(steps, MAX_SEED_STEPS, "exchange-seed steps")
     # Both suites run before any output, so a rejected truncation prints nothing.
     with _rejected_input():
-        grid = itertools.product(range(eq1_max + 1), repeat=4)
-        eq1 = [(t, oracle.check_eq1(*t, eq1_trunc) > 0) for t in grid]
+        eq1 = [(t, m > 0) for t, m in oracle.eq1_suite(eq1_max, eq1_trunc)]
         seeds = [(m, oracle.check_exchange_seed(m, seed_trunc)) for m in range(seed_max + 1)]
     ok = all(p for _, p in eq1) and all(p for _, p in seeds)
     _render(

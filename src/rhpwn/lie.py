@@ -13,6 +13,7 @@ import heapq
 import itertools
 import operator
 import random
+from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
 from .scalars import CScalar, LinComb, coeff_from_json, coeff_to_json, count_to_str
@@ -270,10 +271,17 @@ def _jacobi_residual(kind: AlgebraKind, p1: tuple, p2: tuple, p3: tuple) -> tupl
     return ()
 
 
+def _bracket_rows(kind: AlgebraKind, pairs: list):
+    """Rows [y, z] over the basis ``pairs``: ``structure`` mapped over its coordinate lists."""
+    ns, ks = [n for n, _ in pairs], [k for _, k in pairs]
+    return (map(structure, repeat(kind), repeat(n), repeat(k), ns, ks) for n, k in pairs)
+
+
 def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list, list]:
     """Flat tables of ``structure`` over the basis ``pairs``, read once per
-    exhaustive scan and built one basis row at a time: ``structure`` is
-    mapped over the row's index quadruples, so the grid's are never all held.
+    exhaustive scan. The inner table is read from ``_bracket_rows``; an outer
+    row is column j of it when its target is basis index j, else ``structure``
+    mapped over the grid's coordinate lists.
 
     Basis index i is ``pairs[i]``. Each distinct target t of an inner bracket
     gets a row offset r = (t's id) * len(pairs), id 1 upward; with e = y*size + z:
@@ -281,7 +289,8 @@ def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list,
     - ``inner_c[e]`` is the coefficient of [y, z] and ``inner_row[e]`` the
       row offset of its target;
     - ``outer_c[r + x]`` is the coefficient of [x, t] and ``outer_k[r + x]``
-      an integer id of its target, equal ids for equal targets.
+      an integer id of its target, equal ids for equal targets (a miss, or
+      id 0, falls through ``dict.get`` to ``setdefault``, which keeps it).
 
     Row 0 is all zeros and is where a vanishing inner bracket points, so it
     contributes nothing downstream. Equal offsets and ids share one int.
@@ -292,25 +301,28 @@ def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list,
     stay at about 10 * size**2 entries.
     """
     size = len(pairs)
-    table = functools.partial(structure, kind)
     rows: dict[tuple[int, int], int] = {}
-    inner_c = [0] * (size * size)
-    inner_row = [0] * (size * size)
-    for y, first in enumerate(pairs):
-        row = itertools.starmap(table, map(operator.add, itertools.repeat(first), pairs))
-        for e, (c, n2, k2) in enumerate(row, y * size):
-            if c:
-                inner_c[e] = c
-                inner_row[e] = rows.setdefault((n2, k2), (len(rows) + 1) * size)
+    inner_c, inner_row = [0] * (size * size), [0] * (size * size)
+    for e, (c, n2, k2) in enumerate(itertools.chain.from_iterable(_bracket_rows(kind, pairs))):
+        if c:
+            inner_c[e] = c
+            inner_row[e] = rows.get((n2, k2)) or rows.setdefault((n2, k2), (len(rows) + 1) * size)
+    index = {p: i for i, p in enumerate(pairs)}
+    target_at = {0: (0, 0), **{offset: target for target, offset in rows.items()}}
+    ns, ks = [n for n, _ in pairs], [k for _, k in pairs]
     keys: dict[tuple[int, int], int] = {}
-    outer_c = [0] * (size * (len(rows) + 1))
-    outer_k = [0] * (size * (len(rows) + 1))
+    outer_c, outer_k = [0] * (size * (len(rows) + 1)), [0] * (size * (len(rows) + 1))
     for target, offset in rows.items():
-        row = itertools.starmap(table, map(operator.add, pairs, itertools.repeat(target)))
+        j = index.get(target)
+        if j is None:
+            row = map(structure, repeat(kind), ns, ks, repeat(target[0]), repeat(target[1]))
+        else:
+            row = map(operator.add, zip(inner_c[j::size]),
+                      map(target_at.__getitem__, inner_row[j::size]))
         for e, (c, n2, k2) in enumerate(row, offset):
             if c:
                 outer_c[e] = c
-                outer_k[e] = keys.setdefault((n2, k2), len(keys))
+                outer_k[e] = keys.get((n2, k2)) or keys.setdefault((n2, k2), len(keys))
     return inner_c, inner_row, outer_c, outer_k
 
 
@@ -450,38 +462,38 @@ class PairReport(NamedTuple):
         return self.failure_count == 0
 
 
-def _pair_scan(kind: AlgebraKind, n_range: Range, k_range: Range, defect) -> PairReport:
-    """Ask ``defect(p, q)`` of every ordered pair; any result but None fails.
-    A grid of more than ``MAX_SCAN_INDICES`` basis indices raises ValueError
-    before any pair."""
+def _pair_scan(kind: AlgebraKind, n_range: Range, k_range: Range, failing) -> PairReport:
+    """Report the (p, q, detail) that ``failing(pairs)`` yields, in
+    ``itertools.product`` order over the basis ``pairs``. A grid of more than
+    ``MAX_SCAN_INDICES`` basis indices raises ValueError before any pair."""
     pairs = _checked_basis(kind, n_range, k_range, "a pair scan")
-    failure_count = 0
-    failures: list = []
-    for p, q in itertools.product(pairs, repeat=2):
-        detail = defect(p, q)
-        if detail is not None:
-            failure_count += 1
-            if len(failures) < _FAILURE_CAP:
-                failures.append((p, q, detail))
-    return PairReport(
-        kind, tuple(n_range), tuple(k_range), len(pairs) ** 2, failure_count, tuple(failures)
-    )
+    failed = failing(pairs)
+    failures = tuple(itertools.islice(failed, _FAILURE_CAP))
+    return PairReport(kind, tuple(n_range), tuple(k_range), len(pairs) ** 2,
+                      len(failures) + sum(1 for _ in failed), failures)
 
 
 def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
     """Verify every bracket with a nonzero structure constant lands in-domain.
     A failure's detail is the bracket's (c, n', k').
 
-    On the true table this can only pass: the scan keeps in-domain indices
-    only, and each family is closed under its bracket (a nonzero RHPWN
-    bracket lands at n', k' >= 0 with n' + k' >= 4, a w-infinity one at
-    n' >= 2, a Witt one at n' = 2). It guards against a corrupted table."""
+    It asks ``in_domain`` once per distinct target of ``_bracket_rows`` and
+    lists a row's pairs only when one escapes. It guards against a corrupted
+    table: the true one can only pass, as the scan keeps in-domain indices and
+    each family is closed under its bracket (a nonzero RHPWN bracket lands at
+    n', k' >= 0 with n' + k' >= 4, a w-infinity one at n' >= 2, a Witt one at n' = 2)."""
 
-    def escape(p, q):
-        c, n2, k2 = structure(kind, *p, *q)
-        return (c, n2, k2) if c and not in_domain(kind, n2, k2) else None
+    def failing(pairs):
+        seen, escaped = set(), set()
+        for p, row in zip(pairs, map(list, _bracket_rows(kind, pairs))):
+            targets = {(n2, k2) for c, n2, k2 in row if c}
+            escaped.update(t for t in targets - seen if not in_domain(kind, *t))
+            seen |= targets
+            if not escaped.isdisjoint(targets):
+                yield from ((p, q, hit) for q, hit in zip(pairs, row)
+                            if hit[0] and hit[1:] in escaped)
 
-    return _pair_scan(kind, n_range, k_range, escape)
+    return _pair_scan(kind, n_range, k_range, failing)
 
 
 def star_scan(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
@@ -489,11 +501,13 @@ def star_scan(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
     detail is the nonzero star_compat_check defect."""
     element = functools.cache(lambda p: basis(kind, *p))
 
-    def defect(p, q):
-        d = star_compat_check(element(p), element(q))
-        return None if d.is_zero else d
+    def failing(pairs):
+        for p, q in itertools.product(pairs, repeat=2):
+            d = star_compat_check(element(p), element(q))
+            if not d.is_zero:
+                yield p, q, d
 
-    return _pair_scan(kind, n_range, k_range, defect)
+    return _pair_scan(kind, n_range, k_range, failing)
 
 
 # -- JSON --------------------------------------------------------------------

@@ -12,16 +12,17 @@ where the column vanishes). Every term of the commutator expansion maps x^c
 to a multiple of the same monomial, so each term is one vector over the
 guard-safe columns, a product of two words is a gather, each column reduces
 to one integer, the sum of the terms' coefficients, and a term at any other
-degree fails the check. This gives an independent brute-force check of the
-two-point commutator coefficients (at coincident points, with every delta set
-to 1) and of the seed identity behind the exponential exchange rules.
+degree fails the check; ``eq1_suite`` builds each word pair's products once
+per grid. This gives an independent brute-force check of the two-point
+commutator coefficients (at coincident points, with every delta set to 1) and
+of the seed identity behind the exponential exchange rules.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import compress, repeat
-from operator import add, mul
+from itertools import compress, count, product, repeat
+from operator import add, and_, mul, ne, neg, sub, truth
 
 from .scalars import binom, falling
 
@@ -41,10 +42,6 @@ def _step(col: Column, D: int, lower: int, upper: int) -> Column:
         if upper and d < D:
             out[d + 1] = out.get(d + 1, 0) + upper * v
     return {d: v for d, v in out.items() if v}
-
-
-def _is_zero(col: Column) -> bool:
-    return not any(col.values())
 
 
 def _combine(*terms: tuple[int, Column]) -> Column:
@@ -71,10 +68,8 @@ class PolyRepOps:
         self._words: dict[tuple[int, int], Word] = {}
         for c in range(D):  # column D is the guard row
             x = {c: 1}
-            comm = _combine(
-                (1, self.annihilate(self.create(x))), (-1, self.create(self.annihilate(x)))
-            )
-            if not _is_zero(_combine((1, comm), (-1, x))):
+            a_ad, ad_a = self.annihilate(self.create(x)), self.create(self.annihilate(x))
+            if any(_combine((1, a_ad), (-1, ad_a), (-1, x)).values()):
                 raise ValueError("ladder operators violate the commutation relation")
 
     def annihilate(self, col: Column) -> Column:
@@ -154,6 +149,50 @@ def _safe_columns(n: int, k: int, N: int, K: int, D: int) -> range:
     return range(min(D, bound) + 1)
 
 
+def _reach(word: Word, shift: int) -> int:
+    """How many leading columns ``word`` maps to zero or to degree column + shift."""
+    wrong = map(and_, map(truth, word[1]), map(ne, word[0], count(shift)))
+    return next(compress(count(), wrong), len(word[1]))
+
+
+def _commutator(w1: Word, w2: Word, shift: int, m: int) -> list[int]:
+    """w1 w2 - w2 w1 on columns 0..m-1, or [] if a product maps one off degree column + shift."""
+    p12, p21 = _product(w2, w1, m), _product(w1, w2, m)
+    ok = min(_reach(p12, shift), _reach(p21, shift)) == m
+    return list(map(sub, p12[1], p21[1])) if ok else []
+
+
+def _eq1(n: int, k: int, N: int, K: int, D: int, memo: dict) -> int:
+    """check_eq1, keeping in ``memo`` by word pair the column count and
+    ``_commutator`` ([] on a failure), which the swapped tuple (N, K, n, k)
+    negates, and by expansion word its coefficients and ``_reach``."""
+    if min(n, k, N, K) < 0:
+        raise ValueError("indices must be nonnegative")
+    if D <= n + k + N + K:
+        raise ValueError(f"guard band violated: need D > {n + k + N + K}, got {D}")
+    ops, shift = build(D), n + N - k - K
+    if ((N, K), (n, k)) in memo:
+        m, total = memo[(N, K), (n, k)]
+        total = list(map(neg, total))
+    else:
+        m = len(_safe_columns(n, k, N, K, D))
+        floor = m <= D - (n + k + N + K)
+        total = [] if floor else _commutator(ops.word(n, k), ops.word(N, K), shift, m)
+        memo[(n, k), (N, K)] = m, total
+    if not total:
+        return 0
+    terms = [(-binom(k, L) * falling(N, L), n + N - L, k + K - L) for L in range(1, min(k, N) + 1)]
+    terms += [(binom(K, L) * falling(n, L), N + n - L, K + k - L) for L in range(1, min(K, n) + 1)]
+    for scale, a, b in terms:
+        if (a, b) not in memo:
+            memo[a, b] = ops.word(a, b)[1], _reach(ops.word(a, b), shift)
+        co, reach = memo[a, b]
+        if reach < m:
+            return 0
+        total = list(map(add, total, map(mul, repeat(scale), co)))
+    return 0 if any(total) else m
+
+
 def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> int:
     """Compare the commutator of two words with the expansion
 
@@ -169,28 +208,15 @@ def check_eq1(n: int, k: int, N: int, K: int, D: int = 40) -> int:
     coincident-point shadow of the two-point commutator, with every delta
     power set to 1.
     """
-    if min(n, k, N, K) < 0:
-        raise ValueError("indices must be nonnegative")
-    if D <= n + k + N + K:
-        raise ValueError(f"guard band violated: need D > {n + k + N + K}, got {D}")
-    m = len(_safe_columns(n, k, N, K, D))
-    if m <= D - (n + k + N + K):
-        return 0
-    ops = build(D)
-    w1, w2 = ops.word(n, k), ops.word(N, K)
-    terms = [(1, _product(w2, w1, m)), (-1, _product(w1, w2, m))]
-    for L in range(1, min(k, N) + 1):
-        terms.append((-binom(k, L) * falling(N, L), ops.word(n + N - L, k + K - L)))
-    for L in range(1, min(K, n) + 1):
-        terms.append((binom(K, L) * falling(n, L), ops.word(N + n - L, K + k - L)))
-    at_shift = range(n + N - k - K, n + N - k - K + m)
-    total = [0] * m
-    for scale, (deg, co) in terms:
-        deg, co = deg[:m], co[:m]
-        if list(compress(deg, co)) != list(compress(at_shift, co)):
-            return 0
-        total = list(map(add, total, map(mul, repeat(scale), co)))
-    return 0 if any(total) else m
+    return _eq1(n, k, N, K, D, {})
+
+
+def eq1_suite(top: int, D: int = 40) -> list[tuple[tuple[int, int, int, int], int]]:
+    """(t, check_eq1(*t, D)) for t in [0, top]^4 in ``itertools.product`` order.
+    Each word pair's products (650 for [0, 4]^4, not 1250) and each expansion
+    word's degrees are checked once per call; nothing is kept after it."""
+    memo: dict = {}
+    return [(t, _eq1(*t, D, memo)) for t in product(range(top + 1), repeat=4)]
 
 
 def check_exchange_seed(m: int, D: int = 16) -> bool:
@@ -214,6 +240,6 @@ def check_exchange_seed(m: int, D: int = 16) -> bool:
         x = {c: 1}
         lhs = _combine((1, p(ops.q_power(m, x))), (-1, ops.q_power(m, p(x))))
         rhs = ops.q_power(m - 1, x) if m else {}
-        if not _is_zero(_combine((1, lhs), (-PQ_COMMUTATOR * m, rhs))):
+        if any(_combine((1, lhs), (-PQ_COMMUTATOR * m, rhs)).values()):
             return False
     return True

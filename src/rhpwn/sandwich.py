@@ -124,6 +124,7 @@ def eq_expr(terms: Iterable[EQTerm] = ()) -> EQExpr:
 
 EQ_ZERO = EQExpr(())
 _G, _F = fn_symbol("g"), fn_symbol("f")  # verify_theorem's default test functions
+_GF = fn_product(_G, _F)
 
 
 @lru_cache(maxsize=4096)
@@ -429,7 +430,7 @@ def verify_theorem(
     # reduce merges the two labels into the smaller one, "s"
     expected = EQ_ZERO
     if in_family and expected_coeff:
-        word = gen_to_word(n2, k2, "s", fn_product(g, f))
+        word = gen_to_word(n2, k2, "s", _GF if g is _G and f is _F else fn_product(g, f))
         expected = EQExpr((word._replace(coeff=word.coeff * expected_coeff),))
     passed = (
         (in_family or not expected_coeff)

@@ -353,6 +353,15 @@ def test_oracle_command(runner):
     assert len(payload["eq1"]) == 16 and len(payload["exchange_seed"]) == 3
 
 
+@pytest.mark.parametrize("top, D", [(1, 3), (2, 5), (4, 12)])
+def test_oracle_guard_refusal_names_the_first_offending_tuple(runner, top, D):
+    # the eq1 suite walks [0, top]^4 in product order: the first tuple with
+    # n + k + N + K >= D sums to D exactly, so its bound is D
+    result = runner.invoke(main, ["oracle", "--eq1-max", str(top), "--eq1-trunc", str(D)])
+    assert result.exit_code == 2
+    assert result.output == f"error: guard band violated: need D > {D}, got {D}\n"
+
+
 _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
 _HUGE = str(10**30)  # a range bound far past every walkable grid
 _NINES = "9" * 4300  # the longest integer Python reads from a string
@@ -698,6 +707,7 @@ def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, s
     monkeypatch.setattr(rhpwn.cli, cap, size - 1)
     monkeypatch.setattr(rhpwn.cli, "theta_fn", None)  # any row computed would raise
     monkeypatch.setattr(rhpwn.oracle, "check_eq1", None)
+    monkeypatch.setattr(rhpwn.oracle, "eq1_suite", None)
     monkeypatch.setattr(rhpwn.oracle, "check_exchange_seed", None)
     monkeypatch.setattr(rhpwn.sandwich, "verify_theorem", None)
     monkeypatch.setattr(rhpwn.wick, "smear_bracket", None)

@@ -374,6 +374,24 @@ def test_structure_tables_match_the_entry_by_entry_build(monkeypatch, kind, n_ra
     assert rhpwn.lie._structure_tables(kind, pairs) == _reference_tables(kind, pairs)
 
 
+@pytest.mark.parametrize(
+    "kind, n_range, k_range, calls", [(RHPWN, (0, 6), (0, 6), 5891), (WINF, (2, 8), (-6, 6), 29211)]
+)
+def test_structure_tables_call_structure_once_per_entry(monkeypatch, kind, n_range, k_range,
+                                                        calls):
+    # the inner table takes size**2 calls; an outer row whose target is a
+    # grid index is read from the inner table's column, the rest take a call each
+    asked = []
+
+    def counted(*args):
+        asked.append(args)
+        return structure(*args)
+
+    monkeypatch.setattr(rhpwn.lie, "structure", counted)
+    rhpwn.lie._structure_tables(kind, basis_indices(kind, n_range, k_range))
+    assert len(asked) == len(set(asked)) == calls
+
+
 def test_swapped_corruption_walks_a_b_c_increasing(monkeypatch):
     # doubled brackets keep the table antisymmetric but break Jacobi
     monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure("swap", 2, 0))
@@ -385,6 +403,39 @@ def test_swapped_corruption_walks_a_b_c_increasing(monkeypatch):
     kept = [tuple(ids[p] for p in f[:3]) for f in report.failures]
     # kept triples that are not their orbit's representative (a < b < c)
     assert [t for t in kept if not t[0] < t[1] < t[2]]
+
+
+def _reference_closure(kind, n_range, k_range):
+    """failure_count and kept failures of a closure walk over every ordered pair."""
+    failures = []
+    for p, q in itertools.product(basis_indices(kind, n_range, k_range), repeat=2):
+        c, n2, k2 = rhpwn.lie.structure(kind, *p, *q)
+        if c and not in_domain(kind, n2, k2):
+            failures.append((p, q, (c, n2, k2)))
+    return len(failures), failures[: rhpwn.lie._FAILURE_CAP]
+
+
+@settings(deadline=None)
+@given(st.data())
+def test_closure_agrees_with_the_walk_over_every_pair(data):
+    kind = data.draw(st.sampled_from([RHPWN, WINF]))
+    n0 = data.draw(st.integers(0, 3) if kind is RHPWN else st.integers(1, 4))
+    k0 = data.draw(st.integers(0, 3) if kind is RHPWN else st.integers(-4, 2))
+    n_range = (n0, n0 + data.draw(st.integers(0, 3)))
+    k_range = (k0, k0 + data.draw(st.integers(0, 6)))
+    modulus = data.draw(st.integers(1, 4))
+    corrupt = _corrupted_structure(
+        data.draw(st.sampled_from(["skew", "escape", "zero", "swap"])),
+        modulus,
+        data.draw(st.integers(0, modulus - 1)),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rhpwn.lie, "structure", corrupt)
+        report = closure_check(kind, n_range, k_range)
+        count, kept = _reference_closure(kind, n_range, k_range)
+    assert report.pairs_checked == len(basis_indices(kind, n_range, k_range)) ** 2
+    assert report.failure_count == count
+    assert list(report.failures) == kept
 
 
 def test_closure_examples():

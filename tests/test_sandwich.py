@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import any_fn_symbols, cscalars, fn_symbols, rationals, s0_step_fns, step_fns
 
+import rhpwn.sandwich
 from rhpwn import lie
 from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
@@ -505,6 +506,25 @@ def test_the_realization_path_hashes_no_fraction(monkeypatch):
     monkeypatch.setattr(Fraction, "__hash__", counting_hash)
     assert all(verify_theorem(*indices).passed for indices in grid)
     assert len(hashed) == 0
+
+
+def test_verify_theorem_builds_the_default_product_once(monkeypatch):
+    # the default symbols' product g f is built beside them, not per tuple
+    grid = list(itertools.product(range(2, 5), range(-2, 3), repeat=2))
+    for indices in grid:
+        verify_theorem(*indices)
+    products = []
+
+    def counting_product(x, y):
+        products.append((x, y))
+        return fn_product(x, y)
+
+    monkeypatch.setattr(rhpwn.sandwich, "fn_product", counting_product)
+    assert all(verify_theorem(*indices).passed for indices in grid)
+    assert products == []
+    g, f = indicator([(1, 3)]), indicator([(2, 4)])
+    assert verify_theorem(3, 1, 2, 2, g=g, f=f).passed
+    assert (g, f) in products  # explicit test functions keep the per-call product
 
 
 def test_verify_theorem_rejects_small_indices():
