@@ -364,10 +364,10 @@ def _index_options(func):
 
 # Most singular orders smear computes, and most commutator orders of each sum
 # normal-order expands: each order is a big-integer binomial term. At the cap,
-# smear at n = k = N = K = 1001 takes 0.12 s and at n = N = 1001, k = K = 10^12
-# about 1.2-1.6 s; normal-order at n = k = N = K = 1000 takes 0.7 s and writes
-# 3.3 MB, and at n = N = 10^12, k = K = 1000 is refused at the string limit
-# after about 1 s, on a 2-core VM with CPython 3.11.
+# smear_bracket at n = k = N = K = 1001 takes 0.16-0.21 s and at n = N = 1001,
+# k = K = 10^12 about 1.3-1.8 s; normal-order at n = k = N = K = 1000 takes 0.7 s
+# and writes 3.3 MB, and at n = N = 10^12, k = K = 1000 is refused at the string
+# limit after about 1 s, on a 2-core VM with CPython 3.11.
 MAX_SMEAR_ORDERS = 1000
 
 

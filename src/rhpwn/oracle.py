@@ -87,7 +87,8 @@ class PolyRepOps:
     def word(self, n: int, k: int) -> Word:
         """The normally ordered word creator^n annihilator^k as (degrees,
         coefficients) over the columns 0..D: it maps x^c to coefficients[c]
-        x^degrees[c], and coefficients[c] is 0 where the image vanishes.
+        x^degrees[c], and coefficients[c] is 0 where the image vanishes (a
+        column the annihilator clears stays at degree 0: no degree is negative).
 
         Built from word(n-1, k) with one creator step per column, or from
         word(0, k-1) with one annihilator step, so each word is stepped once."""
@@ -100,7 +101,7 @@ class PolyRepOps:
                 self._words[key] = [d + 1 for d in deg], co
             elif k:
                 deg, co = self.word(0, k - 1)
-                self._words[key] = [d - 1 for d in deg], list(map(mul, deg, co))
+                self._words[key] = [d - 1 if d else 0 for d in deg], list(map(mul, deg, co))
             else:
                 self._words[key] = list(range(self.D + 1)), [1] * (self.D + 1)
         return self._words[key]
@@ -156,7 +157,11 @@ def _reach(word: Word, shift: int) -> int:
 
 
 def _commutator(w1: Word, w2: Word, shift: int, m: int) -> list[int]:
-    """w1 w2 - w2 w1 on columns 0..m-1, or [] if a product maps one off degree column + shift."""
+    """w1 w2 - w2 w1 on columns 0..m-1, or [] if a word maps one outside degrees 0..D,
+    where the other word is not defined, or a product maps one off degree column + shift."""
+    degrees = w1[0][:m] + w2[0][:m]
+    if min(degrees) < 0 or max(degrees) >= len(w1[0]):
+        return []
     p12, p21 = _product(w2, w1, m), _product(w1, w2, m)
     ok = min(_reach(p12, shift), _reach(p21, shift)) == m
     return list(map(sub, p12[1], p21[1])) if ok else []

@@ -42,7 +42,8 @@ from typing import Iterable, Literal, Mapping, NamedTuple, Optional
 
 from . import lie
 from .lie import DomainError
-from .scalars import CScalar, LinComb, _F0, _cscalar, binom, coeff_to_json, rational_to_str
+from .scalars import (CScalar, LinComb, _F0, _cscalar, binom, coeff_to_json, rational,
+                      rational_to_str)
 from .stepfn import (
     AnyTestFn,
     fn_product,
@@ -62,7 +63,7 @@ def _canon_params(m: Mapping[str, Fraction] | Iterable) -> ParamMap:
     items = m.items() if isinstance(m, Mapping) else m
     out: dict[str, Fraction] = {}
     for label, lam in items:
-        out[label] = out.get(label, _F0) + Fraction(lam)
+        out[label] = out.get(label, _F0) + rational(lam)
     return tuple(sorted((l, v) for l, v in out.items() if v))
 
 

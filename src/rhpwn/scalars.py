@@ -65,7 +65,7 @@ def theta(L: int, n: int, k: int, N: int, K: int) -> int:
 _F0 = Fraction(0)
 
 
-def _rational(x) -> Fraction:
+def rational(x) -> Fraction:
     """x as a Fraction. Only exact rationals (int, Fraction) are accepted: a
     binary float would silently become a different rational."""
     if type(x) is Fraction:
@@ -81,14 +81,14 @@ class CScalar(NamedTuple("CScalar", [("re", Fraction), ("im", Fraction)])):
     __slots__ = ()
 
     def __new__(cls, re=_F0, im=_F0) -> "CScalar":
-        return tuple.__new__(cls, (_rational(re), _rational(im)))
+        return tuple.__new__(cls, (rational(re), rational(im)))
 
     @staticmethod
     def of(value) -> "CScalar":
         """Coerce an int, Fraction, or CScalar to a CScalar."""
         if isinstance(value, CScalar):
             return value
-        return _cscalar(_rational(value), _F0)
+        return _cscalar(rational(value), _F0)
 
     def conjugate(self) -> "CScalar":
         return _cscalar(self.re, -self.im if self.im else _F0)

@@ -12,7 +12,7 @@ import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .scalars import CS_ONE, CS_ZERO, CScalar, rational_from_str, rational_to_str
+from .scalars import CS_ONE, CS_ZERO, CScalar, rational, rational_from_str, rational_to_str
 
 
 class IntervalSet(NamedTuple):
@@ -21,18 +21,16 @@ class IntervalSet(NamedTuple):
     intervals: tuple[tuple[Fraction, Fraction], ...]
 
     def __contains__(self, t) -> bool:
-        t = Fraction(t)
+        t = rational(t)
         return any(a <= t < b for a, b in self.intervals)
 
 
 def interval_set(pairs: Iterable[tuple]) -> IntervalSet:
     """Build an IntervalSet, coalescing touching or overlapping intervals."""
-    norm = sorted((Fraction(a), Fraction(b)) for a, b in pairs)
-    for a, b in norm:
+    merged: list[list[Fraction]] = []
+    for a, b in sorted((rational(a), rational(b)) for a, b in pairs):
         if a >= b:
             raise ValueError(f"empty or reversed interval [{a}, {b})")
-    merged: list[list[Fraction]] = []
-    for a, b in norm:
         if merged and a <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], b)
         else:
@@ -85,16 +83,14 @@ def make_step(breakpoints: Iterable, values: Iterable) -> StepFn:
     support compact. Breakpoints must be strictly increasing and there must
     be exactly one value per bounded piece.
     """
-    bps = [Fraction(b) for b in breakpoints]
+    bps = [rational(b) for b in breakpoints]
     vals = [CScalar.of(v) for v in values]
     if len(vals) != max(len(bps) - 1, 0):
         raise ValueError(
             f"expected {max(len(bps) - 1, 0)} values for {len(bps)} breakpoints, "
             f"got {len(vals)}"
         )
-    return _canon_pieces(
-        (a, b, v) for a, b, v in zip(bps, bps[1:], vals)
-    )
+    return _canon_pieces(zip(bps, bps[1:], vals))
 
 
 def indicator(region: IntervalSet | Iterable[tuple]) -> StepFn:
@@ -106,7 +102,7 @@ def indicator(region: IntervalSet | Iterable[tuple]) -> StepFn:
 
 def evaluate(f: StepFn, t) -> CScalar:
     """Value of f at t under the right-continuous convention."""
-    t = Fraction(t)
+    t = rational(t)
     for a, b, v in f.pieces:
         if a <= t < b:
             return v

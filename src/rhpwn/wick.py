@@ -4,7 +4,8 @@ A word is a product of creator powers, annihilator powers, a power of the
 pair delta between the two active labels, and point-evaluation delta markers
 produced by renormalization. Creators commute among themselves and so do
 annihilators, so per-label exponent maps represent words faithfully; every
-expression is a canonically sorted sum of such words (scalars.LinComb).
+expression is a canonically sorted sum of such words (scalars.LinComb). The
+smeared bracket reads both of its parts off the one commutator expansion.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import lie
-from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, falling, theta
+from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, falling
 from .stepfn import (
     StepFn,
     AnyTestFn,
@@ -189,10 +190,7 @@ def collapse_single_mode(e: WNExpr) -> dict[tuple[int, int], CScalar]:
     for t in e.terms:
         if t.point_evals:
             raise ValueError("single-mode collapse is undefined for point-eval markers")
-        key = (
-            sum(x for _, x in t.creators),
-            sum(x for _, x in t.annihilators),
-        )
+        key = sum(x for _, x in t.creators), sum(x for _, x in t.annihilators)
         acc[key] = acc.get(key, CS_ZERO) + t.coeff
     return {key: c for key, c in acc.items() if c}
 
@@ -230,28 +228,27 @@ def smear_bracket(
 ) -> BracketDecomposition:
     """Decompose [B^n_k(g), B^N_K(f)] after renormalization.
 
-    Regular part: the RHPWN row of ``lie.structure``, not a formula of its
-    own (on the true table kN - Kn at index (n+N-1, k+K-1); the epsilon
-    factors eps(k,0) eps(N,0) of the paper's coefficient change nothing),
-    with test function g f. Singular part: theta(L; n,k,N,K) g(0) f(0)
-    b_0^+^(N+n-L) b_0^(K+k-L) for L from 2 up to max(min(K,n), min(k,N)).
+    Both parts are the words of ``monomial_commutator`` with its labels
+    identified (renormalization changes no coefficient and no degree); the
+    order-L word has degrees (n+N-L, k+K-L). Regular part: the word at the
+    RHPWN target of ``lie.structure`` (L = 1, kN - Kn; 0 if absent), with
+    test function g f. Singular part: every other word, its coefficient
+    theta_L, with scalar g(0) f(0).
     """
     if min(n, k, N, K) < 0:
         raise ValueError("indices must be nonnegative")
-    coeff, n2, k2 = lie.structure(lie.AlgebraKind.RHPWN, n, k, N, K)
-    singular = []
-    for L in range(2, max(min(K, n), min(k, N)) + 1):
-        th = theta(L, n, k, N, K)
-        if not th:
-            continue
-        if isinstance(g, StepFn) and isinstance(f, StepFn):
-            scalar: Optional[CScalar] = evaluate(g, 0) * evaluate(f, 0)
-        elif fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f):
-            scalar = CS_ZERO
-        else:
-            scalar = None
-        singular.append(SingularTerm(L, th, (N + n - L, K + k - L), scalar))
-    return BracketDecomposition(coeff, (n2, k2), fn_product(g, f), tuple(singular))
+    _, n2, k2 = lie.structure(lie.AlgebraKind.RHPWN, n, k, N, K)
+    coeffs = collapse_single_mode(monomial_commutator(n, k, N, K))
+    regular = coeffs.pop((n2, k2), CS_ZERO)
+    if isinstance(g, StepFn) and isinstance(f, StepFn):
+        scalar: Optional[CScalar] = evaluate(g, 0) * evaluate(f, 0)
+    elif fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f):
+        scalar = CS_ZERO
+    else:
+        scalar = None
+    singular = tuple(SingularTerm(n + N - a, int(c.re), (a, b), scalar)
+                     for (a, b), c in sorted(coeffs.items(), reverse=True))
+    return BracketDecomposition(int(regular.re), (n2, k2), fn_product(g, f), singular)
 
 
 # -- JSON rendering ----------------------------------------------------------

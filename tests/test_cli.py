@@ -227,13 +227,14 @@ def test_verify_w_verdicts_do_not_outlive_the_table(runner, monkeypatch):
     assert last_line(0) == "verify-w: tuples=36 failures=0 -> PASS"
 
 
-def test_smear_reads_the_structure_table(runner, monkeypatch):
-    # The regular part is the RHPWN row of lie.structure: a skewed table
-    # (c + 1) moves the coefficient 3 of [B^1_2(g), B^2_1(f)] to 4.
+def test_smear_reads_its_coefficient_from_the_expansion(runner, monkeypatch):
+    # The coefficient 3 of [B^1_2(g), B^2_1(f)] is the L = 1 word of the
+    # commutator expansion; lie.structure gives only its index, so a skewed
+    # table (c + 1) leaves it at 3.
     _skewed_structure(monkeypatch)
     result = runner.invoke(main, ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"])
     assert result.exit_code == 0
-    assert result.output.splitlines()[0] == "regular: coeff=4 index=(2,2) testfn=f*g"
+    assert result.output.splitlines()[0] == "regular: coeff=3 index=(2,2) testfn=f*g"
 
 
 def test_smear_with_step_function_files(runner, tmp_path):

@@ -1,8 +1,11 @@
 import itertools
+import json
 
 import pytest
+from click.testing import CliRunner
 
 import rhpwn.oracle
+from rhpwn.cli import main
 from rhpwn.oracle import (
     PolyRepOps,
     _column_bound,
@@ -71,6 +74,53 @@ def test_check_eq1_fails_on_a_term_at_the_wrong_degree(monkeypatch):
     assert check_eq1(1, 3, 2, 1, 14)
     monkeypatch.setitem(ops._words, (2, 3), ([d + 1 for d in deg], co))
     assert not check_eq1(1, 3, 2, 1, 14)
+
+
+def _past_the_truncation(monkeypatch):
+    """Serve D = 40 from fresh ladder operators whose word (2, 3) has every
+    degree one too high, so the words built on it, such as (3, 3), map a column
+    to degree 41, past the truncation."""
+    ops, true_build = PolyRepOps(40), build
+    deg, co = ops.word(2, 3)
+    ops._words[2, 3] = [d + 1 for d in deg], co
+    monkeypatch.setattr(rhpwn.oracle, "build", lambda D: ops if D == 40 else true_build(D))
+
+
+def test_eq1_suite_fails_a_word_past_the_truncation(monkeypatch):
+    _past_the_truncation(monkeypatch)
+    results = dict(eq1_suite(4, 40))
+    assert not results[1, 3, 2, 1] and not results[3, 3, 0, 1] and not results[0, 1, 3, 3]
+    assert results[0, 0, 0, 0] and results[1, 1, 1, 1]
+
+
+def test_check_eq1_fails_a_word_at_a_negative_degree(monkeypatch):
+    # word (1, 1) with x^0 sent to x^-1: no product is defined there. Gathered
+    # from the end of the lists, the creator's truncated column D would make
+    # the product vanish on x^0 and the tuple pass.
+    ops = PolyRepOps(12)
+    deg, co = ops.word(1, 1)
+    monkeypatch.setattr(rhpwn.oracle, "build", lambda D: ops)
+    assert check_eq1(1, 1, 1, 0, 12) and check_eq1(1, 0, 1, 1, 12)
+    ops._words[1, 1] = [-1] + deg[1:], [1] + co[1:]
+    assert not check_eq1(1, 1, 1, 0, 12) and not check_eq1(1, 0, 1, 1, 12)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "latex"])
+def test_oracle_command_fails_a_word_past_the_truncation(monkeypatch, fmt):
+    _past_the_truncation(monkeypatch)
+    result = CliRunner().invoke(main, ["oracle", "--format", fmt])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert "Traceback" not in result.output
+    if fmt == "text":
+        assert "eq1 n=1 k=3 N=2 K=1 D=40: FAIL" in result.output.splitlines()
+        assert result.output.endswith("oracle: FAIL\n")
+    elif fmt == "json":
+        payload = json.loads(result.output)
+        assert {"n": 1, "k": 3, "N": 2, "K": 1, "D": 40, "pass": False} in payload["eq1"]
+        assert payload["pass"] is False
+    else:
+        assert "1 & 3 & 2 & 1 & False \\\\" in result.output.splitlines()
 
 
 def test_check_exchange_seed_fails_on_a_corrupted_coefficient(monkeypatch):

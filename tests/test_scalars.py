@@ -17,7 +17,7 @@ from rhpwn.scalars import (
     rational_to_str,
     theta,
 )
-from rhpwn.stepfn import fn_symbol, indicator
+from rhpwn.stepfn import evaluate, fn_symbol, indicator, interval_set, make_step
 from rhpwn.wick import wn_expr, wn_term
 
 
@@ -150,14 +150,25 @@ def test_rational_from_str_reads_decimals_as_printed():
         lambda: CScalar(1) / 0.5,
         lambda: CScalar.of(Decimal("0.5")),
         lambda: CScalar.of("1/2"),
+        lambda: make_step([0.1, 1], [1]),
+        lambda: make_step(["0", "1"], [1]),
+        lambda: interval_set([(0, 0.5)]),
+        lambda: indicator([(0.25, 1)]),
+        lambda: 0.5 in interval_set([(0, 1)]),
+        lambda: evaluate(make_step([0, 1], [1]), 0.5),
+        lambda: eq_term(1, left_exp={"t": 0.5}),
+        lambda: eq_term(1, right_exp=[("t", Decimal("0.5"))]),
     ],
     ids=[
         "of-float", "ctor-re", "ctor-im", "add", "radd", "sub", "rsub", "mul", "rmul",
-        "div", "of-decimal", "of-str",
+        "div", "of-decimal", "of-str", "step-breakpoint", "step-str", "interval-end",
+        "indicator", "interval-contains", "evaluate-at", "eq-left-exponent",
+        "eq-right-exponent",
     ],
 )
 def test_inexact_values_are_rejected(make):
-    # a binary float would silently become a different rational
+    # a binary float would silently become a different rational; every
+    # constructor of an exact value goes through the one coercion rule
     with pytest.raises(TypeError):
         make()
 

@@ -4,9 +4,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rhpwn.wick
 from conftest import cscalars, s0_step_fns
 from rhpwn.oracle import _safe_columns, build
-from rhpwn.scalars import CS_ZERO, CScalar
+from rhpwn.scalars import CS_ZERO, CScalar, falling, theta
 from rhpwn.stepfn import fn_symbol
 from rhpwn.wick import (
     DeltaAtZeroError,
@@ -119,6 +120,28 @@ def test_smear_bracket_unknown_scalar_without_s0():
     d = smear_bracket(1, 2, fn_symbol("g", in_S0=False), 2, 1, fn_symbol("f", in_S0=False))
     assert [s.scalar for s in d.singular] == [None]
     assert not d.singular_vanishes
+
+
+def test_expansion_orders_sum_to_theta():
+    # the paper's closed form theta is not what smear reads, so it checks the
+    # expansion: summed per order L, the words give theta_L, and smear lists them
+    for n, k, N, K in itertools.product(range(9), repeat=4):
+        thetas = [(L, theta(L, n, k, N, K)) for L in range(2, 9) if theta(L, n, k, N, K)]
+        sums = collapse_single_mode(monomial_commutator(n, k, N, K))
+        regular = {(n + N - 1, k + K - 1): CScalar.of(k * N - K * n)} if k * N - K * n else {}
+        orders = {(n + N - L, k + K - L): CScalar.of(th) for L, th in thetas}
+        assert sums == {**regular, **orders}
+        d = smear_bracket(n, k, fn_symbol("g"), N, K, fn_symbol("f"))
+        assert [(s.L, s.theta) for s in d.singular] == thetas
+
+
+def test_smear_bracket_reads_the_expansion(monkeypatch):
+    # criterion 7's kN - Kn checks the expansion: an off-by-one falling
+    # factorial in it moves smear's regular coefficient, 2*3 - 1*2 here
+    g, f = fn_symbol("g"), fn_symbol("f")
+    assert smear_bracket(1, 2, g, 2, 1, f).regular_coeff == 3
+    monkeypatch.setattr(rhpwn.wick, "falling", lambda n, L: falling(n, L) + 1)
+    assert smear_bracket(1, 2, g, 2, 1, f).regular_coeff == 4
 
 
 @given(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
