@@ -37,7 +37,7 @@ from typing import NamedTuple, Optional, Union
 from . import lie
 from .lie import AlgebraKind, Element, element_to_json
 from .scalars import CS_I, CScalar
-from .stepfn import AnyTestFn, FnSymbol, StepFn, step_from_records
+from .stepfn import AnyTestFn, FnSymbol, StepFn, canon_pieces
 
 
 class ParseError(ValueError):
@@ -261,18 +261,18 @@ class _Parser:
         """'step' '[' [piece (';' piece)*] ']', each piece from,to,re,im."""
         self.advance()
         start = self.advance()[2]  # the '[': overlapping pieces are reported here
-        records = []
+        pieces = []
         while self.peek()[0] != "]":
-            if records:
+            if pieces:
                 self.expect(";", (";", "]"))
             piece = [self._parse_sign() * self._parse_rational()]
             for _ in range(3):
                 self.expect(",", (",",))
                 piece.append(self._parse_sign() * self._parse_rational())
-            records.append(dict(zip(("from", "to", "re", "im"), piece)))
+            pieces.append((*piece[:2], CScalar(*piece[2:])))
         self.advance()
         try:
-            return step_from_records(records)
+            return canon_pieces(pieces)
         except ValueError as exc:
             raise ParseError(str(exc), start) from None
 

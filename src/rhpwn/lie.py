@@ -84,11 +84,7 @@ class Element(LinComb, NamedTuple("Element", [("kind", AlgebraKind), ("terms", t
     """
 
     __slots__ = ()
-    order = staticmethod(Generator.sort_key)
-
-    @property
-    def head(self) -> tuple:
-        return (self.kind,)
+    order = staticmethod(lambda key: key[0].sort_key())
 
     @property
     def certified(self) -> bool:

@@ -35,10 +35,11 @@ their ratio classes and merged test functions are cached per process
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
-from typing import Iterable, Literal, Mapping, NamedTuple, Optional
+from typing import Iterable, Literal, NamedTuple, Optional
 
 from . import lie
 from .lie import DomainError
@@ -52,33 +53,30 @@ from .stepfn import (
     fn_to_json,
     fn_vanishes_at_zero,
 )
-from .wick import DeltaAtZeroError, PowMap, SingularPartError, canon_pows
+from .wick import DeltaAtZeroError, PowMap, SingularPartError, canon_map, power
 
 
 ParamMap = tuple[tuple[str, Fraction], ...]
 FnMap = tuple[tuple[str, AnyTestFn], ...]
 
 
-def _canon_params(m: Mapping[str, Fraction] | Iterable) -> ParamMap:
-    items = m.items() if isinstance(m, Mapping) else m
-    out: dict[str, Fraction] = {}
-    for label, lam in items:
-        out[label] = out.get(label, _F0) + rational(lam)
-    return tuple(sorted((l, v) for l, v in out.items() if v))
+def _exponent(label: str, lam) -> Fraction:
+    return rational(lam)
 
 
 class EQTerm(NamedTuple):
-    """One sandwich word with exact coefficient and delta-power bookkeeping."""
+    """One sandwich word with exact coefficient and delta-power bookkeeping;
+    the fields before ``coeff`` are its key in EQExpr."""
 
-    coeff: CScalar
-    left_exp: ParamMap
-    q_pow: PowMap
-    right_exp: ParamMap
     delta_L: int
+    q_pow: PowMap
+    left_exp: ParamMap
+    right_exp: ParamMap
     testfn: FnMap
+    coeff: CScalar
 
     def word_key(self):
-        return (self.delta_L, self.q_pow, self.left_exp, self.right_exp, self.testfn)
+        return self[:-1]
 
 
 def eq_term(
@@ -95,32 +93,25 @@ def eq_term(
     fns = tuple(sorted(fn_items, key=lambda it: it[0]))
     if len({label for label, _ in fns}) < len(fns):
         raise ValueError("a word takes one test function per label")
-    coeff, left = CScalar.of(coeff), _canon_params(left_exp)
-    return EQTerm(coeff, left, canon_pows(q_pow), _canon_params(right_exp), delta_L, fns)
+    coeff, left = CScalar.of(coeff), canon_map(left_exp, _exponent)
+    q_pow, right = canon_map(q_pow, power), canon_map(right_exp, _exponent)
+    return EQTerm(delta_L, q_pow, left, right, fns, coeff)
 
 
 class EQExpr(LinComb, NamedTuple("EQExpr", [("terms", tuple)])):
-    """Canonical sum of sandwich words, ordered by EQTerm.word_key with test
-    functions in stepfn's order."""
+    """Canonical sum of sandwich words, ordered by their fields before the
+    coefficient, with test functions in stepfn's order."""
 
     __slots__ = ()
-
-    @staticmethod
-    def split(t: EQTerm) -> tuple:
-        return t.word_key(), t.coeff
+    make = EQTerm._make
 
     @staticmethod
     def order(key) -> tuple:
         return key[:4] + (tuple((l, fn_sort_key(fn)) for l, fn in key[4]),)
 
-    @staticmethod
-    def join(key, coeff) -> EQTerm:
-        delta_L, q_pow, left_exp, right_exp, testfn = key
-        return EQTerm(coeff, left_exp, q_pow, right_exp, delta_L, testfn)
-
 
 def eq_expr(terms: Iterable[EQTerm] = ()) -> EQExpr:
-    return EQExpr.canonical(map(EQExpr.split, terms))
+    return EQExpr.canonical(terms)
 
 
 EQ_ZERO = EQExpr(())
@@ -135,7 +126,7 @@ def gen_to_word(n: int, k: int, label: str = "t", fn: Optional[AnyTestFn] = None
         raise DomainError(f"sandwich generators need n >= 2, got n={n}")
     exp = ((label, Fraction(k, 2)),) if k else ()
     fns = () if fn is None else ((label, fn),)
-    return EQTerm(_cscalar(Fraction(1, 2 ** (n - 1)), _F0), exp, ((label, n - 1),), exp, 0, fns)
+    return EQTerm(0, ((label, n - 1),), exp, exp, fns, _cscalar(Fraction(1, 2 ** (n - 1)), _F0))
 
 
 Direction = Literal["rightward", "leftward"]
@@ -288,7 +279,7 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
         coeffs = [_cscalar(Fraction(num * w, den), _F0) for _, w in words]
     return EQExpr(
         tuple(
-            EQTerm(c, left_exp, q_pow, right_exp, delta_L, testfn)
+            EQTerm(delta_L, q_pow, left_exp, right_exp, testfn, c)
             for ((delta_L, q_pow), _), c in zip(words, coeffs)
         )
     ), over
@@ -372,7 +363,7 @@ def reduce(e: EQExpr) -> ReduceResult:
         c = sum(coeffs[1:], coeffs[0])
         q_pow = ((target, power),) if power else ()
         left_exp, right_exp = _summed_at(t.left_exp, target), _summed_at(t.right_exp, target)
-        reduced.append(EQTerm(c, left_exp, q_pow, right_exp, 0, _merged_blocks(t.testfn, target)))
+        reduced.append(EQTerm(0, q_pow, left_exp, right_exp, _merged_blocks(t.testfn, target), c))
     # A single word is canonical; so is the residual, a subsequence of a canonical sum.
     reduced = eq_expr(reduced) if len(reduced) > 1 else EQExpr(tuple(t for t in reduced if t.coeff))
     return ReduceResult(reduced, EQExpr(tuple(residual)), len(singular) - len(offenders))

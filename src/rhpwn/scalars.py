@@ -181,62 +181,57 @@ def rational_from_str(v) -> Fraction:
 class LinComb:
     """Canonical finite sum of terms with CScalar coefficients.
 
-    Like terms are merged, zero coefficients dropped and the rest sorted, so
-    equal sums are equal tuples. A subclass also derives from a named tuple
-    whose last field is ``terms``, after LinComb so that its ``+`` and ``-``
-    win over tuple concatenation; it says how a term splits into (key, coeff),
-    how keys are ordered and how a term is rebuilt from a key and a coeff.
+    A term is a tuple whose last field is its coefficient and whose other
+    fields, in order, are its key. Like terms are merged, zero coefficients
+    dropped and the rest sorted by key, so equal sums are equal tuples. A
+    subclass also derives from a named tuple whose last field is ``terms``,
+    after LinComb so that its ``+`` and ``-`` win over tuple concatenation;
+    it says how keys are ordered and how a term is rebuilt from its fields.
     """
 
     __slots__ = ()
     terms: tuple
 
     order = None  # sort key over term keys; None sorts the keys themselves
-
-    @staticmethod
-    def split(term) -> tuple:
-        return term
-
-    @staticmethod
-    def join(key, coeff):
-        return key, coeff
+    make = tuple  # a term from its fields: key fields, then the coefficient
 
     @classmethod
-    def canonical(cls, pairs, *head):
-        """The sum of (key, coeff) pairs; ``head`` fills the fields before ``terms``."""
+    def canonical(cls, terms, *head):
+        """The sum of ``terms``; ``head`` fills the fields before ``terms``."""
         acc: dict = {}
-        for key, c in pairs:
+        for t in terms:
+            key, c = t[:-1], t[-1]
             old = acc.get(key)
             acc[key] = CScalar.of(c) if old is None else old + c
         order = cls.order
         items = sorted(acc.items(), key=itemgetter(0) if order is None else lambda kc: order(kc[0]))
-        join = cls.join
-        return cls(*head, tuple(join(key, c) for key, c in items if c))
+        make = cls.make
+        return cls(*head, tuple(make(key + (c,)) for key, c in items if c))
 
     @property
     def head(self) -> tuple:
         """The fields before ``terms`` (an Element's algebra kind); only sums
         with equal heads combine."""
-        return ()
+        return self[:-1]
 
     @property
     def is_zero(self) -> bool:
         return not self.terms
 
-    def _combine(self, other: "LinComb", other_pairs):
+    def _combine(self, other: "LinComb", other_terms):
         if self.head != other.head:
             raise ValueError("algebra kind mismatch")
-        return self.canonical(chain(map(self.split, self.terms), other_pairs), *self.head)
+        return self.canonical(chain(self.terms, other_terms), *self.head)
 
     def __add__(self, other):
-        return self._combine(other, map(other.split, other.terms))
+        return self._combine(other, other.terms)
 
     def __sub__(self, other):
-        return self._combine(other, ((key, -c) for key, c in map(other.split, other.terms)))
+        return self._combine(other, (t[:-1] + (-t[-1],) for t in other.terms))
 
     def __neg__(self):
         return self.scaled(-1)
 
     def scaled(self, c):
         c = CScalar.of(c)
-        return self.canonical(((key, c * x) for key, x in map(self.split, self.terms)), *self.head)
+        return self.canonical((t[:-1] + (c * t[-1],) for t in self.terms), *self.head)

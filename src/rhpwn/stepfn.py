@@ -57,7 +57,7 @@ class StepFn(NamedTuple):
 ZERO_FN = StepFn(())
 
 
-def _canon_pieces(raw: Iterable[tuple[Fraction, Fraction, CScalar]]) -> StepFn:
+def canon_pieces(raw: Iterable[tuple[Fraction, Fraction, CScalar]]) -> StepFn:
     """Canonical step function of pieces (a, b, v); every piece, zero-valued
     ones included, must have a < b, and pieces may not overlap."""
     raw = list(raw)
@@ -90,14 +90,14 @@ def make_step(breakpoints: Iterable, values: Iterable) -> StepFn:
             f"expected {max(len(bps) - 1, 0)} values for {len(bps)} breakpoints, "
             f"got {len(vals)}"
         )
-    return _canon_pieces(zip(bps, bps[1:], vals))
+    return canon_pieces(zip(bps, bps[1:], vals))
 
 
 def indicator(region: IntervalSet | Iterable[tuple]) -> StepFn:
     """Indicator function of a finite union of half-open intervals."""
     if not isinstance(region, IntervalSet):
         region = interval_set(region)
-    return _canon_pieces((a, b, CS_ONE) for a, b in region.intervals)
+    return canon_pieces((a, b, CS_ONE) for a, b in region.intervals)
 
 
 def evaluate(f: StepFn, t) -> CScalar:
@@ -112,7 +112,7 @@ def evaluate(f: StepFn, t) -> CScalar:
 def _pointwise(op, f: StepFn, g: StepFn) -> StepFn:
     """op(f(t), g(t)) on each piece between consecutive endpoints of f and g."""
     pts = sorted({p for h in (f, g) for a, b, _ in h.pieces for p in (a, b)})
-    return _canon_pieces((a, b, op(evaluate(f, a), evaluate(g, a))) for a, b in zip(pts, pts[1:]))
+    return canon_pieces((a, b, op(evaluate(f, a), evaluate(g, a))) for a, b in zip(pts, pts[1:]))
 
 
 def add(f: StepFn, g: StepFn) -> StepFn:
@@ -121,7 +121,7 @@ def add(f: StepFn, g: StepFn) -> StepFn:
 
 def scale(c, f: StepFn) -> StepFn:
     c = CScalar.of(c)
-    return _canon_pieces((a, b, c * v) for a, b, v in f.pieces)
+    return canon_pieces((a, b, c * v) for a, b, v in f.pieces)
 
 
 def pointwise_product(f: StepFn, g: StepFn) -> StepFn:
@@ -161,7 +161,7 @@ def step_to_records(f: StepFn) -> list[dict]:
 
 
 def step_from_records(records: Iterable[dict]) -> StepFn:
-    return _canon_pieces(
+    return canon_pieces(
         (
             rational_from_str(r["from"]),
             rational_from_str(r["to"]),

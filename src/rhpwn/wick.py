@@ -10,7 +10,8 @@ smeared bracket reads both of its parts off the one commutator expansion.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from collections.abc import Mapping
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from . import lie
 from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, falling
@@ -38,36 +39,35 @@ class SingularPartError(ValueError):
 PowMap = tuple[tuple[str, int], ...]
 
 
-def canon_pows(pows: Mapping[str, int] | Iterable[tuple[str, int]]) -> PowMap:
-    """Per-label powers summed, zeros dropped, sorted by label."""
-    items = pows.items() if isinstance(pows, Mapping) else pows
-    out = {}
-    for label, e in items:
-        if e < 0:
-            raise ValueError(f"negative power {e} at label {label!r}")
-        if e:
-            out[label] = out.get(label, 0) + e
-    return tuple(sorted(out.items()))
+def canon_map(m: Mapping | Iterable[tuple], check) -> tuple:
+    """Per-label values summed, zeros dropped, sorted by label. Each value is
+    read through ``check(label, value)``, which rejects or converts it."""
+    out: dict = {}
+    for label, v in m.items() if isinstance(m, Mapping) else m:
+        v = check(label, v)
+        old = out.get(label)
+        out[label] = v if old is None else old + v
+    return tuple(sorted((label, v) for label, v in out.items() if v))
+
+
+def power(label: str, e: int) -> int:
+    """A creator, annihilator or field power, which must be nonnegative."""
+    if e < 0:
+        raise ValueError(f"negative power {e} at label {label!r}")
+    return e
 
 
 class WNTerm(NamedTuple):
-    """One normally ordered word with an exact complex coefficient."""
+    """One normally ordered word with an exact complex coefficient; the
+    fields before ``coeff`` are its key in WNExpr. ``delta_pair`` is None
+    exactly when ``delta_L`` is 0."""
 
-    coeff: CScalar
+    delta_L: int
     creators: PowMap
     annihilators: PowMap
-    delta_pair: Optional[tuple[str, str]]
-    delta_L: int
     point_evals: tuple[str, ...]
-
-    def word_key(self):
-        return (
-            self.delta_L,
-            self.creators,
-            self.annihilators,
-            self.point_evals,
-            self.delta_pair or (),
-        )
+    delta_pair: Optional[tuple[str, str]]
+    coeff: CScalar
 
 
 def wn_term(
@@ -100,33 +100,20 @@ def wn_term(
         delta_pair = (a, b) if a < b else (b, a)
         if delta_L == 0:
             delta_pair = None
-    return WNTerm(
-        CScalar.of(coeff),
-        canon_pows(creators),
-        canon_pows(annihilators),
-        delta_pair,
-        delta_L,
-        tuple(sorted(point_evals)),
-    )
+    coeff = CScalar.of(coeff)
+    creators, annihilators = canon_map(creators, power), canon_map(annihilators, power)
+    return WNTerm(delta_L, creators, annihilators, tuple(sorted(point_evals)), delta_pair, coeff)
 
 
 class WNExpr(LinComb, NamedTuple("WNExpr", [("terms", tuple)])):
-    """Canonical finite sum of words, ordered by WNTerm.word_key."""
+    """Canonical finite sum of words, ordered by their fields before ``coeff``."""
 
     __slots__ = ()
-
-    @staticmethod
-    def split(t: WNTerm) -> tuple:
-        return t.word_key(), t.coeff
-
-    @staticmethod
-    def join(key, coeff) -> WNTerm:
-        delta_L, creators, annihilators, point_evals, pair = key
-        return WNTerm(coeff, creators, annihilators, pair or None, delta_L, point_evals)
+    make = WNTerm._make
 
 
 def wn_expr(terms: Iterable[WNTerm] = ()) -> WNExpr:
-    return WNExpr.canonical(map(WNExpr.split, terms))
+    return WNExpr.canonical(terms)
 
 
 def monomial_commutator(
@@ -191,7 +178,8 @@ def collapse_single_mode(e: WNExpr) -> dict[tuple[int, int], CScalar]:
         if t.point_evals:
             raise ValueError("single-mode collapse is undefined for point-eval markers")
         key = sum(x for _, x in t.creators), sum(x for _, x in t.annihilators)
-        acc[key] = acc.get(key, CS_ZERO) + t.coeff
+        old = acc.get(key)
+        acc[key] = t.coeff if old is None else old + t.coeff
     return {key: c for key, c in acc.items() if c}
 
 

@@ -18,6 +18,7 @@ from rhpwn.dsl import (
 )
 from rhpwn.lie import AlgebraKind, Element, basis, element_from_json, involution, zero
 from rhpwn.scalars import CScalar
+from rhpwn import stepfn
 from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, step_from_records
 from fractions import Fraction
 
@@ -166,6 +167,20 @@ def test_step_labels_parse_as_rendered():
     for bad in ("B[2,1]@step[0,2,1]", "B[2,1]@step[0,2,1,0", "B[2,1]@step[0,2,1,0;]"):
         with pytest.raises(ParseError):
             parse(bad)
+
+
+def test_step_labels_parse_without_string_round_trips(monkeypatch):
+    reads = []
+    read = stepfn.rational_from_str
+    monkeypatch.setattr(stepfn, "rational_from_str", lambda v: reads.append(v) or read(v))
+    label = parse("B[2,1]@step[0,1/2,1,-1/3;1/2,1,2,0]").label
+    assert reads == []
+    expected = step_from_records(
+        [{"from": "0", "to": "1/2", "re": "1", "im": "-1/3"},
+         {"from": "1/2", "to": "1", "re": "2", "im": "0"}]
+    )
+    assert len(reads) == 8  # the records are read through the counted function
+    assert label == expected
 
 
 def test_labels_outside_S0_parse_as_rendered():

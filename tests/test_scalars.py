@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from conftest import cscalars, nonzero_cscalars, rationals
 from rhpwn.lie import AlgebraKind, element, generator
-from rhpwn.sandwich import eq_expr, eq_term
+from rhpwn.sandwich import EQTerm, eq_expr, eq_term
 from rhpwn.scalars import (
     CScalar,
     binom,
@@ -17,8 +17,8 @@ from rhpwn.scalars import (
     rational_to_str,
     theta,
 )
-from rhpwn.stepfn import evaluate, fn_symbol, indicator, interval_set, make_step
-from rhpwn.wick import wn_expr, wn_term
+from rhpwn.stepfn import evaluate, fn_sort_key, fn_symbol, indicator, interval_set, make_step
+from rhpwn.wick import WNTerm, wn_expr, wn_term
 
 
 @pytest.mark.parametrize(
@@ -263,11 +263,41 @@ def test_linear_combinations_are_canonical(name, data):
     a = data.draw(_SUMS[name])
     b = data.draw(_SUMS[name])
     cls = type(a)
-    keys = [cls.split(t)[0] for t in a.terms]
+    keys = [t[:-1] for t in a.terms]
     ranks = [cls.order(key) if cls.order else key for key in keys]
     assert all(x < y for x, y in zip(ranks, ranks[1:]))
     assert len(set(keys)) == len(keys)
-    assert all(cls.split(t)[1] for t in a.terms)
+    assert all(t[-1] for t in a.terms)
     assert a - b == a + b.scaled(-1)
     assert -a == a.scaled(-1)
     assert (a - a).is_zero
+
+
+def _reference_key(t):
+    """The order of a sum's terms, written out field by field."""
+    if isinstance(t, WNTerm):
+        return (t.delta_L, t.creators, t.annihilators, t.point_evals, t.delta_pair or ())
+    if isinstance(t, EQTerm):
+        fns = tuple((label, fn_sort_key(fn)) for label, fn in t.testfn)
+        return (t.delta_L, t.q_pow, t.left_exp, t.right_exp, fns)
+    g, _ = t
+    return (g.n, g.k, fn_sort_key(g.label))
+
+
+@pytest.mark.parametrize("name", sorted(_SUMS))
+@given(data=st.data())
+def test_every_term_ends_with_its_coefficient(name, data):
+    s = data.draw(_SUMS[name])
+    cls = type(s)
+    for t in s.terms:
+        assert t[-1] is (t[1] if name == "Element" else t.coeff)
+    assert list(s.terms) == sorted(s.terms, key=_reference_key)
+    if not s.terms:
+        assert cls.canonical((), *s.head) == s
+        return
+    extra = data.draw(st.sampled_from(s.terms))
+    shuffled = data.draw(st.permutations(s.terms + (extra,)))
+    total = cls.canonical(shuffled, *s.head)
+    doubled = tuple(t[:-1] + (t[-1] * 2,) if t is extra else t for t in s.terms)
+    assert total == cls(*s.head, doubled)
+    assert [type(t) for t in total.terms] == [type(t) for t in s.terms]
