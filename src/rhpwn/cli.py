@@ -10,6 +10,12 @@ the output is written, that says whether a check failed. Text and latex lines
 are written as they are produced, to one stdout stream flushed once per report
 and before any ``error:`` line; JSON is one sorted document. A rejected input
 ends in ``_rejected_input``: one ``error:`` line on stderr and exit 2.
+
+Only the batch checks' engines (``lie``, ``oracle``, ``sandwich`` and the
+``scalars`` and ``stepfn`` they use) load with this module. The expression
+commands import theirs when they run: ``bracket`` the DSL (``dsl``), ``smear``
+and ``normal-order`` the white-noise calculus (``wick``). So a process
+compiles only the engines it runs, each once.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from contextlib import contextmanager
 
 import click
 
-from . import dsl, lie, oracle, sandwich, wick
+from . import lie, oracle, sandwich
 from .lie import AlgebraKind
 from .scalars import coeff_to_json, count_to_str, theta as theta_fn
 from .stepfn import FnSymbol, fn_symbol, fn_to_json, step_from_records, step_to_records
@@ -170,6 +176,7 @@ def theta_cmd(l_range, n_range, k_range, nn_range, kk_range, fmt) -> None:
 @_format_option
 def bracket_cmd(exprs, relaxed, fmt) -> None:
     """Evaluate DSL expressions (from arguments, or one per stdin line)."""
+    from . import dsl
     lines = list(exprs)
     if not lines:
         lines = [line.strip() for line in sys.stdin if line.strip()]
@@ -380,6 +387,7 @@ MAX_SMEAR_ORDERS = 1000
 @_format_option
 def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
     """Decompose the smeared commutator into regular and singular parts."""
+    from . import wick
     orders = max(min(kk, n), min(k, nn)) - 1  # L = 2..max(min(K,n), min(k,N))
     _cap_grid(orders, MAX_SMEAR_ORDERS, "singular orders")
 
@@ -444,7 +452,7 @@ _WN_FORMS = {
 }
 
 
-def _wn_term(t: wick.WNTerm, coeff: str, fmt: str) -> str:
+def _wn_term(t, coeff: str, fmt: str) -> str:
     power, creator, annihilator, delta, times = _WN_FORMS[fmt]
     parts = [f"({coeff})"]
     parts += [creator.format(x) + power(e) for x, e in t.creators]
@@ -463,6 +471,7 @@ def _wn_term(t: wick.WNTerm, coeff: str, fmt: str) -> str:
 @_format_option
 def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
     """Expand the two-point commutator of normally ordered monomials."""
+    from . import wick
     # The expansion's two sums run over L = 1..min(k, N) and L = 1..min(K, n).
     _cap_grid(max(min(k, nn), min(kk, n)), MAX_SMEAR_ORDERS, "commutator orders")
     with _rejected_input():

@@ -43,7 +43,8 @@ from typing import Iterable, Literal, NamedTuple, Optional
 
 from . import lie
 from .lie import DomainError
-from .scalars import (CScalar, LinComb, _F0, _cscalar, binom, coeff_to_json, rational,
+from .scalars import (CScalar, DeltaAtZeroError, LinComb, PowMap, SingularPartError, _F0,
+                      _cscalar, binom, canon_map, coeff_to_json, power, rational,
                       rational_to_str)
 from .stepfn import (
     AnyTestFn,
@@ -53,7 +54,6 @@ from .stepfn import (
     fn_to_json,
     fn_vanishes_at_zero,
 )
-from .wick import DeltaAtZeroError, PowMap, SingularPartError, canon_map, power
 
 
 ParamMap = tuple[tuple[str, Fraction], ...]

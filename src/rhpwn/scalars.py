@@ -2,16 +2,19 @@
 
 Everything in the package is computed over the Gaussian rationals: no
 floating point appears anywhere, so equality checks are structural and
-exact.
+exact. This base module also holds what ``wick`` and ``sandwich`` words share:
+the per-label block canon ``canon_map`` with its ``power`` check, and the two
+errors ``DeltaAtZeroError`` and ``SingularPartError``.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 
 def binom(K: int, L: int) -> int:
@@ -176,6 +179,39 @@ def rational_from_str(v) -> Fraction:
     """Inverse of rational_to_str. A JSON number or a decimal string, as
     hand-written records hold, reads as the decimal it prints as."""
     return Fraction(str(v))
+
+
+class DeltaAtZeroError(ValueError):
+    """A pair delta with identical labels: delta(0) is never defined here."""
+
+
+class SingularPartError(ValueError):
+    """A singular contribution survives because a test function has f(0) != 0."""
+
+    def __init__(self, message: str, terms: Sequence = ()):  # noqa: D107
+        super().__init__(message)
+        self.terms = tuple(terms)
+
+
+PowMap = tuple[tuple[str, int], ...]
+
+
+def canon_map(m: Mapping | Iterable[tuple], check) -> tuple:
+    """Per-label values summed, zeros dropped, sorted by label. Each value is
+    read through ``check(label, value)``, which rejects or converts it."""
+    out: dict = {}
+    for label, v in m.items() if isinstance(m, Mapping) else m:
+        v = check(label, v)
+        old = out.get(label)
+        out[label] = v if old is None else old + v
+    return tuple(sorted((label, v) for label, v in out.items() if v))
+
+
+def power(label: str, e: int) -> int:
+    """A creator, annihilator or field power, which must be nonnegative."""
+    if e < 0:
+        raise ValueError(f"negative power {e} at label {label!r}")
+    return e
 
 
 class LinComb:

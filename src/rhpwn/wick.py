@@ -11,10 +11,11 @@ smeared bracket reads both of its parts off the one commutator expansion.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional
 
 from . import lie
-from .scalars import CS_ZERO, CScalar, LinComb, binom, coeff_to_json, falling
+from .scalars import (CS_ZERO, CScalar, DeltaAtZeroError, LinComb, PowMap, SingularPartError,
+                      binom, canon_map, coeff_to_json, falling, power)
 from .stepfn import (
     StepFn,
     AnyTestFn,
@@ -22,39 +23,6 @@ from .stepfn import (
     fn_product,
     fn_vanishes_at_zero,
 )
-
-
-class DeltaAtZeroError(ValueError):
-    """A pair delta with identical labels: delta(0) is never defined here."""
-
-
-class SingularPartError(ValueError):
-    """A singular contribution survives because a test function has f(0) != 0."""
-
-    def __init__(self, message: str, terms: Sequence = ()):  # noqa: D107
-        super().__init__(message)
-        self.terms = tuple(terms)
-
-
-PowMap = tuple[tuple[str, int], ...]
-
-
-def canon_map(m: Mapping | Iterable[tuple], check) -> tuple:
-    """Per-label values summed, zeros dropped, sorted by label. Each value is
-    read through ``check(label, value)``, which rejects or converts it."""
-    out: dict = {}
-    for label, v in m.items() if isinstance(m, Mapping) else m:
-        v = check(label, v)
-        old = out.get(label)
-        out[label] = v if old is None else old + v
-    return tuple(sorted((label, v) for label, v in out.items() if v))
-
-
-def power(label: str, e: int) -> int:
-    """A creator, annihilator or field power, which must be nonnegative."""
-    if e < 0:
-        raise ValueError(f"negative power {e} at label {label!r}")
-    return e
 
 
 class WNTerm(NamedTuple):

@@ -474,11 +474,14 @@ def test_a_number_past_the_string_limit_exits_2(runner, argv, fmt):
     assert result.stdout == ""
 
 
+# The environment of a new interpreter that imports this rhpwn.
+_SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rhpwn.cli.__file__))}
+
+
 def _fresh_interpreter(code: str) -> str:
     """The stdout of ``code`` run by a new interpreter that imports this rhpwn."""
-    src = os.path.dirname(os.path.dirname(rhpwn.cli.__file__))
-    env = {**os.environ, "PYTHONPATH": src}
-    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env=_SRC_ENV)
     assert result.returncode == 0, result.stderr
     return result.stdout
 
@@ -487,9 +490,8 @@ def _fresh_interpreter(code: str) -> str:
 def test_verify_w_through_a_pipe_writes_the_bytes_the_runner_sees(runner, fmt):
     # a real process's stdout on a pipe is block-buffered and flushed at exit
     argv = ["verify-w", "--n", "2..3", "--k", "-1..1", "--format", fmt]
-    src = os.path.dirname(os.path.dirname(rhpwn.cli.__file__))
     piped = subprocess.run([sys.executable, "-m", "rhpwn.cli", *argv],
-                           capture_output=True, env={**os.environ, "PYTHONPATH": src})
+                           capture_output=True, env=_SRC_ENV)
     assert piped.returncode == 0, piped.stderr
     assert piped.stdout == runner.invoke(main, argv).stdout_bytes
 
@@ -504,6 +506,74 @@ def test_importing_the_cli_loads_no_dataclasses():
     # every process; the value types are named tuples, built in C.
     code = "import rhpwn.cli, sys; print('dataclasses' in sys.modules)"
     assert _fresh_interpreter(code) == "False\n"
+
+
+def _rhpwn_imports(*args: str) -> set[str]:
+    """The rhpwn submodules a new interpreter imports while it runs ``args``,
+    read off ``-X importtime`` so that a ``-m`` run is seen as it is."""
+    result = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
+                            text=True, env=_SRC_ENV)
+    assert result.returncode == 0, result.stderr
+    names = (line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
+             if line.startswith("import time:"))
+    return {name for name in names if name.startswith("rhpwn.")}
+
+
+_BATCH_ENGINES = {"rhpwn.lie", "rhpwn.oracle", "rhpwn.sandwich", "rhpwn.scalars", "rhpwn.stepfn"}
+
+
+@pytest.mark.parametrize(
+    "args, loaded",
+    [
+        (["-c", "import rhpwn.cli"], _BATCH_ENGINES),
+        (["-c", "import rhpwn.sandwich"], {"rhpwn.sandwich", "rhpwn.scalars"}),
+        (["-m", "rhpwn.cli", "--help"], _BATCH_ENGINES),
+    ],
+)
+def test_the_expression_engines_load_only_in_their_commands(args, loaded):
+    # verify-w and the scans run neither the DSL nor the white-noise calculus,
+    # so a process that starts the CLI does not compile them
+    imported = _rhpwn_imports(*args)
+    assert loaded <= imported
+    assert not imported & {"rhpwn.dsl", "rhpwn.wick"}
+
+
+_STEP_FILES = {
+    "g.json": [{"from": "-1", "to": "1", "re": "1", "im": "0"}],
+    "f.json": [{"from": "-1/2", "to": "3", "re": "2", "im": "-1/3"}],
+}
+_NORMAL_ORDER = ["normal-order", "--n", "2", "--k", "3", "--N", "3", "--K", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, stdin, exit_code",
+    [
+        (["bracket", "[B[1,2]@f,B[2,1]@g] + (1/2-3/4*i)*B[3,0]@(f*g)"], None, 0),
+        (["bracket"], "[B[1,2],B[2,1]]\nBh[3,2]^*\nB[2,1]@step[0,1/2,1,-1/3]\n", 0),
+        (["bracket"], "[B[1,2],B[2,1]]\nB[1,1]\nB[3,0]\n", 2),
+        (_SMEAR, None, 0),
+        (_SMEAR + ["--g", "g.json", "--f", "f.json"], None, 0),
+        (_NORMAL_ORDER, None, 0),
+        (_NORMAL_ORDER + ["--renormalize"], None, 0),
+        (_NORMAL_ORDER + ["--format", "json"], None, 0),
+    ],
+)
+def test_a_deferred_engine_serves_the_first_command_of_a_process(
+    runner, argv, stdin, exit_code, tmp_path, monkeypatch
+):
+    # The other tests have loaded dsl and wick already; a new process runs the
+    # command's own import first.
+    for name, records in _STEP_FILES.items():
+        (tmp_path / name).write_text(json.dumps(records))
+    monkeypatch.chdir(tmp_path)
+    fresh = subprocess.run([sys.executable, "-m", "rhpwn.cli", *argv], capture_output=True,
+                           input=None if stdin is None else stdin.encode(), env=_SRC_ENV)
+    result = runner.invoke(main, argv, input=stdin)
+    assert (fresh.returncode, result.exit_code) == (exit_code, exit_code)
+    assert fresh.stdout == result.stdout_bytes and fresh.stdout
+    assert fresh.stderr == result.stderr_bytes
+    if exit_code == 2:
+        assert fresh.stderr.startswith(b"error: ") and fresh.stderr.count(b"\n") == 1
 
 
 def test_bracket_nested_to_the_cap_evaluates(runner):
