@@ -508,34 +508,27 @@ def test_importing_the_cli_loads_no_dataclasses():
     assert _fresh_interpreter(code) == "False\n"
 
 
-def _rhpwn_imports(*args: str) -> set[str]:
-    """The rhpwn submodules a new interpreter imports while it runs ``args``,
-    read off ``-X importtime`` so that a ``-m`` run is seen as it is."""
-    result = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True,
-                            text=True, env=_SRC_ENV)
-    assert result.returncode == 0, result.stderr
-    names = (line.rsplit("|", 1)[-1].strip() for line in result.stderr.splitlines()
-             if line.startswith("import time:"))
-    return {name for name in names if name.startswith("rhpwn.")}
-
-
-_BATCH_ENGINES = {"rhpwn.lie", "rhpwn.oracle", "rhpwn.sandwich", "rhpwn.scalars", "rhpwn.stepfn"}
+# The CLI run as by ``python -m rhpwn.cli --help``, then the rhpwn modules it loaded.
+_HELP = ("import runpy, sys\nsys.argv[1:] = ['--help']\n"
+         "try:\n    runpy.run_module('rhpwn.cli', run_name='__main__')\n"
+         "except SystemExit:\n    pass")
+_BATCH_ENGINES = ["rhpwn.lie", "rhpwn.oracle", "rhpwn.sandwich", "rhpwn.scalars", "rhpwn.stepfn"]
 
 
 @pytest.mark.parametrize(
-    "args, loaded",
+    "code, loaded",
     [
-        (["-c", "import rhpwn.cli"], _BATCH_ENGINES),
-        (["-c", "import rhpwn.sandwich"], {"rhpwn.sandwich", "rhpwn.scalars"}),
-        (["-m", "rhpwn.cli", "--help"], _BATCH_ENGINES),
+        ("import rhpwn.cli", ["rhpwn.cli"] + _BATCH_ENGINES),
+        ("import rhpwn.sandwich", ["rhpwn.lie", "rhpwn.sandwich", "rhpwn.scalars", "rhpwn.stepfn"]),
+        (_HELP, _BATCH_ENGINES),
     ],
+    ids=["import-cli", "import-sandwich", "help"],
 )
-def test_the_expression_engines_load_only_in_their_commands(args, loaded):
+def test_the_expression_engines_load_only_in_their_commands(code, loaded):
     # verify-w and the scans run neither the DSL nor the white-noise calculus,
     # so a process that starts the CLI does not compile them
-    imported = _rhpwn_imports(*args)
-    assert loaded <= imported
-    assert not imported & {"rhpwn.dsl", "rhpwn.wick"}
+    code += "\nimport sys; print(sorted(m for m in sys.modules if m.startswith('rhpwn.')))"
+    assert _fresh_interpreter(code).splitlines()[-1] == str(loaded)
 
 
 _STEP_FILES = {
