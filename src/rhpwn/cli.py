@@ -492,9 +492,9 @@ def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
 # -- oracle -------------------------------------------------------------------
 
 # Largest eq1 grid oracle checks, counted as tuples times the D + 1 columns of
-# each: the default grid has 625 * 41 = 25625. At the cap, [0,4]^4 at
-# D = 1599 takes about 1.5-1.8 s and [0,11]^4 at D = 47 about 3.2 s on a
-# 2-core VM with CPython 3.11.
+# each, at least one even for D < 0: the default grid has 625 * 41 = 25625. At
+# the cap, [0,4]^4 at D = 1599 takes about 1.5-1.8 s and [0,11]^4 at D = 47
+# about 3.2 s on a 2-core VM with CPython 3.11.
 MAX_EQ1_COLUMNS = 1_000_000
 
 # Largest exchange-seed suite oracle checks, counted as ladder steps: the check
@@ -515,7 +515,7 @@ MAX_SEED_STEPS = 5_000_000
 @_format_option
 def oracle_cmd(eq1_max, eq1_trunc, seed_max, seed_trunc, fmt) -> None:
     """Run the polynomial-representation oracle suites."""
-    _cap_grid((eq1_max + 1) ** 4 * (eq1_trunc + 1), MAX_EQ1_COLUMNS, "eq1 columns")
+    _cap_grid((eq1_max + 1) ** 4 * max(eq1_trunc + 1, 1), MAX_EQ1_COLUMNS, "eq1 columns")
     steps = seed_trunc * seed_max * (seed_max + 1) * (2 * seed_max + 1) // 6
     _cap_grid(steps, MAX_SEED_STEPS, "exchange-seed steps")
     # Both suites run before any output, so a rejected truncation prints nothing.

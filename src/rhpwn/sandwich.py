@@ -26,10 +26,15 @@ shared scalar p/q gives each nonzero weight w its coefficient as one
 Fraction(p w, q). Given a bound on the delta power, only the weights up to it
 are formed; the nonzero ones above it are counted from the exchange rows'
 ratio classes. The realization check builds the delta <= 1 words, the only
-ones renormalization keeps, and counts the singular rest. ``reduce`` merges
-delta-1 words by summing coefficients first. Generator words, exchange rows,
-their ratio classes and merged test functions are cached per process
-(bounded caches; a word is frozen and independent of the table).
+ones renormalization keeps, and counts the singular rest. Generator words,
+exchange rows, their ratio classes and merged test functions are cached per
+process (bounded caches; a word is frozen and independent of the table).
+
+Per tuple the kernel's Python calls go to exact arithmetic: words, scalars,
+sums and reports are built with ``tuple.__new__`` from canonical fields, a
+product's words are sorted on the (delta power, field block) they differ in,
+and ``reduce`` reads blocks in plain loops and sums the coefficients of each
+group of delta-1 words as it meets them.
 """
 
 from __future__ import annotations
@@ -38,7 +43,6 @@ from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
-from operator import itemgetter
 from typing import Iterable, Literal, NamedTuple, Optional
 
 from . import lie
@@ -46,18 +50,13 @@ from .lie import DomainError
 from .scalars import (CScalar, DeltaAtZeroError, LinComb, PowMap, SingularPartError, _F0,
                       _cscalar, binom, canon_map, coeff_to_json, power, rational,
                       rational_to_str)
-from .stepfn import (
-    AnyTestFn,
-    fn_product,
-    fn_sort_key,
-    fn_symbol,
-    fn_to_json,
-    fn_vanishes_at_zero,
-)
+from .stepfn import (AnyTestFn, fn_product, fn_sort_key, fn_symbol, fn_to_json,
+                     fn_vanishes_at_zero)
 
 
 ParamMap = tuple[tuple[str, Fraction], ...]
 FnMap = tuple[tuple[str, AnyTestFn], ...]
+_new = tuple.__new__  # a named tuple from fields already in canonical form
 
 
 def _exponent(label: str, lam) -> Fraction:
@@ -217,18 +216,13 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
         raise ValueError("product factors must not carry delta powers")
     pa = _single_label_parts(a)
     pb = _single_label_parts(b)
-    base = a.coeff * b.coeff
+    base = a.coeff * b.coeff if a.coeff.im or b.coeff.im else a.coeff.re * b.coeff.re
     if pa is None or pb is None:
         # One factor is a pure scalar: both orders concatenate to the same word.
         if minus_ba:
             return EQ_ZERO, 0
-        merged = eq_term(
-            base,
-            a.left_exp + b.left_exp,
-            a.q_pow + b.q_pow,
-            a.right_exp + b.right_exp,
-            testfn=a.testfn + b.testfn,
-        )
+        merged = eq_term(base, a.left_exp + b.left_exp, a.q_pow + b.q_pow,
+                         a.right_exp + b.right_exp, testfn=a.testfn + b.testfn)
         return eq_expr([merged]), 0
     la, alpha_l, p, alpha_r = pa
     lb, beta_l, q, beta_r = pb
@@ -245,12 +239,22 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
     else:
         zs, ws = (0,) * (q + 1), (0,) * (p + 1)
     a_first = la < lb
+    # Each factor's other blocks hold at most one entry, at its own label, so
+    # joined in label order they are canonical.
+    first, second = (a, b) if a_first else (b, a)
+    left_exp = first.left_exp + second.left_exp
+    right_exp, testfn = first.right_exp + second.right_exp, first.testfn + second.testfn
 
-    def pair_map(x, y) -> tuple:
-        # {la: x, lb: y} in canonical form: sorted by label, zeros dropped.
-        items = ((la, x), (lb, y)) if a_first else ((lb, y), (la, x))
-        return tuple(item for item in items if item[1])
+    def pair_map(u, v) -> tuple:
+        # {la: u, lb: v} in canonical form: sorted by label, zeros dropped.
+        if not u:
+            return ((lb, v),) if v else ()
+        if not v:
+            return ((la, u),)
+        return ((la, u), (lb, v)) if a_first else ((lb, v), (la, u))
 
+    real = type(base) is not CScalar
+    num, den = base.as_integer_ratio() if real else (0, 1)
     fewest = 0 if max_delta is None else max(p + q - max_delta, 0)  # least u + v built
     words = []
     for u in range(max(fewest - q, 0), p + 1):
@@ -258,31 +262,22 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
         for v in range(max(fewest - u, 0), q + 1):
             weight = x * ys[v] - w * zs[v]
             if weight:
-                words.append(((p + q - u - v, pair_map(u, v)), weight))
+                c = _new(CScalar, (Fraction(num * weight, den), _F0)) if real else base * weight
+                words.append(_new(EQTerm, (p + q - u - v, pair_map(u, v), left_exp, right_exp,
+                                           testfn, c)))
     over = 0
     if fewest:
         # x_u y_v - w_u z_v is 0 on rows and columns of a pair (0, 0), and
         # where the classes of x_u : w_u and z_v : y_v agree.
         zero_rows, rows = _ratio_classes(xs, ws)
         zero_cols, cols = _ratio_classes(zs, ys)
-        zero = sum(n * cols[key] for key, n in rows.items())
-        zero += zero_rows * (q + 1) + zero_cols * (p + 1 - zero_rows)
-        over = (p + 1) * (q + 1) - zero - len(words)
-    # (delta power, field block) is the EQExpr order: the other key fields are shared.
-    words.sort(key=itemgetter(0))
-    left_exp, right_exp = pair_map(alpha_l, beta_l), pair_map(alpha_r, beta_r)
-    testfn = a.testfn + b.testfn if a_first else b.testfn + a.testfn
-    if base.im:
-        coeffs = [base * w for _, w in words]
-    else:
-        num, den = base.re.numerator, base.re.denominator
-        coeffs = [_cscalar(Fraction(num * w, den), _F0) for _, w in words]
-    return EQExpr(
-        tuple(
-            EQTerm(delta_L, q_pow, left_exp, right_exp, testfn, c)
-            for ((delta_L, q_pow), _), c in zip(words, coeffs)
-        )
-    ), over
+        over = (p + 1 - zero_rows) * (q + 1 - zero_cols) - len(words)
+        for key, n in rows.items():
+            over -= n * cols.get(key, 0)
+    # Words differ in (delta power, field block) and share the rest: sorted, they are
+    # in EQExpr's order, and the sort never compares past the field block.
+    words.sort()
+    return _new(EQExpr, (tuple(words),)), over
 
 
 def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
@@ -306,7 +301,9 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
 
 def _summed_at(exp: ParamMap, target: str) -> ParamMap:
     """An exponential block's exponents summed at ``target``."""
-    lam = sum((v for _, v in exp[1:]), exp[0][1]) if exp else 0
+    lam = exp[0][1] if exp else 0
+    for _, v in exp[1:]:
+        lam += v
     return ((target, lam),) if lam else ()
 
 
@@ -328,45 +325,57 @@ def reduce(e: EQExpr) -> ReduceResult:
     smallest one and their blocks merged additively: their coefficients are
     first summed per group, keyed by the identity of the exponential and
     test-function blocks (the words of one product share them), the merged
-    field power and the target label. Each group becomes one word, and equal
-    blocks that are not identical merge in the canonical sort. The exponents
-    of a group are summed for it; the test-function product is built once
-    per test-function block and process, and whether a block vanishes at
-    zero is asked once per call.
+    field power and the target label. Each group with a nonzero sum becomes
+    one word, and equal blocks that are not identical merge in the canonical
+    sort. The exponents of a group are summed for it; the test-function
+    product is built once per test-function block and process, and whether a
+    block vanishes at zero is asked once per call.
     """
     groups: dict = {}
     residual = []
     singular = []
     for t in e.terms:
-        if t.delta_L == 0:
-            residual.append(t)
-        elif t.delta_L == 1:
-            labels = [b[0][0] for b in (t.left_exp, t.q_pow, t.right_exp, t.testfn) if b]
-            if not labels:
+        delta_L, q_pow, left_exp, right_exp, testfn, c = t
+        if delta_L == 1:
+            target = None  # the smallest label, the least of the blocks' first ones
+            for block in (left_exp, q_pow, right_exp, testfn):
+                if block and (target is None or block[0][0] < target):
+                    target = block[0][0]
+            if target is None:
                 raise ValueError("a delta word needs a label to merge at")
-            power, target = sum(e for _, e in t.q_pow), min(labels)
-            key = (id(t.left_exp), id(t.right_exp), id(t.testfn), power, target)
-            groups.setdefault(key, (t, []))[1].append(t.coeff)  # t holds the blocks
+            power = 0
+            for _, e in q_pow:
+                power += e
+            key = (id(left_exp), id(right_exp), id(testfn), power, target)
+            group = groups.get(key)
+            if group is None:
+                groups[key] = [t, c]  # t holds the blocks
+            else:
+                group[1] += c
+        elif delta_L == 0:
+            residual.append(t)
         else:
             singular.append(t)
-    fn_blocks = {t.testfn for t in singular}
-    vanishes = {fns: any(fn_vanishes_at_zero(fn) for _, fn in fns) for fns in fn_blocks}
-    offenders = [t for t in singular if not vanishes[t.testfn]]
-    if offenders:
-        raise SingularPartError(
-            f"{len(offenders)} singular term(s) do not vanish: "
-            "test functions must vanish at zero",
-            offenders,
-        )
+    if singular:
+        fn_blocks = {t.testfn for t in singular}
+        vanishes = {fns: any(fn_vanishes_at_zero(fn) for _, fn in fns) for fns in fn_blocks}
+        offenders = [t for t in singular if not vanishes[t.testfn]]
+        if offenders:
+            raise SingularPartError(
+                f"{len(offenders)} singular term(s) do not vanish: "
+                "test functions must vanish at zero",
+                offenders,
+            )
     reduced = []
-    for (*_, power, target), (t, coeffs) in groups.items():
-        c = sum(coeffs[1:], coeffs[0])
-        q_pow = ((target, power),) if power else ()
-        left_exp, right_exp = _summed_at(t.left_exp, target), _summed_at(t.right_exp, target)
-        reduced.append(EQTerm(0, q_pow, left_exp, right_exp, _merged_blocks(t.testfn, target), c))
+    for (_, _, _, power, target), (t, c) in groups.items():
+        testfn = _merged_blocks(t.testfn, target)  # raises if the functions do not multiply
+        if c:
+            q_pow = ((target, power),) if power else ()
+            reduced.append(_new(EQTerm, (0, q_pow, _summed_at(t.left_exp, target),
+                                         _summed_at(t.right_exp, target), testfn, c)))
     # A single word is canonical; so is the residual, a subsequence of a canonical sum.
-    reduced = eq_expr(reduced) if len(reduced) > 1 else EQExpr(tuple(t for t in reduced if t.coeff))
-    return ReduceResult(reduced, EQExpr(tuple(residual)), len(singular) - len(offenders))
+    reduced = eq_expr(reduced) if len(reduced) > 1 else _new(EQExpr, (tuple(reduced),))
+    return _new(ReduceResult, (reduced, _new(EQExpr, (tuple(residual),)), len(singular)))
 
 
 class TheoremReport(NamedTuple):
@@ -383,14 +392,8 @@ class TheoremReport(NamedTuple):
     dropped_singular: int
 
 
-def verify_theorem(
-    n: int,
-    k: int,
-    N: int,
-    K: int,
-    g: Optional[AnyTestFn] = None,
-    f: Optional[AnyTestFn] = None,
-) -> TheoremReport:
+def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None,
+                   f: Optional[AnyTestFn] = None) -> TheoremReport:
     """Check the w-infinity relation for the sandwich generators.
 
     Builds the two generator words, expands the delta <= 1 words of their
@@ -416,22 +419,17 @@ def verify_theorem(
     comm, singular = _products(a, b, minus_ba=True, max_delta=1)
     if singular and not (fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f)):
         reduce(commutator(a, b))  # raises SingularPartError on the singular words
-    result = reduce(comm)
+    computed, residual, _ = reduce(comm)
     expected_coeff, n2, k2 = lie.structure(lie.AlgebraKind.WINFINITY, n, k, N, K)
     in_family = n2 >= 2
     # reduce merges the two labels into the smaller one, "s"
     expected = EQ_ZERO
     if in_family and expected_coeff:
         word = gen_to_word(n2, k2, "s", _GF if g is _G and f is _F else fn_product(g, f))
-        expected = EQExpr((word._replace(coeff=word.coeff * expected_coeff),))
-    passed = (
-        (in_family or not expected_coeff)
-        and result.l0_residual.is_zero
-        and result.reduced == expected
-    )
-    return TheoremReport(
-        n, k, N, K, passed, expected_coeff, result.reduced, result.l0_residual, singular
-    )
+        c = _cscalar(word.coeff.re * expected_coeff, _F0)  # generator words are real
+        expected = _new(EQExpr, ((_new(EQTerm, word[:-1] + (c,)),),))
+    passed = (in_family or not expected_coeff) and not residual.terms and computed == expected
+    return _new(TheoremReport, (n, k, N, K, passed, expected_coeff, computed, residual, singular))
 
 
 # -- JSON --------------------------------------------------------------------

@@ -377,6 +377,15 @@ _SIZE_PAST_THE_STRING_LIMIT = {
         "an exhaustive Jacobi scan takes at most 500 basis indices, "
         "this grid has at least 10^4300; sample it instead",
 }
+# eq1 grids with a truncation below 0, and the refusal each prints: a tuple
+# counts at least one column, so the cap refuses them before any tuple is built.
+_NEGATIVE_TRUNCATION = {
+    ("oracle", "--eq1-max", "99999999999999999999", "--eq1-trunc", "-1"):
+        f"at most 1000000 eq1 columns per run, this grid has {10 ** 80}",
+    ("oracle", "--eq1-max", "2000000", "--eq1-trunc", "-2"):
+        f"at most 1000000 eq1 columns per run, this grid has {2000001 ** 4}",
+}
+_EXACT_REFUSALS = {**_SIZE_PAST_THE_STRING_LIMIT, **_NEGATIVE_TRUNCATION}
 
 
 @pytest.mark.parametrize(
@@ -436,6 +445,7 @@ _SIZE_PAST_THE_STRING_LIMIT = {
         # limit: refused before any tuple is printed
         ["verify-w", "--n", "2..4", "--k", f"{5 * 10**4299}..{5 * 10**4299}"],
         *map(list, _SIZE_PAST_THE_STRING_LIMIT),
+        *map(list, _NEGATIVE_TRUNCATION),
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -448,9 +458,9 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
     assert result.exit_code == 2
     # stdout and stderr together: the error line and nothing else
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
-    if tuple(argv) in _SIZE_PAST_THE_STRING_LIMIT:
+    if tuple(argv) in _EXACT_REFUSALS:
         assert result.stdout == ""
-        assert result.stderr == f"error: {_SIZE_PAST_THE_STRING_LIMIT[tuple(argv)]}\n"
+        assert result.stderr == f"error: {_EXACT_REFUSALS[tuple(argv)]}\n"
 
 
 @pytest.mark.parametrize("fmt", ["text", "json", "latex"])

@@ -605,6 +605,19 @@ def test_verify_theorem_matches_the_full_reduction(indices, g, f):
     assert _outcome(fields, *indices, g, f) == _outcome(_reference_theorem, *indices, g, f)
 
 
+def test_the_kernel_matches_the_full_reduction_on_the_acceptance_grid():
+    # Every tuple of verify-w --n 2..7 --k -4..4: the delta <= 1 words give
+    # the fields of the whole commutator's reduction, and the bounded product,
+    # with the first factor's label sorting after the second's, is canonical.
+    g, f = fn_symbol("g"), fn_symbol("f")
+    for n, k, N, K in itertools.product(range(2, 8), range(-4, 5), repeat=2):
+        r = verify_theorem(n, k, N, K)
+        fields = r.computed, r.l0_residual, r.dropped_singular, r.passed
+        assert fields == _reference_theorem(n, k, N, K, g, f), (n, k, N, K)
+        kept = _products(gen_to_word(n, k, "t"), gen_to_word(N, K, "s"), True, 1)[0]
+        assert kept == eq_expr(kept.terms), (n, k, N, K)
+
+
 @st.composite
 def _word_pairs(draw):
     la, lb = draw(st.sampled_from([("s", "t"), ("t", "s"), ("u", "s")]))
