@@ -154,6 +154,8 @@ def theta_cmd(l_range, n_range, k_range, nn_range, kk_range, fmt) -> None:
         raise click.UsageError("theta needs L >= 2")
     # theta at L = 2..L_max sums the binomials smear computes for L_max - 1 orders
     _cap_grid(l_range[1] - 1, MAX_SMEAR_ORDERS, "singular orders")
+    _cap_binomial_bits((l_range[1] - 1, k_range[1], nn_range[1]),
+                       (l_range[1] - 1, kk_range[1], n_range[1]))
     ranges = (l_range, n_range, k_range, nn_range, kk_range)
     orders = math.prod(hi - lo + 1 for lo, hi in ranges) * (l_range[1] - 1)
     _cap_grid(orders, MAX_THETA_ORDERS, "theta row orders")
@@ -183,9 +185,9 @@ def bracket_cmd(exprs, relaxed, fmt) -> None:
     out = click.get_text_stream("stdout")
     try:
         for line in lines:
-            with _rejected_input():
-                result = dsl.evaluate(dsl.parse(line, relaxed=relaxed))
-            out.write(dsl.render(result, fmt) + "\n")
+            with _rejected_input():  # a number past the string limit fails in render
+                rendered = dsl.render(dsl.evaluate(dsl.parse(line, relaxed=relaxed)), fmt)
+            out.write(rendered + "\n")
     finally:
         out.flush()
 
@@ -371,11 +373,23 @@ def _index_options(func):
 
 # Most singular orders smear computes, and most commutator orders of each sum
 # normal-order expands: each order is a big-integer binomial term. At the cap,
-# smear_bracket at n = k = N = K = 1001 takes 0.16-0.21 s and at n = N = 1001,
-# k = K = 10^12 about 1.3-1.8 s; normal-order at n = k = N = K = 1000 takes 0.7 s
-# and writes 3.3 MB, and at n = N = 10^12, k = K = 1000 is refused at the string
-# limit after about 1 s, on a 2-core VM with CPython 3.11.
+# smear_bracket at n = k = N = K = 1001 takes 0.16-0.21 s; normal-order at
+# n = k = N = K = 1000 takes 0.7 s and writes 3.3 MB, on a 2-core VM with
+# CPython 3.11.
 MAX_SMEAR_ORDERS = 1000
+# Most binomial bits of those sums: a sum of terms binom(k, L) falling(N, L)
+# counts its orders times the bit lengths of k and N, and a theta row counts as
+# smear's sums up to its largest L. smear at n = k = N = K = 1001 counts 40040
+# and takes 0.5 s. Near the cap, smear and normal-order at n = N = 1001,
+# k = 2^88, K = 0 are refused at the string limit after about 1.6 s, on a
+# 2-core VM with CPython 3.11; a 50-digit k (177000 bits) took 4.9 s.
+MAX_SMEAR_BITS = 100_000
+
+
+def _cap_binomial_bits(*sums: tuple[int, int, int]) -> None:
+    """Refuse sums (orders, k, N) of more than ``MAX_SMEAR_BITS`` binomial bits."""
+    bits = sum(max(m, 0) * (k.bit_length() + N.bit_length()) for m, k, N in sums)
+    _cap_grid(bits, MAX_SMEAR_BITS, "binomial bits")
 
 
 @main.command("smear")
@@ -390,6 +404,7 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
     from . import wick
     orders = max(min(kk, n), min(k, nn)) - 1  # L = 2..max(min(K,n), min(k,N))
     _cap_grid(orders, MAX_SMEAR_ORDERS, "singular orders")
+    _cap_binomial_bits((min(k, nn), k, nn), (min(kk, n), kk, n))
 
     def load(path, name):
         if path is None:
@@ -402,23 +417,20 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         f = load(f_path, "f")
     with _rejected_input():
         d = wick.smear_bracket(n, k, g, nn, kk, f)
-        # A theta past Python's integer-to-string limit is refused before any output.
-        singular = [(s, str(s.theta)) for s in d.singular]
+        # A theta or a step-function value past Python's integer-to-string limit
+        # is refused before any output.
+        testfn = _testfn_text(d.regular_testfn)
+        singular = [(s, str(s.theta), "unknown" if s.scalar is None else str(s.scalar))
+                    for s in d.singular]
     rn, rk = d.regular_index
 
     def text():
-        yield (
-            f"regular: coeff={d.regular_coeff} index=({rn},{rk}) "
-            f"testfn={_testfn_text(d.regular_testfn)}"
-        )
+        yield f"regular: coeff={d.regular_coeff} index=({rn},{rk}) testfn={testfn}"
         if not singular:
             yield "singular: none"
-        for s, theta in singular:
-            scalar = "unknown" if s.scalar is None else str(s.scalar)
-            yield (
-                f"singular: L={s.L} theta={theta} "
-                f"index=({s.index[0]},{s.index[1]}) scalar={scalar}"
-            )
+        for s, theta, scalar in singular:
+            yield (f"singular: L={s.L} theta={theta} index=({s.index[0]},{s.index[1]}) "
+                   f"scalar={scalar}")
 
     latex = itertools.chain(
         [
@@ -427,8 +439,8 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         ],
         _latex_table(
             ["L", "\\theta_L", "n", "k", "g(0)f(0)"],
-            ((s.L, theta, *s.index, "?" if s.scalar is None else s.scalar)
-             for s, theta in singular),
+            ((s.L, theta, *s.index, "?" if s.scalar is None else scalar)
+             for s, theta, scalar in singular),
         ),
     )
     regular = {"coeff": d.regular_coeff, "n": rn, "k": rk}
@@ -474,6 +486,7 @@ def normal_order_cmd(n, k, nn, kk, apply_renorm, fmt) -> None:
     from . import wick
     # The expansion's two sums run over L = 1..min(k, N) and L = 1..min(K, n).
     _cap_grid(max(min(k, nn), min(kk, n)), MAX_SMEAR_ORDERS, "commutator orders")
+    _cap_binomial_bits((min(k, nn), k, nn), (min(kk, n), kk, n))
     with _rejected_input():
         expr = wick.monomial_commutator(n, k, nn, kk)
         if apply_renorm:

@@ -22,7 +22,6 @@ from .stepfn import (
     fn_conjugate,
     fn_from_json,
     fn_product,
-    fn_sort_key,
     fn_to_json,
 )
 
@@ -59,9 +58,6 @@ class Generator(NamedTuple):
     def in_domain(self) -> bool:
         return in_domain(self.kind, self.n, self.k)
 
-    def sort_key(self):
-        return (self.n, self.k, fn_sort_key(self.label))
-
 
 def generator(
     kind: AlgebraKind,
@@ -80,11 +76,10 @@ def generator(
 class Element(LinComb, NamedTuple("Element", [("kind", AlgebraKind), ("terms", tuple)])):
     """Finite linear combination of generators of a single algebra kind.
 
-    Terms are (generator, coefficient) pairs ordered by Generator.sort_key.
+    Terms are (generator, coefficient) pairs ordered by (n, k, test function).
     """
 
     __slots__ = ()
-    order = staticmethod(lambda key: key[0].sort_key())
 
     @property
     def certified(self) -> bool:
@@ -377,7 +372,10 @@ def _failing_orbits(size: int, tables: tuple):
                     yield (a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)
 
 
-MAX_SCAN_INDICES = 500  # largest grid an exhaustive jacobi_scan or a pair scan accepts
+# Largest grid an exhaustive jacobi_scan or a pair scan accepts. At the cap, on
+# a 2-core VM with CPython 3.11: jacobi on w-infinity n 2..21 x k -12..12 takes
+# 9.2-13.6 s, star-check on Witt k -249..250 14.2-22.9 s, and closure 0.4 s.
+MAX_SCAN_INDICES = 500
 
 
 def jacobi_scan(

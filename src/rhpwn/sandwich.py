@@ -14,7 +14,7 @@ normalize back to sandwich shape with delta powers as the only residue.
 Reducing the delta powers (renormalization plus test functions vanishing at
 zero) turns the commutator of two generators into a single generator, which
 is compared structurally against the w-infinity bracket. Every sum of words
-is kept as a canonically sorted sum (scalars.LinComb).
+is kept as a canonically sorted sum (scalars.Sum).
 
 A product or commutator of two single-label words is built in one pass, by
 ``_products``, the kernel of ``multiply`` and ``commutator``. Both orders
@@ -47,11 +47,9 @@ from typing import Iterable, Literal, NamedTuple, Optional
 
 from . import lie
 from .lie import DomainError
-from .scalars import (CScalar, DeltaAtZeroError, LinComb, PowMap, SingularPartError, _F0,
-                      _cscalar, binom, canon_map, coeff_to_json, power, rational,
-                      rational_to_str)
-from .stepfn import (AnyTestFn, fn_product, fn_sort_key, fn_symbol, fn_to_json,
-                     fn_vanishes_at_zero)
+from .scalars import (CScalar, DeltaAtZeroError, PowMap, SingularPartError, Sum, _F0, _cscalar,
+                      binom, canon_map, coeff_to_json, power, rational, rational_to_str)
+from .stepfn import AnyTestFn, fn_product, fn_symbol, fn_to_json, fn_vanishes_at_zero
 
 
 ParamMap = tuple[tuple[str, Fraction], ...]
@@ -65,7 +63,7 @@ def _exponent(label: str, lam) -> Fraction:
 
 class EQTerm(NamedTuple):
     """One sandwich word with exact coefficient and delta-power bookkeeping;
-    the fields before ``coeff`` are its key in EQExpr."""
+    the fields before ``coeff`` are its key in a Sum."""
 
     delta_L: int
     q_pow: PowMap
@@ -97,23 +95,11 @@ def eq_term(
     return EQTerm(delta_L, q_pow, left, right, fns, coeff)
 
 
-class EQExpr(LinComb, NamedTuple("EQExpr", [("terms", tuple)])):
-    """Canonical sum of sandwich words, ordered by their fields before the
-    coefficient, with test functions in stepfn's order."""
-
-    __slots__ = ()
-    make = EQTerm._make
-
-    @staticmethod
-    def order(key) -> tuple:
-        return key[:4] + (tuple((l, fn_sort_key(fn)) for l, fn in key[4]),)
+def eq_expr(terms: Iterable[EQTerm] = ()) -> Sum:
+    return Sum.canonical(terms)
 
 
-def eq_expr(terms: Iterable[EQTerm] = ()) -> EQExpr:
-    return EQExpr.canonical(terms)
-
-
-EQ_ZERO = EQExpr(())
+EQ_ZERO = Sum(())
 _G, _F = fn_symbol("g"), fn_symbol("f")  # verify_theorem's default test functions
 _GF = fn_product(_G, _F)
 
@@ -157,7 +143,7 @@ def _ratio_classes(xs: tuple, ws: tuple) -> tuple[int, Counter]:
 
 def exchange_E_past_Q(
     lam, src_label: str, m: int, dst_label: str, direction: Direction
-) -> EQExpr:
+) -> Sum:
     """Move one exponential factor across a field power at another label.
 
     rightward:  E_s(lam) Q_t^m
@@ -196,7 +182,7 @@ def _single_label_parts(t: EQTerm):
             right[0][1] if right else _F0)
 
 
-def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQExpr, int]:
+def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum, int]:
     """(a b, or a b - b a when ``minus_ba``, renormalized to sandwich shape;
     the number of its words left out for a delta power above ``max_delta``).
 
@@ -275,17 +261,17 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[EQE
         for key, n in rows.items():
             over -= n * cols.get(key, 0)
     # Words differ in (delta power, field block) and share the rest: sorted, they are
-    # in EQExpr's order, and the sort never compares past the field block.
+    # in a Sum's order, and the sort never compares past the field block.
     words.sort()
-    return _new(EQExpr, (tuple(words),)), over
+    return _new(Sum, (tuple(words),)), over
 
 
-def multiply(a: EQTerm, b: EQTerm) -> EQExpr:
+def multiply(a: EQTerm, b: EQTerm) -> Sum:
     """Product of two single-label sandwich words, renormalized to sandwich shape."""
     return _products(a, b, minus_ba=False)[0]
 
 
-def commutator(a: EQTerm, b: EQTerm) -> EQExpr:
+def commutator(a: EQTerm, b: EQTerm) -> Sum:
     """multiply(a, b) - multiply(b, a), canonical, accumulated in one pass."""
     return _products(a, b, minus_ba=True)[0]
 
@@ -308,12 +294,12 @@ def _summed_at(exp: ParamMap, target: str) -> ParamMap:
 
 
 class ReduceResult(NamedTuple):
-    reduced: EQExpr
-    l0_residual: EQExpr
+    reduced: Sum
+    l0_residual: Sum
     dropped_singular: int
 
 
-def reduce(e: EQExpr) -> ReduceResult:
+def reduce(e: Sum) -> ReduceResult:
     """Apply the delta renormalization and the vanishing-at-zero condition.
 
     Words with delta power 0 are returned untouched as the residual (a
@@ -374,8 +360,8 @@ def reduce(e: EQExpr) -> ReduceResult:
             reduced.append(_new(EQTerm, (0, q_pow, _summed_at(t.left_exp, target),
                                          _summed_at(t.right_exp, target), testfn, c)))
     # A single word is canonical; so is the residual, a subsequence of a canonical sum.
-    reduced = eq_expr(reduced) if len(reduced) > 1 else _new(EQExpr, (tuple(reduced),))
-    return _new(ReduceResult, (reduced, _new(EQExpr, (tuple(residual),)), len(singular)))
+    reduced = eq_expr(reduced) if len(reduced) > 1 else _new(Sum, (tuple(reduced),))
+    return _new(ReduceResult, (reduced, _new(Sum, (tuple(residual),)), len(singular)))
 
 
 class TheoremReport(NamedTuple):
@@ -387,8 +373,8 @@ class TheoremReport(NamedTuple):
     K: int
     passed: bool
     expected_coeff: int
-    computed: EQExpr
-    l0_residual: EQExpr
+    computed: Sum
+    l0_residual: Sum
     dropped_singular: int
 
 
@@ -427,14 +413,14 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
     if in_family and expected_coeff:
         word = gen_to_word(n2, k2, "s", _GF if g is _G and f is _F else fn_product(g, f))
         c = _cscalar(word.coeff.re * expected_coeff, _F0)  # generator words are real
-        expected = _new(EQExpr, ((_new(EQTerm, word[:-1] + (c,)),),))
+        expected = _new(Sum, ((_new(EQTerm, word[:-1] + (c,)),),))
     passed = (in_family or not expected_coeff) and not residual.terms and computed == expected
     return _new(TheoremReport, (n, k, N, K, passed, expected_coeff, computed, residual, singular))
 
 
 # -- JSON --------------------------------------------------------------------
 
-def eq_expr_to_json(e: EQExpr) -> list[dict]:
+def eq_expr_to_json(e: Sum) -> list[dict]:
     return [
         {
             "coeff": coeff_to_json(t.coeff),

@@ -3,8 +3,8 @@
 Everything in the package is computed over the Gaussian rationals: no
 floating point appears anywhere, so equality checks are structural and
 exact. This base module also holds what ``wick`` and ``sandwich`` words share:
-the per-label block canon ``canon_map`` with its ``power`` check, and the two
-errors ``DeltaAtZeroError`` and ``SingularPartError``.
+their sum type ``Sum``, the per-label block canon ``canon_map`` with its
+``power`` check, and the errors ``DeltaAtZeroError`` and ``SingularPartError``.
 """
 
 from __future__ import annotations
@@ -178,7 +178,10 @@ def rational_to_str(x: Fraction) -> str:
 def rational_from_str(v) -> Fraction:
     """Inverse of rational_to_str. A JSON number or a decimal string, as
     hand-written records hold, reads as the decimal it prints as."""
-    return Fraction(str(v))
+    try:
+        return Fraction(str(v))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {v!r}") from None
 
 
 class DeltaAtZeroError(ValueError):
@@ -219,30 +222,28 @@ class LinComb:
 
     A term is a tuple whose last field is its coefficient and whose other
     fields, in order, are its key. Like terms are merged, zero coefficients
-    dropped and the rest sorted by key, so equal sums are equal tuples. A
-    subclass also derives from a named tuple whose last field is ``terms``,
-    after LinComb so that its ``+`` and ``-`` win over tuple concatenation;
-    it says how keys are ordered and how a term is rebuilt from its fields.
+    dropped and the rest sorted by key, so equal sums are equal tuples; a
+    merged term keeps the type of the first term of its key. A subclass also
+    derives from a named tuple whose last field is ``terms``, after LinComb so
+    that its ``+`` and ``-`` win over tuple concatenation.
     """
 
     __slots__ = ()
     terms: tuple
-
-    order = None  # sort key over term keys; None sorts the keys themselves
-    make = tuple  # a term from its fields: key fields, then the coefficient
 
     @classmethod
     def canonical(cls, terms, *head):
         """The sum of ``terms``; ``head`` fills the fields before ``terms``."""
         acc: dict = {}
         for t in terms:
-            key, c = t[:-1], t[-1]
+            key = t[:-1]
             old = acc.get(key)
-            acc[key] = CScalar.of(c) if old is None else old + c
-        order = cls.order
-        items = sorted(acc.items(), key=itemgetter(0) if order is None else lambda kc: order(kc[0]))
-        make = cls.make
-        return cls(*head, tuple(make(key + (c,)) for key, c in items if c))
+            if old is None:
+                acc[key] = [type(t), CScalar.of(t[-1])]
+            else:
+                old[1] += t[-1]
+        items = sorted(acc.items(), key=itemgetter(0))
+        return cls(*head, tuple(tuple.__new__(kind, key + (c,)) for key, (kind, c) in items if c))
 
     @property
     def head(self) -> tuple:
@@ -263,11 +264,19 @@ class LinComb:
         return self._combine(other, other.terms)
 
     def __sub__(self, other):
-        return self._combine(other, (t[:-1] + (-t[-1],) for t in other.terms))
+        return self._combine(other, (tuple.__new__(type(t), t[:-1] + (-t[-1],))
+                                     for t in other.terms))
 
     def __neg__(self):
         return self.scaled(-1)
 
     def scaled(self, c):
         c = CScalar.of(c)
-        return self.canonical((t[:-1] + (c * t[-1],) for t in self.terms), *self.head)
+        return self.canonical((tuple.__new__(type(t), t[:-1] + (c * t[-1],)) for t in self.terms),
+                              *self.head)
+
+
+class Sum(LinComb, NamedTuple("Sum", [("terms", tuple)])):
+    """A sum with no head: the white-noise words of wick, the sandwich words."""
+
+    __slots__ = ()

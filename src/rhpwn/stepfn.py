@@ -49,9 +49,11 @@ class StepFn(NamedTuple):
 
     pieces: tuple[tuple[Fraction, Fraction, CScalar], ...]
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.pieces
+    def __lt__(self, other) -> bool:
+        return fn_sort_key(self) < fn_sort_key(other)
+
+    def __gt__(self, other) -> bool:
+        return fn_sort_key(self) > fn_sort_key(other)
 
 
 ZERO_FN = StepFn(())
@@ -184,6 +186,9 @@ class FnSymbol(NamedTuple):
     factors: tuple[str, ...]
     in_S0: bool = True
 
+    __lt__ = StepFn.__lt__
+    __gt__ = StepFn.__gt__
+
 
 def fn_symbol(name: str, in_S0: bool = True) -> FnSymbol:
     base = name[1:] if name.startswith("~") else name
@@ -222,7 +227,8 @@ def fn_vanishes_at_zero(x: AnyTestFn) -> bool:
 
 def fn_sort_key(x: Optional[AnyTestFn]):
     """The one total order over test functions: none, then symbols, then
-    step functions."""
+    step functions. ``<`` and ``>`` of symbols and step functions compare by
+    it, so sums of words or generators sort their keys as plain tuples."""
     if x is None:
         return (0,)
     if isinstance(x, FnSymbol):

@@ -4,7 +4,7 @@ A word is a product of creator powers, annihilator powers, a power of the
 pair delta between the two active labels, and point-evaluation delta markers
 produced by renormalization. Creators commute among themselves and so do
 annihilators, so per-label exponent maps represent words faithfully; every
-expression is a canonically sorted sum of such words (scalars.LinComb). The
+expression is a canonically sorted sum of such words (scalars.Sum). The
 smeared bracket reads both of its parts off the one commutator expansion.
 """
 
@@ -14,8 +14,8 @@ from collections.abc import Mapping
 from typing import Iterable, NamedTuple, Optional
 
 from . import lie
-from .scalars import (CS_ZERO, CScalar, DeltaAtZeroError, LinComb, PowMap, SingularPartError,
-                      binom, canon_map, coeff_to_json, falling, power)
+from .scalars import (CS_ZERO, CScalar, DeltaAtZeroError, PowMap, SingularPartError, Sum, binom,
+                      canon_map, coeff_to_json, falling, power)
 from .stepfn import (
     StepFn,
     AnyTestFn,
@@ -27,7 +27,7 @@ from .stepfn import (
 
 class WNTerm(NamedTuple):
     """One normally ordered word with an exact complex coefficient; the
-    fields before ``coeff`` are its key in WNExpr. ``delta_pair`` is None
+    fields before ``coeff`` are its key in a Sum. ``delta_pair`` is None
     exactly when ``delta_L`` is 0."""
 
     delta_L: int
@@ -73,20 +73,13 @@ def wn_term(
     return WNTerm(delta_L, creators, annihilators, tuple(sorted(point_evals)), delta_pair, coeff)
 
 
-class WNExpr(LinComb, NamedTuple("WNExpr", [("terms", tuple)])):
-    """Canonical finite sum of words, ordered by their fields before ``coeff``."""
-
-    __slots__ = ()
-    make = WNTerm._make
-
-
-def wn_expr(terms: Iterable[WNTerm] = ()) -> WNExpr:
-    return WNExpr.canonical(terms)
+def wn_expr(terms: Iterable[WNTerm] = ()) -> Sum:
+    return Sum.canonical(terms)
 
 
 def monomial_commutator(
     n: int, k: int, N: int, K: int, labels: tuple[str, str] = ("t", "s")
-) -> WNExpr:
+) -> Sum:
     """Commutator of two normally ordered monomials at distinct points.
 
     [b_t^+^n b_t^k, b_s^+^N b_s^K] expands to
@@ -120,7 +113,7 @@ def monomial_commutator(
     )
 
 
-def renormalize(e: WNExpr) -> WNExpr:
+def renormalize(e: Sum) -> Sum:
     """Apply delta^L(t-s) = delta(s) delta(t-s) to every word with L >= 2.
 
     The point-evaluation marker lands on the first label of the (sorted)
@@ -135,7 +128,7 @@ def renormalize(e: WNExpr) -> WNExpr:
     )
 
 
-def collapse_single_mode(e: WNExpr) -> dict[tuple[int, int], CScalar]:
+def collapse_single_mode(e: Sum) -> dict[tuple[int, int], CScalar]:
     """Coincident-point shadow: identify all labels and set every delta to 1.
 
     Returns the map (creator power, annihilator power) -> coefficient. Only
@@ -209,7 +202,7 @@ def smear_bracket(
 
 # -- JSON rendering ----------------------------------------------------------
 
-def wn_expr_to_json(e: WNExpr) -> list[dict]:
+def wn_expr_to_json(e: Sum) -> list[dict]:
     return [
         {
             "coeff": coeff_to_json(t.coeff),

@@ -364,6 +364,7 @@ def test_oracle_guard_refusal_names_the_first_offending_tuple(runner, top, D):
 
 
 _SMEAR = ["smear", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]
+_FORMATS = ("text", "json", "latex")
 _HUGE = str(10**30)  # a range bound far past every walkable grid
 _NINES = "9" * 4300  # the longest integer Python reads from a string
 # Grids whose size has more digits than Python converts to a string, and the
@@ -385,7 +386,20 @@ _NEGATIVE_TRUNCATION = {
     ("oracle", "--eq1-max", "2000000", "--eq1-trunc", "-2"):
         f"at most 1000000 eq1 columns per run, this grid has {2000001 ** 4}",
 }
-_EXACT_REFUSALS = {**_SIZE_PAST_THE_STRING_LIMIT, **_NEGATIVE_TRUNCATION}
+# Indices of many digits inside every order cap, and the refusal each prints:
+# the binomial bits are counted before any term is expanded.
+_FIFTY_NINES = "9" * 50
+_MANY_DIGITS = {
+    ("smear", "--n", "1", "--k", _FIFTY_NINES, "--N", "1000", "--K", "0"):
+        "at most 100000 binomial bits per run, this grid has 177000",
+    ("normal-order", "--n", "1", "--k", _FIFTY_NINES, "--N", "1000", "--K", "0"):
+        "at most 100000 binomial bits per run, this grid has 177000",
+    ("theta", "--L", "1000..1000", "--n", "0..0", "--k", f"{_NINES}..{_NINES}",
+     "--N", "0..1", "--K", "0..0"):
+        "at most 100000 binomial bits per run, this grid has 14271714",
+}
+_EXACT_REFUSALS = {**_SIZE_PAST_THE_STRING_LIMIT, **_NEGATIVE_TRUNCATION, **_MANY_DIGITS}
+_BIG = "9" * 3000  # its square has more digits than Python converts to a string
 
 
 @pytest.mark.parametrize(
@@ -446,6 +460,14 @@ _EXACT_REFUSALS = {**_SIZE_PAST_THE_STRING_LIMIT, **_NEGATIVE_TRUNCATION}
         ["verify-w", "--n", "2..4", "--k", f"{5 * 10**4299}..{5 * 10**4299}"],
         *map(list, _SIZE_PAST_THE_STRING_LIMIT),
         *map(list, _NEGATIVE_TRUNCATION),
+        *map(list, _MANY_DIGITS),
+        # a zero denominator in each field of a step-function record
+        *(_SMEAR + ["--f", f"zero-{field}.json"] for field in ("from", "to", "re", "im")),
+        # a number past Python's integer-to-string limit in the output: refused
+        # before any of it is written
+        *(["bracket", f"{_BIG}*{_BIG}*B[3,0]", "--format", fmt] for fmt in _FORMATS),
+        *(_SMEAR + ["--g", "e5000.json", "--f", "e5000.json", "--format", fmt]
+          for fmt in _FORMATS),
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -453,13 +475,17 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
     (tmp_path / "reversed.json").write_text(json.dumps([{"from": "2", "to": "1", "re": "1"}]))
     (tmp_path / "object.json").write_text('{"a": 1}')
     (tmp_path / "list.json").write_text("[1]")
+    (tmp_path / "e5000.json").write_text(json.dumps([{"from": "0", "to": "1", "re": "1e5000"}]))
+    for field in ("from", "to", "re", "im"):
+        record = {"from": "0", "to": "1", "re": "1", field: "1/0"}
+        (tmp_path / f"zero-{field}.json").write_text(json.dumps([record]))
     monkeypatch.chdir(tmp_path)
     result = runner.invoke(main, argv)
     assert result.exit_code == 2
     # stdout and stderr together: the error line and nothing else
     assert result.output.startswith("error: ") and result.output.count("\n") == 1
+    assert result.stdout == ""
     if tuple(argv) in _EXACT_REFUSALS:
-        assert result.stdout == ""
         assert result.stderr == f"error: {_EXACT_REFUSALS[tuple(argv)]}\n"
 
 
@@ -773,6 +799,14 @@ def test_scan_and_oracle_reports_keep_their_bytes(runner, monkeypatch, argv, cor
         # L = 1..min(k, N) = 1..2 and L = 1..min(K, n) = 1..1: two orders
         ("MAX_SMEAR_ORDERS", "commutator orders", 2,
          ["normal-order", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]),
+        # 2 orders of binom(2, L) falling(2, L), 2 + 2 bits, and 1 order of
+        # binom(1, L) falling(1, L), 1 + 1 bits
+        ("MAX_SMEAR_BITS", "binomial bits", 10, _SMEAR),
+        ("MAX_SMEAR_BITS", "binomial bits", 10,
+         ["normal-order", "--n", "1", "--k", "2", "--N", "2", "--K", "1"]),
+        # rows up to L = 3: 2 orders of k = 3, N = 4 (2 + 3 bits) and of K = 1, n = 2 (1 + 2)
+        ("MAX_SMEAR_BITS", "binomial bits", 16,
+         ["theta", "--L", "2..3", "--n", "2", "--k", "3", "--N", "4", "--K", "1"]),
     ],
 )
 def test_grid_caps_are_checked_before_any_work(runner, monkeypatch, cap, what, size, argv):

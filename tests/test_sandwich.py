@@ -12,7 +12,6 @@ import rhpwn.sandwich
 from rhpwn import lie
 from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
-    EQExpr,
     _exchange_row,
     _merged_blocks,
     _products,
@@ -27,7 +26,7 @@ from rhpwn.sandwich import (
     theorem_report_to_json,
     verify_theorem,
 )
-from rhpwn.scalars import CScalar, binom
+from rhpwn.scalars import CScalar, Sum, binom
 from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol, indicator, pointwise_product
 from rhpwn.wick import DeltaAtZeroError, SingularPartError
 
@@ -653,7 +652,7 @@ def test_bounded_products_keep_the_low_delta_words(bound, words):
     for x, y in ((a, b), (b, a)):
         for minus_ba, full in ((False, multiply(x, y)), (True, commutator(x, y))):
             kept, over = _products(x, y, minus_ba, max_delta=bound)
-            assert kept == EQExpr(tuple(t for t in full.terms if t.delta_L <= bound))
+            assert kept == Sum(tuple(t for t in full.terms if t.delta_L <= bound))
             assert over == sum(t.delta_L > bound for t in full.terms)
             assert _products(x, y, minus_ba) == (full, 0)
 

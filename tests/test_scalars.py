@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import cscalars, nonzero_cscalars, rationals
+from rhpwn.dsl import evaluate as evaluate_dsl, parse, render
 from rhpwn.lie import AlgebraKind, element, generator
 from rhpwn.sandwich import EQTerm, eq_expr, eq_term
 from rhpwn.scalars import (
@@ -252,8 +253,8 @@ _SUMS = {
         ),
         max_size=6,
     ).map(lambda items: element(AlgebraKind.RHPWN, items)),
-    "WNExpr": st.lists(_wn_terms(), max_size=6).map(wn_expr),
-    "EQExpr": st.lists(_eq_terms(), max_size=6).map(eq_expr),
+    "wick": st.lists(_wn_terms(), max_size=6).map(wn_expr),
+    "sandwich": st.lists(_eq_terms(), max_size=6).map(eq_expr),
 }
 
 
@@ -262,15 +263,23 @@ _SUMS = {
 def test_linear_combinations_are_canonical(name, data):
     a = data.draw(_SUMS[name])
     b = data.draw(_SUMS[name])
-    cls = type(a)
     keys = [t[:-1] for t in a.terms]
-    ranks = [cls.order(key) if cls.order else key for key in keys]
-    assert all(x < y for x, y in zip(ranks, ranks[1:]))
-    assert len(set(keys)) == len(keys)
+    assert all(x < y for x, y in zip(keys, keys[1:]))  # plain tuple order, so no duplicate
     assert all(t[-1] for t in a.terms)
     assert a - b == a + b.scaled(-1)
     assert -a == a.scaled(-1)
     assert (a - a).is_zero
+    # merged terms keep their own type: named words stay named words
+    kinds = {type(t) for t in a.terms + b.terms}
+    assert all(type(t) in kinds for s in (a - b, -a, a.scaled(2)) for t in s.terms)
+
+
+def test_test_functions_order_none_then_symbols_then_step_functions():
+    x = evaluate_dsl(parse("B[3,0]@step[1,2,1,0] + B[3,0]@f + B[3,0]"))
+    assert render(x) == "B[3,0] + B[3,0]@f + B[3,0]@step[1,2,1,0]"
+    step, symbol = make_step([1, 2], [1]), fn_symbol("f")
+    words = eq_expr([eq_term(1, q_pow={"t": 1}, testfn={"t": fn}) for fn in (step, symbol)])
+    assert [t.testfn for t in words.terms] == [(("t", symbol),), (("t", step),)]
 
 
 def _reference_key(t):
