@@ -21,20 +21,17 @@ A product or commutator of two single-label words is built in one pass, by
 share the exponential blocks, the test functions and the product of the two
 scalars, so the binomial exchange weights binom(p,j) x^(p-j) binom(q,i)
 y^(q-i) of both orders add up to one weight per pair of field powers. For
-generator words x and y are +-k and +-K, so the weights are integers; a real
-shared scalar p/q gives each nonzero weight w its coefficient as one
-Fraction(p w, q). Given a bound on the delta power, only the weights up to it
-are formed; the nonzero ones above it are counted from the exchange rows'
-ratio classes. The realization check builds the delta <= 1 words, the only
-ones renormalization keeps, and counts the singular rest. Generator words,
-exchange rows, their ratio classes and merged test functions are cached per
-process (bounded caches; a word is frozen and independent of the table).
-
-Per tuple the kernel's Python calls go to exact arithmetic: words, scalars,
-sums and reports are built with ``tuple.__new__`` from canonical fields, a
-product's words are sorted on the (delta power, field block) they differ in,
-and ``reduce`` reads blocks in plain loops and sums the coefficients of each
-group of delta-1 words as it meets them.
+generator words x and y are +-k and +-K, so the weights are ints over one
+scale, the scalars' product as (numerator, power of two). Words keep their
+weights through ``reduce``'s group sums; each word a caller sees gets one
+Fraction from the scale. Exponents are half-integers, summed as ints 2 lam;
+one cache (``_half``) makes their Fractions, which reduced and generator words
+share. Given a bound on the delta power, only the weights up to it are formed;
+the nonzero ones above it are counted from the exchange rows' ratio classes.
+The realization check builds the delta <= 1 words, the only ones
+renormalization keeps, and counts the singular rest. Generator words, exchange
+rows, their ratio classes and merged test functions are cached per process
+(bounded caches; a frozen word does not depend on the table).
 """
 
 from __future__ import annotations
@@ -105,11 +102,17 @@ _GF = fn_product(_G, _F)
 
 
 @lru_cache(maxsize=4096)
+def _half(twice: int) -> Fraction:
+    """twice / 2, one object per value, which generator and reduced words share."""
+    return Fraction(twice, 2)
+
+
+@lru_cache(maxsize=4096)
 def gen_to_word(n: int, k: int, label: str = "t", fn: Optional[AnyTestFn] = None) -> EQTerm:
     """The sandwich word (1/2)^(n-1) E(k/2) Q^(n-1) E(k/2) at one label."""
     if n < 2:
         raise DomainError(f"sandwich generators need n >= 2, got n={n}")
-    exp = ((label, Fraction(k, 2)),) if k else ()
+    exp = ((label, _half(k)),) if k else ()
     fns = () if fn is None else ((label, fn),)
     return EQTerm(0, ((label, n - 1),), exp, exp, fns, _cscalar(Fraction(1, 2 ** (n - 1)), _F0))
 
@@ -120,8 +123,8 @@ Direction = Literal["rightward", "leftward"]
 def _twice(lam: Fraction):
     """2 lam, as an int when lam is a half-integer, so the exchange rows of a
     generator word are all ints; a Fraction otherwise."""
-    den = lam.denominator
-    return 2 * lam.numerator // den if den <= 2 else 2 * lam
+    num, den = lam.as_integer_ratio()
+    return 2 * num // den if den <= 2 else 2 * lam
 
 
 @lru_cache(maxsize=4096)
@@ -182,8 +185,8 @@ def _single_label_parts(t: EQTerm):
             right[0][1] if right else _F0)
 
 
-def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum, int]:
-    """(a b, or a b - b a when ``minus_ba``, renormalized to sandwich shape;
+def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum, tuple, int]:
+    """(a b, or a b - b a when ``minus_ba``, in sandwich shape; its scale (see ``_scaled``);
     the number of its words left out for a delta power above ``max_delta``).
 
     In a b, b's left exponential moves leftward across a's field block and a's
@@ -193,31 +196,35 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum
     label and delta power p+q-u-v, so both orders add up to one weight
     x_u y_v - w_u z_v of four exchange rows: ints when every exponent is a
     half-integer, as in generator words. Only the weights of words kept,
-    u + v >= p + q - ``max_delta``, are formed; with no bound, all. A real
-    product p/q of the two scalars gives each nonzero weight w its
-    coefficient as one Fraction(p w, q); a complex one multiplies w. The
-    nonzero weights above the bound are counted from the rows' ratio classes.
+    u + v >= p + q - ``max_delta``, are formed; with no bound, all. Real
+    scalars p/q and r/s give the scale (p r, q s), and each word holds its
+    weight; a complex product of the scalars multiplies it. The nonzero
+    weights above the bound are counted from the rows' ratio classes.
     """
     if a.delta_L or b.delta_L:
         raise ValueError("product factors must not carry delta powers")
     pa = _single_label_parts(a)
     pb = _single_label_parts(b)
-    base = a.coeff * b.coeff if a.coeff.im or b.coeff.im else a.coeff.re * b.coeff.re
     if pa is None or pb is None:
         # One factor is a pure scalar: both orders concatenate to the same word.
         if minus_ba:
-            return EQ_ZERO, 0
-        merged = eq_term(base, a.left_exp + b.left_exp, a.q_pow + b.q_pow,
+            return EQ_ZERO, None, 0
+        merged = eq_term(a.coeff * b.coeff, a.left_exp + b.left_exp, a.q_pow + b.q_pow,
                          a.right_exp + b.right_exp, testfn=a.testfn + b.testfn)
-        return eq_expr([merged]), 0
+        return eq_expr([merged]), None, 0
     la, alpha_l, p, alpha_r = pa
     lb, beta_l, q, beta_r = pb
     if la == lb:
         raise DeltaAtZeroError("same-label product would create delta(0)")
     if p < 0 or q < 0:
         raise ValueError(f"negative power in a product factor: {p}, {q}")
+    if a.coeff.im or b.coeff.im:
+        base, scale = a.coeff * b.coeff, None
+    else:  # base is the scale's numerator
+        (n1, d1), (n2, d2) = a.coeff.re.as_integer_ratio(), b.coeff.re.as_integer_ratio()
+        base, scale = n1 * n2, (n1 * n2, d1 * d2)
     if not base:
-        return EQ_ZERO, 0
+        return EQ_ZERO, None, 0
     # a b: Q^p keeps u at a's label, Q^q keeps v at b's label; b a likewise.
     xs, ys = _exchange_row(p, -_twice(beta_l)), _exchange_row(q, _twice(alpha_r))
     if minus_ba:
@@ -239,8 +246,6 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum
             return ((la, u),)
         return ((la, u), (lb, v)) if a_first else ((lb, v), (la, u))
 
-    real = type(base) is not CScalar
-    num, den = base.as_integer_ratio() if real else (0, 1)
     fewest = 0 if max_delta is None else max(p + q - max_delta, 0)  # least u + v built
     words = []
     for u in range(max(fewest - q, 0), p + 1):
@@ -248,9 +253,8 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum
         for v in range(max(fewest - u, 0), q + 1):
             weight = x * ys[v] - w * zs[v]
             if weight:
-                c = _new(CScalar, (Fraction(num * weight, den), _F0)) if real else base * weight
                 words.append(_new(EQTerm, (p + q - u - v, pair_map(u, v), left_exp, right_exp,
-                                           testfn, c)))
+                                           testfn, weight if scale else base * weight)))
     over = 0
     if fewest:
         # x_u y_v - w_u z_v is 0 on rows and columns of a pair (0, 0), and
@@ -263,17 +267,26 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum
     # Words differ in (delta power, field block) and share the rest: sorted, they are
     # in a Sum's order, and the sort never compares past the field block.
     words.sort()
-    return _new(Sum, (tuple(words),)), over
+    return _new(Sum, (tuple(words),)), scale, over
+
+
+def _scaled(e: Sum, scale: Optional[tuple]) -> Sum:
+    """``e`` with the coefficient num w / den of each weight w at scale (num, den); None: as is."""
+    if scale is None:
+        return e
+    num, den = scale
+    return _new(Sum, (tuple([_new(EQTerm, t[:-1] + (_cscalar(Fraction(num * t[-1], den), _F0),))
+                             for t in e.terms]),))
 
 
 def multiply(a: EQTerm, b: EQTerm) -> Sum:
     """Product of two single-label sandwich words, renormalized to sandwich shape."""
-    return _products(a, b, minus_ba=False)[0]
+    return _scaled(*_products(a, b, minus_ba=False)[:2])
 
 
 def commutator(a: EQTerm, b: EQTerm) -> Sum:
     """multiply(a, b) - multiply(b, a), canonical, accumulated in one pass."""
-    return _products(a, b, minus_ba=True)[0]
+    return _scaled(*_products(a, b, minus_ba=True)[:2])
 
 
 @lru_cache(maxsize=4096)
@@ -286,11 +299,11 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
 
 
 def _summed_at(exp: ParamMap, target: str) -> ParamMap:
-    """An exponential block's exponents summed at ``target``."""
-    lam = exp[0][1] if exp else 0
-    for _, v in exp[1:]:
-        lam += v
-    return ((target, lam),) if lam else ()
+    """An exponential block's exponents summed at ``target``, through their doubles."""
+    twice = 0
+    for _, v in exp:
+        twice += _twice(v)
+    return ((target, _half(twice) if type(twice) is int else twice / 2),) if twice else ()
 
 
 class ReduceResult(NamedTuple):
@@ -299,23 +312,24 @@ class ReduceResult(NamedTuple):
     dropped_singular: int
 
 
-def reduce(e: Sum) -> ReduceResult:
+def reduce(e: Sum, scale: Optional[tuple] = None) -> ReduceResult:
     """Apply the delta renormalization and the vanishing-at-zero condition.
 
-    Words with delta power 0 are returned untouched as the residual (a
+    Words with delta power 0 are returned as the residual (a
     commutator of sandwich words must cancel them pairwise). Words with
     delta power >= 2 renormalize to delta(s) delta(t-s), hence carry the
     factor g(0) f(0): they are dropped and counted when some test function
     of the word is known to vanish at zero, and raise SingularPartError
     otherwise. Words with delta power 1 have their labels identified at the
-    smallest one and their blocks merged additively: their coefficients are
-    first summed per group, keyed by the identity of the exponential and
-    test-function blocks (the words of one product share them), the merged
-    field power and the target label. Each group with a nonzero sum becomes
-    one word, and equal blocks that are not identical merge in the canonical
-    sort. The exponents of a group are summed for it; the test-function
-    product is built once per test-function block and process, and whether a
-    block vanishes at zero is asked once per call.
+    smallest one and their blocks merged additively: their coefficients (at
+    a ``scale`` of ``_products``, their weights) are summed per group, keyed
+    by the identity of the exponential and test-function blocks (the words
+    of one product share them), the merged field power and the target label.
+    Each group with a nonzero sum becomes one word with a coefficient, and
+    equal blocks that are not identical merge in the canonical sort. A
+    group's exponents are summed for it, its test-function product is built
+    once per block and process, and whether a block vanishes at zero is
+    asked once per call.
     """
     groups: dict = {}
     residual = []
@@ -350,7 +364,7 @@ def reduce(e: Sum) -> ReduceResult:
             raise SingularPartError(
                 f"{len(offenders)} singular term(s) do not vanish: "
                 "test functions must vanish at zero",
-                offenders,
+                _scaled(_new(Sum, (tuple(offenders),)), scale).terms,
             )
     reduced = []
     for (_, _, _, power, target), (t, c) in groups.items():
@@ -360,8 +374,10 @@ def reduce(e: Sum) -> ReduceResult:
             reduced.append(_new(EQTerm, (0, q_pow, _summed_at(t.left_exp, target),
                                          _summed_at(t.right_exp, target), testfn, c)))
     # A single word is canonical; so is the residual, a subsequence of a canonical sum.
-    reduced = eq_expr(reduced) if len(reduced) > 1 else _new(Sum, (tuple(reduced),))
-    return _new(ReduceResult, (reduced, _new(Sum, (tuple(residual),)), len(singular)))
+    reduced = _scaled(_new(Sum, (tuple(reduced),)), scale)
+    reduced = eq_expr(reduced.terms) if len(reduced.terms) > 1 else reduced
+    residual = _scaled(_new(Sum, (tuple(residual),)), scale)
+    return _new(ReduceResult, (reduced, residual, len(singular)))
 
 
 class TheoremReport(NamedTuple):
@@ -402,18 +418,17 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
     g, f = (_G if g is None else g), (_F if f is None else f)
     a = gen_to_word(n, k, "t", g)
     b = gen_to_word(N, K, "s", f)
-    comm, singular = _products(a, b, minus_ba=True, max_delta=1)
+    comm, scale, singular = _products(a, b, minus_ba=True, max_delta=1)
     if singular and not (fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f)):
         reduce(commutator(a, b))  # raises SingularPartError on the singular words
-    computed, residual, _ = reduce(comm)
+    computed, residual, _ = reduce(comm, scale)
     expected_coeff, n2, k2 = lie.structure(lie.AlgebraKind.WINFINITY, n, k, N, K)
     in_family = n2 >= 2
     # reduce merges the two labels into the smaller one, "s"
     expected = EQ_ZERO
     if in_family and expected_coeff:
         word = gen_to_word(n2, k2, "s", _GF if g is _G and f is _F else fn_product(g, f))
-        c = _cscalar(word.coeff.re * expected_coeff, _F0)  # generator words are real
-        expected = _new(Sum, ((_new(EQTerm, word[:-1] + (c,)),),))
+        expected = _scaled(_new(Sum, ((word[:-1] + (expected_coeff,),),)), (1, 2 ** (n2 - 1)))
     passed = (in_family or not expected_coeff) and not residual.terms and computed == expected
     return _new(TheoremReport, (n, k, N, K, passed, expected_coeff, computed, residual, singular))
 

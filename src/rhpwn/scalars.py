@@ -10,6 +10,7 @@ their sum type ``Sum``, the per-label block canon ``canon_map`` with its
 from __future__ import annotations
 
 import math
+import re
 from collections.abc import Mapping
 from fractions import Fraction
 from itertools import chain
@@ -131,16 +132,6 @@ class CScalar(NamedTuple("CScalar", [("re", Fraction), ("im", Fraction)])):
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other) -> "CScalar":
-        other = CScalar.of(other)
-        denom = other.re * other.re + other.im * other.im
-        if not denom:
-            raise ZeroDivisionError("division by zero CScalar")
-        return _cscalar(
-            (self.re * other.re + self.im * other.im) / denom,
-            (self.im * other.re - self.re * other.im) / denom,
-        )
-
     def __str__(self) -> str:
         if not self.im:
             return str(self.re)
@@ -177,9 +168,14 @@ def rational_to_str(x: Fraction) -> str:
 
 def rational_from_str(v) -> Fraction:
     """Inverse of rational_to_str. A JSON number or a decimal string, as
-    hand-written records hold, reads as the decimal it prints as."""
+    hand-written records hold, reads as the decimal it prints as; a decimal
+    exponent past 4300 (Python's int-to-string digit limit) is refused first."""
+    text = str(v)
+    exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)", text)
+    if exponent and int(exponent[1]) > 4300:
+        raise ValueError(f"decimal exponent past 4300 in {text!r}")
     try:
-        return Fraction(str(v))
+        return Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in {v!r}") from None
 

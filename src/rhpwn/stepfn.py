@@ -134,14 +134,6 @@ def conjugate(f: StepFn) -> StepFn:
     return StepFn(tuple((a, b, v.conjugate()) for a, b, v in f.pieces))
 
 
-def integrate(f: StepFn) -> CScalar:
-    """Exact integral: the sum of value times length over all pieces."""
-    total = CS_ZERO
-    for a, b, v in f.pieces:
-        total = total + v * (b - a)
-    return total
-
-
 def is_in_S0(f: StepFn) -> bool:
     """Whether f belongs to the subspace vanishing at zero, f(0) = 0."""
     return not evaluate(f, 0)

@@ -167,10 +167,6 @@ class BracketDecomposition(NamedTuple):
     regular_testfn: AnyTestFn
     singular: tuple[SingularTerm, ...]
 
-    @property
-    def singular_vanishes(self) -> bool:
-        return all(s.scalar is not None and not s.scalar for s in self.singular)
-
 
 def smear_bracket(
     n: int, k: int, g: AnyTestFn, N: int, K: int, f: AnyTestFn

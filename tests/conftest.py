@@ -11,7 +11,6 @@ from rhpwn.stepfn import FnSymbol, StepFn, is_in_S0, make_step
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonzero_rationals = rationals.filter(bool)
 cscalars = st.builds(CScalar, rationals, rationals)
-nonzero_cscalars = cscalars.filter(bool)
 
 
 @st.composite

@@ -468,6 +468,8 @@ _BIG = "9" * 3000  # its square has more digits than Python converts to a string
         *(["bracket", f"{_BIG}*{_BIG}*B[3,0]", "--format", fmt] for fmt in _FORMATS),
         *(_SMEAR + ["--g", "e5000.json", "--f", "e5000.json", "--format", fmt]
           for fmt in _FORMATS),
+        # a decimal exponent whose number would take seconds to build: refused at once
+        _SMEAR + ["--g", "e10000000.json"],
     ],
 )
 def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monkeypatch):
@@ -476,6 +478,8 @@ def test_rejected_inputs_exit_2_with_one_error_line(runner, argv, tmp_path, monk
     (tmp_path / "object.json").write_text('{"a": 1}')
     (tmp_path / "list.json").write_text("[1]")
     (tmp_path / "e5000.json").write_text(json.dumps([{"from": "0", "to": "1", "re": "1e5000"}]))
+    far = [{"from": "0", "to": "1", "re": "1e10000000"}]
+    (tmp_path / "e10000000.json").write_text(json.dumps(far))
     for field in ("from", "to", "re", "im"):
         record = {"from": "0", "to": "1", "re": "1", field: "1/0"}
         (tmp_path / f"zero-{field}.json").write_text(json.dumps([record]))

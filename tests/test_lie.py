@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -475,7 +476,7 @@ def test_element_json_round_trip():
     x = basis(RHPWN, 2, 1, fn_symbol("f")).scaled(
         CScalar.of(2)
     ) + basis(RHPWN, 0, 4, FnSymbol(("g", "~h"), True)).scaled(
-        CScalar.of(-1) / CScalar.of(3)
+        CScalar(Fraction(-1, 3))
     )
     assert element_from_json(json.loads(json.dumps(element_to_json(x)))) == x
     assert element_to_json(zero(RHPWN)) == {"kind": "RHPWN", "terms": []}

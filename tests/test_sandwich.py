@@ -16,6 +16,7 @@ from rhpwn.sandwich import (
     _merged_blocks,
     _products,
     _ratio_classes,
+    _scaled,
     commutator,
     eq_expr,
     eq_term,
@@ -613,7 +614,7 @@ def test_the_kernel_matches_the_full_reduction_on_the_acceptance_grid():
         r = verify_theorem(n, k, N, K)
         fields = r.computed, r.l0_residual, r.dropped_singular, r.passed
         assert fields == _reference_theorem(n, k, N, K, g, f), (n, k, N, K)
-        kept = _products(gen_to_word(n, k, "t"), gen_to_word(N, K, "s"), True, 1)[0]
+        kept = _scaled(*_products(gen_to_word(n, k, "t"), gen_to_word(N, K, "s"), True, 1)[:2])
         assert kept == eq_expr(kept.terms), (n, k, N, K)
 
 
@@ -651,10 +652,11 @@ def test_bounded_products_keep_the_low_delta_words(bound, words):
     a, b = words
     for x, y in ((a, b), (b, a)):
         for minus_ba, full in ((False, multiply(x, y)), (True, commutator(x, y))):
-            kept, over = _products(x, y, minus_ba, max_delta=bound)
-            assert kept == Sum(tuple(t for t in full.terms if t.delta_L <= bound))
+            kept, scale, over = _products(x, y, minus_ba, max_delta=bound)
+            assert _scaled(kept, scale) == Sum(tuple(t for t in full.terms if t.delta_L <= bound))
             assert over == sum(t.delta_L > bound for t in full.terms)
-            assert _products(x, y, minus_ba) == (full, 0)
+            words, scale, over = _products(x, y, minus_ba)
+            assert (_scaled(words, scale), over) == (full, 0)
 
 
 def test_dropped_singular_count_has_a_closed_form():
@@ -668,6 +670,47 @@ def test_dropped_singular_count_has_a_closed_form():
                 for j in range(n)
             )
             assert verify_theorem(n, k, N, K).dropped_singular == expected, (n, k, N, K)
+
+
+def _fraction_typed(e):
+    """Every coefficient of ``e`` a CScalar of Fraction parts, every exponent a Fraction."""
+    return all(
+        type(t.coeff) is CScalar and type(t.coeff.re) is Fraction and type(t.coeff.im) is Fraction
+        and all(type(lam) is Fraction for _, lam in t.left_exp + t.right_exp)
+        for t in e.terms
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(_theorem_tuples(), cscalars, _exponents)
+@example((4, 0, 3, 5), CScalar(Fraction(1, 3)), Fraction(0))  # k = 0
+@example((3, -5, 6, 0), CScalar(Fraction(2), Fraction(-1, 2)), Fraction(1, 2))  # K = 0
+@example((5, 4, 3, -4), CScalar(Fraction(-7, 2)), Fraction(5, 6))  # k + K = 0
+def test_the_integer_weights_give_the_full_expansion(indices, c, shift):
+    # verify_theorem sums the weights of generator words as ints; words with a
+    # complex coefficient or exponents off the half-integers go through the
+    # same functions, with CScalar or Fraction weights
+    n, k, N, K = indices
+    g, f = fn_symbol("g"), fn_symbol("f")  # both vanish at zero
+    a, b = gen_to_word(n, k, "t", g), gen_to_word(N, K, "s", f)
+    full = reduce(commutator(a, b))
+    report = verify_theorem(n, k, N, K)
+    assert report.computed == full.reduced and report.dropped_singular == full.dropped_singular
+    assert _fraction_typed(report.computed)
+    half, lam = Fraction(k, 2), Fraction(k, 2) + shift
+    x = eq_term(c, {"t": lam}, {"t": n - 1}, {"t": half}, testfn={"t": g})
+    parts = {a: ("t", half, n - 1, half), b: ("s", Fraction(K, 2), N - 1, Fraction(K, 2)),
+             x: ("t", lam, n - 1, half)}
+    for u, v in ((a, b), (x, b), (b, x)):
+        ab = _reference_product(u, v, parts[u], parts[v])
+        ba = _reference_product(v, u, parts[v], parts[u])
+        product, comm = multiply(u, v), commutator(u, v)
+        assert product == ab and comm == ab - ba
+        assert _fraction_typed(product) and _fraction_typed(comm)
+        for minus_ba, expanded in ((False, ab), (True, ab - ba)):
+            reduced, residual, dropped = reduce(*_products(u, v, minus_ba)[:2])
+            assert (reduced, residual, dropped) == reduce(expanded) == _reference_reduce(expanded)
+            assert _fraction_typed(reduced) and _fraction_typed(residual)
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cscalars, nonzero_cscalars, rationals
+from conftest import cscalars, rationals
 from rhpwn.dsl import evaluate as evaluate_dsl, parse, render
 from rhpwn.lie import AlgebraKind, element, generator
 from rhpwn.sandwich import EQTerm, eq_expr, eq_term
@@ -110,11 +110,6 @@ def test_conjugate_ring_homomorphism(a, b):
     assert (a * b).conjugate() == a.conjugate() * b.conjugate()
 
 
-@given(cscalars, nonzero_cscalars)
-def test_exact_division(a, b):
-    assert (a / b) * b == a
-
-
 def test_coercion_and_str():
     assert CScalar.of(3) == CScalar(Fraction(3))
     assert 2 * CScalar(Fraction(1, 2)) == CScalar.of(1)
@@ -134,6 +129,14 @@ def test_rational_from_str_reads_decimals_as_printed():
     # hand-written records may hold JSON numbers or decimal strings
     assert rational_from_str(1.5) == rational_from_str("1.5") == Fraction(3, 2)
     assert rational_from_str(0.1) == Fraction(1, 10)
+
+
+def test_rational_from_str_refuses_a_decimal_exponent_past_the_bound():
+    assert rational_from_str("1e4300") == 10**4300
+    assert rational_from_str("2.5E-4300") == Fraction(5, 2 * 10**4300)
+    for text in ("1e4301", "1E-4301", "1e10000000", "-3.5e+1_000_000"):
+        with pytest.raises(ValueError, match="decimal exponent past 4300"):
+            rational_from_str(text)
 
 
 @pytest.mark.parametrize(
@@ -204,8 +207,6 @@ def test_arithmetic_matches_component_formulas(x, y):
     _assert_built_from(-x, -a, -b)
     _assert_built_from(x.conjugate(), a, -b)
     _assert_built_from(CScalar.of(y), c, d)
-    if c or d:
-        _assert_built_from(x / y, (a * c + b * d) / (c * c + d * d), (b * c - a * d) / (c * c + d * d))
 
 
 # -- the shared linear-combination core ---------------------------------------

@@ -14,7 +14,6 @@ from rhpwn.stepfn import (
     evaluate,
     fn_symbol,
     indicator,
-    integrate,
     interval_set,
     is_in_S0,
     make_step,
@@ -86,13 +85,6 @@ def test_evaluate_examples():
     assert evaluate(chi(1, 2), 0) == CS_ZERO
 
 
-def test_integrate_examples():
-    assert integrate(chi(1, 3)) == CScalar.of(2)
-    assert integrate(ZERO_FN) == CS_ZERO
-    f = scale(CScalar(Fraction(2), Fraction(1)), chi(0, Fraction(1, 2)))
-    assert integrate(f) == CScalar(Fraction(1), Fraction(1, 2))
-
-
 def test_is_in_S0_examples():
     assert is_in_S0(chi(1, 2))
     assert not is_in_S0(chi(0, 1))
@@ -119,12 +111,6 @@ def test_s0_closure(f, g, c):
     assert is_in_S0(conjugate(f))
     assert is_in_S0(scale(c, f))
     assert is_in_S0(add(f, g))
-
-
-@given(cscalars, cscalars, step_fns(), step_fns())
-def test_integrate_linear(a, b, f, g):
-    combo = add(scale(a, f), scale(b, g))
-    assert integrate(combo) == a * integrate(f) + b * integrate(g)
 
 
 @given(step_fns())

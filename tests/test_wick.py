@@ -99,7 +99,6 @@ def test_smear_bracket_example():
     assert [(s.L, s.theta, s.index, s.scalar) for s in d.singular] == [
         (2, 2, (1, 1), CS_ZERO)
     ]
-    assert d.singular_vanishes
 
 
 def test_smear_bracket_pure_creators():
@@ -119,7 +118,6 @@ def test_smear_bracket_number_pair():
 def test_smear_bracket_unknown_scalar_without_s0():
     d = smear_bracket(1, 2, fn_symbol("g", in_S0=False), 2, 1, fn_symbol("f", in_S0=False))
     assert [s.scalar for s in d.singular] == [None]
-    assert not d.singular_vanishes
 
 
 def test_expansion_orders_sum_to_theta():
