@@ -17,21 +17,30 @@ is compared structurally against the w-infinity bracket. Every sum of words
 is kept as a canonically sorted sum (scalars.Sum).
 
 A product or commutator of two single-label words is built in one pass, by
-``_products``, the kernel of ``multiply`` and ``commutator``. Both orders
-share the exponential blocks, the test functions and the product of the two
-scalars, so the binomial exchange weights binom(p,j) x^(p-j) binom(q,i)
-y^(q-i) of both orders add up to one weight per pair of field powers. For
-generator words x and y are +-k and +-K, so the weights are ints over one
-scale, the scalars' product as (numerator, power of two). Words keep their
-weights through ``reduce``'s group sums; each word a caller sees gets one
-Fraction from the scale. Exponents are half-integers, summed as ints 2 lam;
-one cache (``_half``) makes their Fractions, which reduced and generator words
-share. Given a bound on the delta power, only the weights up to it are formed;
-the nonzero ones above it are counted from the exchange rows' ratio classes.
-The realization check builds the delta <= 1 words, the only ones
-renormalization keeps, and counts the singular rest. Generator words, exchange
-rows, their ratio classes and merged test functions are cached per process
-(bounded caches; a frozen word does not depend on the table).
+``_kernel``. Both orders share the exponential blocks, the test functions and
+the product of the two scalars, so the binomial exchange weights binom(p,j)
+x^(p-j) binom(q,i) y^(q-i) of both orders add up to one weight per pair of
+field powers. The kernel takes each factor's parts: label, doubled left
+exponent 2 lam, field power, doubled right exponent (ints for half-integer
+exponents). ``_products``, for ``multiply`` and ``commutator``, reads them
+off any words' blocks, with the scale (numerator, denominator) of the
+scalars' product; a generator word's parts k, n - 1, k are cached beside it,
+and n - 1 is its scalar's power of 1/2. Then x and y are +-k and +-K, so the
+weights are ints over one scale. Words keep their weights through
+``reduce``'s group sums; each word a caller sees gets one Fraction from the
+scale. Exponents are summed as ints 2 lam; one cache (``_half``) makes their
+Fractions, which reduced and generator words share. Given a bound on the delta
+power, only the weights up to it are formed; the nonzero ones above it are
+counted from the exchange rows' ratio classes. The realization check builds
+the delta <= 1 words, the only ones renormalization keeps, counts the
+singular rest and reduces the words at their weights, with the exponents
+(k + K) / 2 from its ints. It compares the one reduced word with c times the
+generator word at (n', k') as ints: equal keys and weight 2^(n'-1) =
+c 2^(n+N-2). A match reports the expected word, whose coefficient is the one
+Fraction the tuple builds; any other outcome is converted through the scale
+and compared as Fractions. Generator words and parts, exchange rows, their
+ratio classes and merged test functions are cached per process (bounded
+caches; a frozen word does not depend on the table).
 """
 
 from __future__ import annotations
@@ -117,6 +126,13 @@ def gen_to_word(n: int, k: int, label: str = "t", fn: Optional[AnyTestFn] = None
     return EQTerm(0, ((label, n - 1),), exp, exp, fns, _cscalar(Fraction(1, 2 ** (n - 1)), _F0))
 
 
+@lru_cache(maxsize=4096)
+def _generator(n: int, k: int, label: str, fn: AnyTestFn) -> tuple[EQTerm, tuple]:
+    """``gen_to_word(n, k, label, fn)`` and its ``_kernel`` parts: both exponents are
+    k / 2, doubled k, and the field power n - 1 is also its scalar's power of 1/2."""
+    return gen_to_word(n, k, label, fn), (label, k, n - 1, k)
+
+
 Direction = Literal["rightward", "leftward"]
 
 
@@ -170,7 +186,7 @@ def exchange_E_past_Q(
 
 
 def _single_label_parts(t: EQTerm):
-    """(label, left exponent, field power, right exponent) of a word at one
+    """(label, 2 left exponent, field power, 2 right exponent) of a word at one
     label, read off its blocks; None for a word with no label."""
     label = None
     for block in (t.left_exp, t.q_pow, t.right_exp, t.testfn):
@@ -181,26 +197,13 @@ def _single_label_parts(t: EQTerm):
     if label is None:
         return None
     left, q_pow, right = t.left_exp, t.q_pow, t.right_exp
-    return (label, left[0][1] if left else _F0, q_pow[0][1] if q_pow else 0,
-            right[0][1] if right else _F0)
+    return (label, _twice(left[0][1]) if left else 0, q_pow[0][1] if q_pow else 0,
+            _twice(right[0][1]) if right else 0)
 
 
 def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum, tuple, int]:
-    """(a b, or a b - b a when ``minus_ba``, in sandwich shape; its scale (see ``_scaled``);
-    the number of its words left out for a delta power above ``max_delta``).
-
-    In a b, b's left exponential moves leftward across a's field block and a's
-    right exponential moves rightward across b's field block; only these
-    cross-label exchanges are ever needed. For field powers p and q, every
-    word of either order has powers u <= p at a's label and v <= q at b's
-    label and delta power p+q-u-v, so both orders add up to one weight
-    x_u y_v - w_u z_v of four exchange rows: ints when every exponent is a
-    half-integer, as in generator words. Only the weights of words kept,
-    u + v >= p + q - ``max_delta``, are formed; with no bound, all. Real
-    scalars p/q and r/s give the scale (p r, q s), and each word holds its
-    weight; a complex product of the scalars multiplies it. The nonzero
-    weights above the bound are counted from the rows' ratio classes.
-    """
+    """``_kernel`` of two sandwich words, their parts read off their blocks and
+    the scale off their scalars: p/q and r/s give (p r, q s)."""
     if a.delta_L or b.delta_L:
         raise ValueError("product factors must not carry delta powers")
     pa = _single_label_parts(a)
@@ -212,23 +215,43 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum
         merged = eq_term(a.coeff * b.coeff, a.left_exp + b.left_exp, a.q_pow + b.q_pow,
                          a.right_exp + b.right_exp, testfn=a.testfn + b.testfn)
         return eq_expr([merged]), None, 0
-    la, alpha_l, p, alpha_r = pa
-    lb, beta_l, q, beta_r = pb
+    if a.coeff.im or b.coeff.im:
+        return _kernel(a, pa, b, pb, a.coeff * b.coeff, None, minus_ba, max_delta)
+    (n1, d1), (n2, d2) = a.coeff.re.as_integer_ratio(), b.coeff.re.as_integer_ratio()
+    return _kernel(a, pa, b, pb, n1 * n2, (n1 * n2, d1 * d2), minus_ba, max_delta)
+
+
+def _kernel(a: EQTerm, pa: tuple, b: EQTerm, pb: tuple, base, scale: Optional[tuple],
+            minus_ba: bool, max_delta=None) -> tuple[Sum, Optional[tuple], int]:
+    """(a b, or a b - b a when ``minus_ba``, in sandwich shape; its scale (see ``_scaled``);
+    the number of its words left out for a delta power above ``max_delta``).
+
+    a and b are single-label words with parts ``pa`` and ``pb`` (label, 2 left
+    exponent, field power, 2 right exponent), and ``base`` is the product of
+    their scalars: the numerator of ``scale``, or a complex product when the
+    scale is None. In a b, b's left exponential moves leftward across a's
+    field block and a's right exponential moves rightward across b's field
+    block; only these cross-label exchanges are ever needed. For field powers
+    p and q, every word of either order has powers u <= p at a's label and
+    v <= q at b's label and delta power p+q-u-v, so both orders add up to one
+    weight x_u y_v - w_u z_v of four exchange rows: ints when every exponent
+    is a half-integer, as in generator words. Only the weights of words kept,
+    u + v >= p + q - ``max_delta``, are formed; with no bound, all. Each word
+    holds its weight, times ``base`` when there is no scale. The nonzero
+    weights above the bound are counted from the rows' ratio classes.
+    """
+    la, twice_al, p, twice_ar = pa
+    lb, twice_bl, q, twice_br = pb
     if la == lb:
         raise DeltaAtZeroError("same-label product would create delta(0)")
     if p < 0 or q < 0:
         raise ValueError(f"negative power in a product factor: {p}, {q}")
-    if a.coeff.im or b.coeff.im:
-        base, scale = a.coeff * b.coeff, None
-    else:  # base is the scale's numerator
-        (n1, d1), (n2, d2) = a.coeff.re.as_integer_ratio(), b.coeff.re.as_integer_ratio()
-        base, scale = n1 * n2, (n1 * n2, d1 * d2)
     if not base:
         return EQ_ZERO, None, 0
     # a b: Q^p keeps u at a's label, Q^q keeps v at b's label; b a likewise.
-    xs, ys = _exchange_row(p, -_twice(beta_l)), _exchange_row(q, _twice(alpha_r))
+    xs, ys = _exchange_row(p, -twice_bl), _exchange_row(q, twice_ar)
     if minus_ba:
-        zs, ws = _exchange_row(q, -_twice(alpha_l)), _exchange_row(p, _twice(beta_r))
+        zs, ws = _exchange_row(q, -twice_al), _exchange_row(p, twice_br)
     else:
         zs, ws = (0,) * (q + 1), (0,) * (p + 1)
     a_first = la < lb
@@ -238,22 +261,21 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum
     left_exp = first.left_exp + second.left_exp
     right_exp, testfn = first.right_exp + second.right_exp, first.testfn + second.testfn
 
-    def pair_map(u, v) -> tuple:
-        # {la: u, lb: v} in canonical form: sorted by label, zeros dropped.
-        if not u:
-            return ((lb, v),) if v else ()
-        if not v:
-            return ((la, u),)
-        return ((la, u), (lb, v)) if a_first else ((lb, v), (la, u))
-
     fewest = 0 if max_delta is None else max(p + q - max_delta, 0)  # least u + v built
     words = []
-    for u in range(max(fewest - q, 0), p + 1):
+    for u in range(fewest - q if fewest > q else 0, p + 1):
         x, w = xs[u], ws[u]
-        for v in range(max(fewest - u, 0), q + 1):
+        for v in range(fewest - u if fewest > u else 0, q + 1):
             weight = x * ys[v] - w * zs[v]
             if weight:
-                words.append(_new(EQTerm, (p + q - u - v, pair_map(u, v), left_exp, right_exp,
+                # {la: u, lb: v} in canonical form: sorted by label, zeros dropped.
+                if not u:
+                    field = ((lb, v),) if v else ()
+                elif not v:
+                    field = ((la, u),)
+                else:
+                    field = ((la, u), (lb, v)) if a_first else ((lb, v), (la, u))
+                words.append(_new(EQTerm, (p + q - u - v, field, left_exp, right_exp,
                                            testfn, weight if scale else base * weight)))
     over = 0
     if fewest:
@@ -298,11 +320,16 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
     return () if product is None else ((target, product),)
 
 
-def _summed_at(exp: ParamMap, target: str) -> ParamMap:
-    """An exponential block's exponents summed at ``target``, through their doubles."""
+def _doubled(exp: ParamMap):
+    """The sum of an exponential block's doubled exponents."""
     twice = 0
     for _, v in exp:
         twice += _twice(v)
+    return twice
+
+
+def _exp_at(twice, target: str) -> ParamMap:
+    """The exponential block of exponent twice / 2 at ``target``."""
     return ((target, _half(twice) if type(twice) is int else twice / 2),) if twice else ()
 
 
@@ -312,7 +339,7 @@ class ReduceResult(NamedTuple):
     dropped_singular: int
 
 
-def reduce(e: Sum, scale: Optional[tuple] = None) -> ReduceResult:
+def reduce(e: Sum, scale: Optional[tuple] = None, twice: Optional[tuple] = None) -> ReduceResult:
     """Apply the delta renormalization and the vanishing-at-zero condition.
 
     Words with delta power 0 are returned as the residual (a
@@ -322,14 +349,15 @@ def reduce(e: Sum, scale: Optional[tuple] = None) -> ReduceResult:
     of the word is known to vanish at zero, and raise SingularPartError
     otherwise. Words with delta power 1 have their labels identified at the
     smallest one and their blocks merged additively: their coefficients (at
-    a ``scale`` of ``_products``, their weights) are summed per group, keyed
+    a ``scale`` of ``_kernel``, their weights) are summed per group, keyed
     by the identity of the exponential and test-function blocks (the words
     of one product share them), the merged field power and the target label.
     Each group with a nonzero sum becomes one word with a coefficient, and
     equal blocks that are not identical merge in the canonical sort. A
-    group's exponents are summed for it, its test-function product is built
-    once per block and process, and whether a block vanishes at zero is
-    asked once per call.
+    group's exponents are summed for it, or read off ``twice``, the doubled
+    left and right sums a ``_kernel`` caller knows for every delta word of
+    ``e``; its test-function product is built once per block and process,
+    and whether a block vanishes at zero is asked once per call.
     """
     groups: dict = {}
     residual = []
@@ -371,8 +399,9 @@ def reduce(e: Sum, scale: Optional[tuple] = None) -> ReduceResult:
         testfn = _merged_blocks(t.testfn, target)  # raises if the functions do not multiply
         if c:
             q_pow = ((target, power),) if power else ()
-            reduced.append(_new(EQTerm, (0, q_pow, _summed_at(t.left_exp, target),
-                                         _summed_at(t.right_exp, target), testfn, c)))
+            left, right = (_doubled(t.left_exp), _doubled(t.right_exp)) if twice is None else twice
+            reduced.append(_new(EQTerm, (0, q_pow, _exp_at(left, target), _exp_at(right, target),
+                                         testfn, c)))
     # A single word is canonical; so is the residual, a subsequence of a canonical sum.
     reduced = _scaled(_new(Sum, (tuple(reduced),)), scale)
     reduced = eq_expr(reduced.terms) if len(reduced.terms) > 1 else reduced
@@ -406,29 +435,38 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
 
     is read from ``lie.structure`` (for the true table c = k (N-1) - K (n-1)
     and (n', k') = (n+N-2, k+K)), the table the Jacobi scans certify.
-    Passing requires the reduced expression to equal that word exactly and
-    the delta-free residual to vanish. A nonzero bracket whose target leaves
-    the family n' >= 2 has no sandwich word and fails. The singular words
-    (delta >= 2) all carry g and f: they are only counted, and dropped when g
-    or f vanishes at zero; otherwise the full commutator is expanded and
-    ``reduce`` raises SingularPartError on it.
+    Passing requires the reduced expression to equal that word exactly (as
+    ints, at the weights) and the delta-free residual to vanish. A nonzero
+    bracket whose target leaves the family n' >= 2 has no sandwich word and
+    fails. The singular words (delta >= 2) all carry g and f: they are only
+    counted, and dropped when g or f vanishes at zero; otherwise the full
+    commutator is expanded and ``reduce`` raises SingularPartError on it.
     """
     if n < 2 or N < 2:
         raise DomainError("realization indices need n, N >= 2")
     g, f = (_G if g is None else g), (_F if f is None else f)
-    a = gen_to_word(n, k, "t", g)
-    b = gen_to_word(N, K, "s", f)
-    comm, scale, singular = _products(a, b, minus_ba=True, max_delta=1)
+    a, pa = _generator(n, k, "t", g)
+    b, pb = _generator(N, K, "s", f)
+    scale = (1, 1 << (n + N - 2))  # the scalars 2^-(n-1) and 2^-(N-1)
+    comm, _, singular = _kernel(a, pa, b, pb, 1, scale, True, 1)
     if singular and not (fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f)):
         reduce(commutator(a, b))  # raises SingularPartError on the singular words
-    computed, residual, _ = reduce(comm, scale)
+    # Weights: every delta word merges its exponents to (k + K) / 2 on both sides,
+    # at the smaller label "s", into at most one word.
+    reduced, residual, _ = reduce(comm, None, (k + K, k + K))
     expected_coeff, n2, k2 = lie.structure(lie.AlgebraKind.WINFINITY, n, k, N, K)
     in_family = n2 >= 2
-    # reduce merges the two labels into the smaller one, "s"
-    expected = EQ_ZERO
+    expected, matched = EQ_ZERO, not reduced.terms
     if in_family and expected_coeff:
         word = gen_to_word(n2, k2, "s", _GF if g is _G and f is _F else fn_product(g, f))
-        expected = _scaled(_new(Sum, ((word[:-1] + (expected_coeff,),),)), (1, 2 ** (n2 - 1)))
+        # weight / den = c / 2^(n'-1), compared as ints (the scale's numerator is 1)
+        matched = (len(reduced.terms) == 1 and reduced.terms[0][:-1] == word[:-1]
+                   and reduced.terms[0][-1] << (n2 - 1) == expected_coeff * scale[1])
+        expected = _new(Sum, ((_new(EQTerm, word[:-1] + (
+            _cscalar(Fraction(expected_coeff, 1 << (n2 - 1)), _F0),)),),))
+    computed = expected
+    if not matched or residual.terms:
+        computed, residual = _scaled(reduced, scale), _scaled(residual, scale)
     passed = (in_family or not expected_coeff) and not residual.terms and computed == expected
     return _new(TheoremReport, (n, k, N, K, passed, expected_coeff, computed, residual, singular))
 

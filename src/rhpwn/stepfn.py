@@ -8,34 +8,10 @@ abstractly, so a lightweight formal-product symbol type lives here too.
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
 from .scalars import CS_ONE, CS_ZERO, CScalar, rational, rational_from_str, rational_to_str
-
-
-class IntervalSet(NamedTuple):
-    """Finite union of disjoint, sorted half-open rational intervals [a, b)."""
-
-    intervals: tuple[tuple[Fraction, Fraction], ...]
-
-    def __contains__(self, t) -> bool:
-        t = rational(t)
-        return any(a <= t < b for a, b in self.intervals)
-
-
-def interval_set(pairs: Iterable[tuple]) -> IntervalSet:
-    """Build an IntervalSet, coalescing touching or overlapping intervals."""
-    merged: list[list[Fraction]] = []
-    for a, b in sorted((rational(a), rational(b)) for a, b in pairs):
-        if a >= b:
-            raise ValueError(f"empty or reversed interval [{a}, {b})")
-        if merged and a <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], b)
-        else:
-            merged.append([a, b])
-    return IntervalSet(tuple((a, b) for a, b in merged))
 
 
 class StepFn(NamedTuple):
@@ -95,11 +71,9 @@ def make_step(breakpoints: Iterable, values: Iterable) -> StepFn:
     return canon_pieces(zip(bps, bps[1:], vals))
 
 
-def indicator(region: IntervalSet | Iterable[tuple]) -> StepFn:
-    """Indicator function of a finite union of half-open intervals."""
-    if not isinstance(region, IntervalSet):
-        region = interval_set(region)
-    return canon_pieces((a, b, CS_ONE) for a, b in region.intervals)
+def indicator(intervals: Iterable[tuple]) -> StepFn:
+    """Indicator function of a finite union of disjoint half-open intervals [a, b)."""
+    return canon_pieces((rational(a), rational(b), CS_ONE) for a, b in intervals)
 
 
 def evaluate(f: StepFn, t) -> CScalar:
@@ -111,23 +85,10 @@ def evaluate(f: StepFn, t) -> CScalar:
     return CS_ZERO
 
 
-def _pointwise(op, f: StepFn, g: StepFn) -> StepFn:
-    """op(f(t), g(t)) on each piece between consecutive endpoints of f and g."""
-    pts = sorted({p for h in (f, g) for a, b, _ in h.pieces for p in (a, b)})
-    return canon_pieces((a, b, op(evaluate(f, a), evaluate(g, a))) for a, b in zip(pts, pts[1:]))
-
-
-def add(f: StepFn, g: StepFn) -> StepFn:
-    return _pointwise(operator.add, f, g)
-
-
-def scale(c, f: StepFn) -> StepFn:
-    c = CScalar.of(c)
-    return canon_pieces((a, b, c * v) for a, b, v in f.pieces)
-
-
 def pointwise_product(f: StepFn, g: StepFn) -> StepFn:
-    return _pointwise(operator.mul, f, g)
+    """f(t) g(t) on each piece between consecutive endpoints of f and g."""
+    pts = sorted({p for h in (f, g) for a, b, _ in h.pieces for p in (a, b)})
+    return canon_pieces((a, b, evaluate(f, a) * evaluate(g, a)) for a, b in zip(pts, pts[1:]))
 
 
 def conjugate(f: StepFn) -> StepFn:

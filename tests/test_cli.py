@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import rhpwn.cli
@@ -922,6 +922,78 @@ _ARGV = st.one_of(
 @given(_ARGV)
 def test_any_small_argv_exits_0_1_or_2_without_a_traceback(argv):
     result = CliRunner().invoke(main, argv, input="B[2,1]\n")
+    assert result.exit_code in (0, 1, 2), (argv, result.exception)
+    assert result.exception is None or isinstance(result.exception, SystemExit), argv
+    assert "Traceback" not in result.output
+
+
+# -- standing contract fuzz ---------------------------------------------------
+# Inputs past the small grammar above: integers of many digits (and one past
+# Python's 4300-digit string limit) in ranges and indices, step-function
+# record files, and DSL strings built from the grammar and then truncated.
+
+_big = st.integers(-10**60, 10**60).map(str) | st.sampled_from(["9" * 4301, "-" + "9" * 4301])
+_big_range = st.one_of(
+    st.tuples(_big, _big).map("..".join),
+    st.tuples(st.integers(-3, 3).map(str), _big).map("..".join),
+    _big,
+)
+_index_or_big = st.integers(-1, 6).map(str) | _big
+
+_record_value = st.one_of(
+    st.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "2.5", "1e3", "1e10000000", "x", "", "9" * 4301]),
+    st.integers(-3, 3),
+    st.none(),
+)
+_records_text = st.one_of(
+    st.lists(st.dictionaries(st.sampled_from(["from", "to", "re", "im"]), _record_value,
+                             max_size=4), max_size=3).map(json.dumps),
+    st.sampled_from(["{}", "3", '"x"', "[", "", "[[1, 2]]", "[null]"]),
+)
+
+_dsl_label = st.sampled_from(["", "@f", "@!g", "@~f", "@(f*~g)", "@step", "@step[]", "@",
+                              "@step[0,1,1,0]", "@step[1,0,1,0]", "@step[0,1,1/0,0]",
+                              "@step[0,1/2,1,-1/3;1/2,1,2,0]", "@step[0,2,1,0;1,3,1,0]"])
+_dsl_atom = st.tuples(st.sampled_from(["B", "Bh"]), _index_or_big, _index_or_big, _dsl_label).map(
+    lambda t: f"{t[0]}[{t[1]},{t[2]}]{t[3]}"
+)
+_dsl_scalar = st.sampled_from(["2", "-1/3", "i", "3/4*i", "(1/2-3/4*i)", "0", "1/0", "(i)"])
+_dsl = st.recursive(_dsl_atom, lambda inner: st.one_of(
+    st.tuples(inner, inner).map(lambda t: f"[{t[0]},{t[1]}]"),
+    st.tuples(inner, st.sampled_from(["+", "-"]), inner).map("".join),
+    st.tuples(_dsl_scalar, inner).map("*".join),
+    inner.map(lambda e: f"({e})^*"),
+), max_leaves=4)
+_dsl_text = _dsl | st.tuples(_dsl, st.integers(0, 30)).map(lambda t: t[0][:t[1]])
+
+_step_files = st.sampled_from([[], ["--g", "g.json"], ["--f", "f.json"],
+                               ["--g", "g.json", "--f", "f.json"]])
+
+_CONTRACT_ARGV = st.one_of(
+    _argv("verify-w", _option("--n", _big_range | _range_text(1, 4, width=1)),
+          _option("--k", _big_range | _range_text(-2, 2, width=1)), _fmt),
+    _argv("theta", *(_option(f, _big_range | _range_text(-1, 3)) for f in
+                     ("--L", "--n", "--k", "--N", "--K")), _fmt),
+    _argv("jacobi", st.tuples(st.sampled_from(["rhpwn", "winfinity"]), _big_range, _big_range).map(
+        lambda t: ["--kind", t[0], "--n-range", t[1], "--k-range", t[2]]), _fmt),
+    _argv("smear", *(_given(f, _index_or_big) for f in ("--n", "--k", "--N", "--K")),
+          _step_files, _fmt),
+    _argv("normal-order", *(_given(f, _index_or_big) for f in ("--n", "--k", "--N", "--K")),
+          st.sampled_from([[], ["--renormalize"]]), _fmt),
+    _argv("bracket", st.lists(_dsl_text, max_size=2), st.sampled_from([[], ["--relaxed"]]), _fmt),
+)
+
+
+@seed(20061608)
+@settings(max_examples=150, deadline=None)
+@given(_CONTRACT_ARGV, _records_text, _records_text, st.lists(_dsl_text, max_size=3))
+def test_the_exit_code_contract_holds_on_many_digits_step_files_and_dsl(argv, g, f, lines):
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for name, text in (("g.json", g), ("f.json", f)):
+            with open(name, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        result = runner.invoke(main, argv, input="\n".join(lines) + "\n")
     assert result.exit_code in (0, 1, 2), (argv, result.exception)
     assert result.exception is None or isinstance(result.exception, SystemExit), argv
     assert "Traceback" not in result.output

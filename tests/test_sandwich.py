@@ -508,6 +508,33 @@ def test_the_realization_path_hashes_no_fraction(monkeypatch):
     assert len(hashed) == 0
 
 
+def test_a_warm_passing_tuple_reads_no_blocks_and_builds_one_fraction(monkeypatch):
+    # the generator words' parts come from the indices, the merged exponents
+    # from their doubles, and the reduced word is compared with the expected
+    # one as ints: the one Fraction built is the expected word's coefficient
+    grid = list(itertools.product(range(2, 6), range(-3, 4), repeat=2))
+    for indices in grid:
+        verify_theorem(*indices)
+    calls = []
+    for name in ("_single_label_parts", "_twice"):
+        original = getattr(rhpwn.sandwich, name)
+        monkeypatch.setattr(rhpwn.sandwich, name,
+                            lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args))
+    built = []
+    fraction_new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        built.append(args)
+        return fraction_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    for indices in grid:
+        built.clear()
+        assert verify_theorem(*indices).passed
+        assert len(built) <= 1, (indices, built)
+    assert calls == []
+
+
 def test_verify_theorem_builds_the_default_product_once(monkeypatch):
     # the default symbols' product g f is built beside them, not per tuple
     grid = list(itertools.product(range(2, 5), range(-2, 3), repeat=2))
@@ -616,6 +643,29 @@ def test_the_kernel_matches_the_full_reduction_on_the_acceptance_grid():
         assert fields == _reference_theorem(n, k, N, K, g, f), (n, k, N, K)
         kept = _scaled(*_products(gen_to_word(n, k, "t"), gen_to_word(N, K, "s"), True, 1)[:2])
         assert kept == eq_expr(kept.terms), (n, k, N, K)
+
+
+# Tables that a corrupted lie.structure could give: every tuple they fail
+# goes through the Fraction path, which must report what the reference does.
+_CORRUPTED_TABLES = {
+    "skewed": lambda c, n2, k2: (c + 1, n2, k2) if c % 2 else (c, n2, k2 + 1),
+    "escaping": lambda c, n2, k2: (c, 1, k2),
+    "zeroed": lambda c, n2, k2: (0, n2, k2),
+}
+
+
+@pytest.mark.parametrize("table", sorted(_CORRUPTED_TABLES))
+def test_corrupted_tables_give_the_full_reduction_on_the_acceptance_grid(monkeypatch, table):
+    true_structure, corrupt = lie.structure, _CORRUPTED_TABLES[table]
+    monkeypatch.setattr(lie, "structure", lambda *args: corrupt(*true_structure(*args)))
+    g, f = fn_symbol("g"), fn_symbol("f")
+    outcomes = set()
+    for n, k, N, K in itertools.product(range(2, 8), range(-4, 5), repeat=2):
+        r = verify_theorem(n, k, N, K)
+        fields = r.computed, r.l0_residual, r.dropped_singular, r.passed
+        assert fields == _reference_theorem(n, k, N, K, g, f), (n, k, N, K)
+        outcomes.add(r.passed)
+    assert outcomes == {True, False}
 
 
 @st.composite

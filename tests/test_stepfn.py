@@ -4,21 +4,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import cscalars, rationals, s0_step_fns, step_fns
+from conftest import rationals, s0_step_fns, step_fns
 from rhpwn.scalars import CS_ONE, CS_ZERO, CScalar
 from rhpwn.stepfn import (
     FnSymbol,
     ZERO_FN,
-    add,
     conjugate,
     evaluate,
     fn_symbol,
     indicator,
-    interval_set,
     is_in_S0,
     make_step,
     pointwise_product,
-    scale,
     step_from_records,
     step_to_records,
     fn_conjugate,
@@ -58,14 +55,6 @@ def test_indicator_right_continuity():
     assert not is_in_S0(indicator([(-1, 1)]))
 
 
-def test_interval_set_coalesces():
-    s = interval_set([(2, 3), (0, 1), (1, 2)])
-    assert s.intervals == ((Fraction(0), Fraction(3)),)
-    assert Fraction(1, 2) in s and Fraction(3) not in s
-    with pytest.raises(ValueError):
-        interval_set([(1, 1)])
-
-
 def test_pointwise_product_examples():
     assert pointwise_product(chi(0, 2), chi(1, 3)) == chi(1, 2)
     f = make_step([0, 2], [CScalar(Fraction(2), Fraction(1))])
@@ -102,15 +91,12 @@ def test_product_commutative_associative(f, g, h):
 @given(step_fns(), step_fns(), rationals)
 def test_evaluate_is_ring_homomorphism(f, g, t):
     assert evaluate(pointwise_product(f, g), t) == evaluate(f, t) * evaluate(g, t)
-    assert evaluate(add(f, g), t) == evaluate(f, t) + evaluate(g, t)
 
 
-@given(s0_step_fns(), s0_step_fns(), cscalars)
-def test_s0_closure(f, g, c):
+@given(s0_step_fns(), s0_step_fns())
+def test_s0_closure(f, g):
     assert is_in_S0(pointwise_product(f, g))
     assert is_in_S0(conjugate(f))
-    assert is_in_S0(scale(c, f))
-    assert is_in_S0(add(f, g))
 
 
 @given(step_fns())
