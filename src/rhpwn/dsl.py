@@ -36,7 +36,7 @@ from typing import NamedTuple, Optional, Union
 
 from . import lie
 from .lie import AlgebraKind, Element, element_to_json
-from .scalars import CS_I, CScalar
+from .scalars import _F0, CScalar, _cscalar
 from .stepfn import AnyTestFn, FnSymbol, StepFn, canon_pieces
 
 
@@ -52,29 +52,24 @@ class ParseError(ValueError):
         self.expected = expected
 
 
-_TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<starpost>\^\*)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z_][A-Za-z0-9_]*)"
-    r"|(?P<punct>[\[\](),;+\-*/@~!])",
-    re.ASCII,
-)
+# A token is '^*', an unsigned integer, a name or one punctuation mark;
+# ASCII whitespace between tokens is skipped.
+_TOKEN_RE = re.compile(r"\^\*|\d+|[A-Za-z_][A-Za-z0-9_]*|[\[\](),;+\-*/@~!]", re.ASCII)
+# A character no token reads: not ASCII whitespace, a word character or a
+# punctuation mark, or a '^' not before '*'.
+_BAD_RE = re.compile(r"[^\s\w\[\](),;+\-*/@~!^]|\^(?!\*)", re.ASCII)
+_PUNCT_KINDS = {**{mark: mark for mark in "[](),;+-*/@~!"}, "^*": "starpost"}
 
 
-def _tokenize(text: str) -> list[tuple[str, str, int]]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        if m.lastgroup != "ws":
-            kind = m.lastgroup if m.lastgroup != "punct" else m.group()
-            tokens.append((kind, m.group(), pos))
-        pos = m.end()
-    tokens.append(("eof", "", len(text)))
-    return tokens
+def _tokenize(text: str) -> tuple[list[str], list[str]]:
+    """The texts and the kinds of the tokens, "eof" last; a punctuation mark
+    is its own kind. The first character no token reads is a ParseError."""
+    bad = _BAD_RE.search(text)
+    if bad:
+        raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
+    texts = _TOKEN_RE.findall(text)
+    kinds = [_PUNCT_KINDS.get(t) or ("int" if t[0] <= "9" else "name") for t in texts]
+    return texts + [""], kinds + ["eof"]
 
 
 # -- AST ----------------------------------------------------------------------
@@ -108,6 +103,7 @@ class AddNode(NamedTuple):
 DslExpr = Union[AtomNode, BracketNode, StarNode, ScaleNode, AddNode]
 
 _ATOM_KINDS = {"B": AlgebraKind.RHPWN, "Bh": AlgebraKind.WINFINITY}
+_MINUS_ONE = CScalar(-1)
 
 # Deepest nesting of '[' and '(' the recursive-descent parser accepts: each
 # level costs it four Python frames, well inside the default recursion limit.
@@ -115,49 +111,57 @@ MAX_NESTING = 100
 
 
 class _Parser:
+    """Recursive descent: ``kinds[pos]`` is the next token's kind and
+    ``texts[pos]`` its text; offsets are found again for a diagnostic only."""
+
     def __init__(self, text: str, relaxed: bool):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.texts, self.kinds = _tokenize(text)
         self.pos = 0
         self.relaxed = relaxed
         self.depth = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
+    def error(self, pos: int, message: Optional[str] = None, expected=()) -> ParseError:
+        """``message``, by default that token ``pos`` is unexpected, at its offset."""
+        starts = [m.start() for m in _TOKEN_RE.finditer(self.text)] + [len(self.text)]
+        message = message or f"unexpected token {self.texts[pos]!r}"
+        return ParseError(message, starts[pos], expected)
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        if tok[0] != "eof":
-            self.pos += 1
-        return tok
+    def expect(self, kind: str, expected: tuple[str, ...]) -> str:
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            raise self.error(pos, expected=expected)
+        self.pos = pos + 1
+        return self.texts[pos]
 
-    def expect(self, kind: str, expected: tuple[str, ...]):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(f"unexpected token {tok[1]!r}", tok[2], expected)
-        return self.advance()
+    def _is_i(self, pos: int) -> bool:
+        return self.texts[pos] == "i" and self.kinds[pos] == "name"
 
     # expr := ['-'] term (('+'|'-') term)*
     def parse_expr(self) -> DslExpr:
-        if self.peek()[0] == "-":
-            self.advance()
-            node: DslExpr = ScaleNode(CScalar.of(-1), self.parse_term())
+        kinds = self.kinds
+        if kinds[self.pos] == "-":
+            self.pos += 1
+            node: DslExpr = ScaleNode(_MINUS_ONE, self.parse_term())
         else:
             node = self.parse_term()
-        while self.peek()[0] in ("+", "-"):
-            op = self.advance()[0]
+        while kinds[self.pos] in ("+", "-"):
+            op = kinds[self.pos]
+            self.pos += 1
             rhs = self.parse_term()
-            node = AddNode(node, rhs if op == "+" else ScaleNode(CScalar.of(-1), rhs))
+            node = AddNode(node, rhs if op == "+" else ScaleNode(_MINUS_ONE, rhs))
         return node
 
     # term := (scalar '*')* postfixed
     def parse_term(self) -> DslExpr:
-        scalars = []
+        kinds, scalars = self.kinds, []
         while True:
-            tok = self.peek()
-            if tok[0] == "int" or (tok[0] == "name" and tok[1] == "i"):
+            kind = kinds[self.pos]
+            if kind == "int" or self._is_i(self.pos):
                 scalars.append(self._parse_part())
-            elif tok[0] == "(":
-                # A group that does not read as a scalar is an expression.
+            elif kind == "(" and (kinds[self.pos + 1] in ("int", "-") or self._is_i(self.pos + 1)):
+                # A group that does not read as a scalar is an expression; only
+                # one that opens with an integer, '-' or 'i' is tried as one.
                 save = self.pos
                 try:
                     scalars.append(self._parse_paren_scalar())
@@ -174,24 +178,22 @@ class _Parser:
 
     def parse_postfixed(self) -> DslExpr:
         node = self.parse_primary()
-        while self.peek()[0] == "starpost":
-            self.advance()
+        while self.kinds[self.pos] == "starpost":
+            self.pos += 1
             node = StarNode(node)
         return node
 
     def parse_primary(self) -> DslExpr:
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] in _ATOM_KINDS:
+        kind = self.kinds[self.pos]
+        if kind == "name" and self.texts[self.pos] in _ATOM_KINDS:
             return self.parse_atom()
-        if tok[0] not in ("[", "("):
-            raise ParseError(
-                f"unexpected token {tok[1]!r}", tok[2], ("B", "Bh", "[", "(")
-            )
+        if kind not in ("[", "("):
+            raise self.error(self.pos, expected=("B", "Bh", "[", "("))
         if self.depth == MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
-        self.advance()
+            raise self.error(self.pos, f"nesting deeper than {MAX_NESTING} levels")
+        self.pos += 1
         self.depth += 1
-        if tok[0] == "[":
+        if kind == "[":
             a = self.parse_expr()
             self.expect(",", (",",))
             node = BracketNode(a, self.parse_expr())
@@ -203,47 +205,45 @@ class _Parser:
         return node
 
     def parse_atom(self) -> AtomNode:
-        name_tok = self.advance()
-        kind = _ATOM_KINDS[name_tok[1]]
+        at = self.pos
+        kind = _ATOM_KINDS[self.texts[at]]
+        self.pos += 1
         self.expect("[", ("[",))
         n = self._parse_signed_int()
         self.expect(",", (",",))
         k = self._parse_signed_int()
         self.expect("]", ("]",))
         label = None
-        if self.peek()[0] == "@":
-            self.advance()
+        if self.kinds[self.pos] == "@":
+            self.pos += 1
             label = self._parse_label()
         if not self.relaxed and not lie.in_domain(kind, n, k):
-            raise ParseError(
-                f"index ({n}, {k}) outside the {kind.value} family "
-                "(pass --relaxed to admit it)",
-                name_tok[2],
-            )
+            raise self.error(at, f"index ({n}, {k}) outside the {kind.value} family "
+                             "(pass --relaxed to admit it)")
         return AtomNode(kind, n, k, label)
 
     def _parse_sign(self) -> int:
-        if self.peek()[0] == "-":
-            self.advance()
+        if self.kinds[self.pos] == "-":
+            self.pos += 1
             return -1
         return 1
 
     def _parse_signed_int(self) -> int:
         sign = self._parse_sign()
-        tok = self.expect("int", ("integer",))
-        return sign * int(tok[1])
+        return sign * int(self.expect("int", ("integer",)))
 
     def _parse_label(self) -> AnyTestFn:
-        if self.peek()[1] == "step" and self.tokens[self.pos + 1][0] == "[":
+        kinds = self.kinds
+        if self.texts[self.pos] == "step" and kinds[self.pos + 1] == "[":
             return self._parse_step()
-        in_S0 = self.peek()[0] != "!"
+        in_S0 = kinds[self.pos] != "!"
         if not in_S0:
-            self.advance()
-        if self.peek()[0] == "(":
-            self.advance()
+            self.pos += 1
+        if kinds[self.pos] == "(":
+            self.pos += 1
             factors = [self._parse_label_factor()]
-            while self.peek()[0] == "*":
-                self.advance()
+            while kinds[self.pos] == "*":
+                self.pos += 1
                 factors.append(self._parse_label_factor())
             self.expect(")", (")",))
             return FnSymbol(tuple(sorted(factors)), in_S0)
@@ -251,85 +251,74 @@ class _Parser:
 
     def _parse_label_factor(self) -> str:
         prefix = ""
-        if self.peek()[0] == "~":
-            self.advance()
+        if self.kinds[self.pos] == "~":
+            self.pos += 1
             prefix = "~"
-        tok = self.expect("name", ("test-function name",))
-        return prefix + tok[1]
+        return prefix + self.expect("name", ("test-function name",))
 
     def _parse_step(self) -> StepFn:
         """'step' '[' [piece (';' piece)*] ']', each piece from,to,re,im."""
-        self.advance()
-        start = self.advance()[2]  # the '[': overlapping pieces are reported here
+        start = self.pos + 1  # the '[': overlapping pieces are reported here
+        self.pos += 2
         pieces = []
-        while self.peek()[0] != "]":
+        while self.kinds[self.pos] != "]":
             if pieces:
                 self.expect(";", (";", "]"))
-            piece = [self._parse_sign() * self._parse_rational()]
+            piece = [self._parse_rational(self._parse_sign())]
             for _ in range(3):
                 self.expect(",", (",",))
-                piece.append(self._parse_sign() * self._parse_rational())
+                piece.append(self._parse_rational(self._parse_sign()))
             pieces.append((*piece[:2], CScalar(*piece[2:])))
-        self.advance()
+        self.pos += 1
         try:
             return canon_pieces(pieces)
         except ValueError as exc:
-            raise ParseError(str(exc), start) from None
+            raise self.error(start, str(exc)) from None
 
     # -- scalar literals -----------------------------------------------------
 
-    def _parse_rational(self) -> Fraction:
-        tok = self.expect("int", ("integer",))
-        num = int(tok[1])
-        if self.peek()[0] == "/":
-            self.advance()
-            den_tok = self.expect("int", ("integer",))
-            if int(den_tok[1]) == 0:
-                raise ParseError("zero denominator", den_tok[2])
-            return Fraction(num, int(den_tok[1]))
+    def _parse_rational(self, sign: int = 1) -> Fraction:
+        num = sign * int(self.expect("int", ("integer",)))
+        if self.kinds[self.pos] == "/":
+            self.pos += 1
+            den = int(self.expect("int", ("integer",)))
+            if den == 0:
+                raise self.error(self.pos - 1, "zero denominator")
+            return Fraction(num, den)
         return Fraction(num)
 
     def _parse_paren_scalar(self) -> CScalar:
         self.expect("(", ("(",))
-        value = self._parse_signed_part()
-        while self.peek()[0] in ("+", "-"):
-            sign = -1 if self.advance()[0] == "-" else 1
-            part = self._parse_part()
+        value = self._parse_part(self._parse_sign())
+        while self.kinds[self.pos] in ("+", "-"):
+            sign = -1 if self.kinds[self.pos] == "-" else 1
+            self.pos += 1
+            part = self._parse_part(sign)
             if not part.im or (value.im and part.im):
-                tok = self.peek()
-                raise ParseError("malformed complex literal", tok[2])
-            value = value + part * sign
+                raise self.error(self.pos, "malformed complex literal")
+            value = _cscalar(value.re, part.im)  # a real part, then an imaginary one
         self.expect(")", (")",))
         return value
 
-    def _parse_signed_part(self) -> CScalar:
-        sign = self._parse_sign()
-        return self._parse_part() * sign
-
-    def _parse_part(self) -> CScalar:
-        tok = self.peek()
-        if tok[0] == "name" and tok[1] == "i":
-            self.advance()
-            return CS_I
-        value = self._parse_rational()
-        if self.peek()[0] == "*":
-            save = self.pos
-            self.advance()
-            nxt = self.peek()
-            if nxt[0] == "name" and nxt[1] == "i":
-                self.advance()
-                return CScalar(Fraction(0), value)
-            self.pos = save
-        return CScalar(value)
+    def _parse_part(self, sign: int = 1) -> CScalar:
+        """A real or an imaginary literal, times ``sign``."""
+        if self._is_i(self.pos):
+            self.pos += 1
+            return _cscalar(_F0, Fraction(sign))
+        value = self._parse_rational(sign)
+        if self.kinds[self.pos] == "*" and self._is_i(self.pos + 1):
+            self.pos += 2
+            return _cscalar(_F0, value)
+        return _cscalar(value, _F0)
 
 
 def parse(text: str, relaxed: bool = False) -> DslExpr:
     """Parse a DSL expression, or raise ParseError with offset diagnostics."""
     parser = _Parser(text, relaxed)
     node = parser.parse_expr()
-    tok = parser.peek()
-    if tok[0] != "eof":
-        raise ParseError(f"trailing input {tok[1]!r}", tok[2], ("end of input",))
+    if parser.kinds[parser.pos] != "eof":
+        raise parser.error(parser.pos, f"trailing input {parser.texts[parser.pos]!r}",
+                           ("end of input",))
     return node
 
 
@@ -349,10 +338,14 @@ def evaluate(ast: DslExpr) -> Element:
         while isinstance(ast, AddNode):
             addends.append(ast.b)
             ast = ast.a
-        total = evaluate(ast)
+        first = evaluate(ast)
+        terms = list(first.terms)
         for b in reversed(addends):
-            total = total + evaluate(b)
-        return total
+            x = evaluate(b)
+            if x.kind is not first.kind:
+                raise ValueError("algebra kind mismatch")
+            terms += x.terms
+        return Element.canonical(terms, first.kind)
     if isinstance(ast, (StarNode, ScaleNode)):
         unary = []
         while isinstance(ast, (StarNode, ScaleNode)):

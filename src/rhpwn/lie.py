@@ -8,7 +8,6 @@ and element-level computations certify the same table.
 from __future__ import annotations
 
 import enum
-import functools
 import heapq
 import itertools
 import operator
@@ -16,7 +15,7 @@ import random
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
 
-from .scalars import CScalar, LinComb, coeff_from_json, coeff_to_json, count_to_str
+from .scalars import CS_ONE, CScalar, LinComb, coeff_from_json, coeff_to_json, count_to_str
 from .stepfn import (
     AnyTestFn,
     fn_conjugate,
@@ -34,6 +33,8 @@ class AlgebraKind(enum.Enum):
     RHPWN = "RHPWN"
     WINFINITY = "Winfinity"
     WITT = "Witt"
+
+    __hash__ = object.__hash__  # singletons: hashed by identity in C, not by name in Python
 
 
 def in_domain(kind: AlgebraKind, n: int, k: int) -> bool:
@@ -105,7 +106,7 @@ def basis(
     relaxed: bool = False,
 ) -> Element:
     g = generator(kind, n, k, label, relaxed)
-    return Element(kind, ((g, CScalar.of(1)),))
+    return Element(kind, ((g, CS_ONE),))
 
 
 def structure(kind: AlgebraKind, n: int, k: int, N: int, K: int) -> tuple[int, int, int]:
@@ -129,39 +130,36 @@ def _bracket_label(a: Optional[AnyTestFn], b: Optional[AnyTestFn]) -> Optional[A
 
 
 def bracket(x: Element, y: Element) -> Element:
-    """Bilinear extension of the structure-constant table."""
-    if x.kind is not y.kind:
+    """Bilinear extension of the structure-constant table, summed by one
+    ``canonical``; a target is domain-checked only when both factors are in-domain."""
+    kind = x.kind
+    if kind is not y.kind:
         raise ValueError("algebra kind mismatch")
+    ys = [(n, k, label, c, in_domain(kind, n, k)) for (_, n, k, label), c in y.terms]
     out = []
-    for g1, c1 in x.terms:
-        for g2, c2 in y.terms:
-            c, n2, k2 = structure(x.kind, g1.n, g1.k, g2.n, g2.k)
-            if not c:
-                continue
-            relaxed = not (g1.in_domain and g2.in_domain)
-            out.append(
-                (
-                    generator(x.kind, n2, k2, _bracket_label(g1.label, g2.label), relaxed),
-                    c1 * c2 * c,
-                )
-            )
-    return element(x.kind, out)
+    for (_, n1, k1, label1), c1 in x.terms:
+        in1 = in_domain(kind, n1, k1)
+        for n, k, label, c2, in2 in ys:
+            c, n2, k2 = structure(kind, n1, k1, n, k)
+            if c:
+                relaxed = not (in1 and in2)
+                g = generator(kind, n2, k2, _bracket_label(label1, label), relaxed)
+                out.append((g, c1 * c2 * c))
+    return Element.canonical(out, kind)
 
 
 def involution(x: Element) -> Element:
     """The *-map: RHPWN sends B^n_k(f) to B^k_n(conj f); w-infinity and Witt
-    send B^n_k(f) to B^n_{-k}(conj f). Antilinear on coefficients."""
+    send B^n_k(f) to B^n_{-k}(conj f). Antilinear on coefficients. Each
+    family is closed under it, so an image needs no domain test."""
+    kind = x.kind
+    rhpwn = kind is AlgebraKind.RHPWN
     out = []
-    for g, c in x.terms:
-        if x.kind is AlgebraKind.RHPWN:
-            n2, k2 = g.k, g.n
-        else:
-            n2, k2 = g.n, -g.k
-        label = None if g.label is None else fn_conjugate(g.label)
-        out.append(
-            (generator(x.kind, n2, k2, label, relaxed=not g.in_domain), c.conjugate())
-        )
-    return element(x.kind, out)
+    for (_, n, k, label), c in x.terms:
+        label = None if label is None else fn_conjugate(label)
+        out.append((Generator(kind, k, n, label) if rhpwn else Generator(kind, n, -k, label),
+                    c.conjugate()))
+    return Element.canonical(out, kind)
 
 
 def jacobi_defect(x: Element, y: Element, z: Element) -> Element:
@@ -492,14 +490,17 @@ def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairRepo
 
 def star_scan(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:
     """Check *-Lie compatibility on every pair of basis elements. A failure's
-    detail is the nonzero star_compat_check defect."""
-    element = functools.cache(lambda p: basis(kind, *p))
+    detail is the nonzero star_compat_check defect. Each basis element and
+    its image are built once; as both sides are canonical, they are compared
+    for equality and subtracted only when they differ."""
 
     def failing(pairs):
-        for p, q in itertools.product(pairs, repeat=2):
-            d = star_compat_check(element(p), element(q))
-            if not d.is_zero:
-                yield p, q, d
+        xs = [basis(kind, *p) for p in pairs]
+        stars = list(map(involution, xs))
+        for (p, x, x_star), (q, y, y_star) in itertools.product(zip(pairs, xs, stars), repeat=2):
+            lhs, rhs = involution(bracket(x, y)), bracket(y_star, x_star)
+            if lhs != rhs:
+                yield p, q, lhs - rhs
 
     return _pair_scan(kind, n_range, k_range, failing)
 

@@ -80,7 +80,11 @@ def rational(x) -> Fraction:
 
 
 class CScalar(NamedTuple("CScalar", [("re", Fraction), ("im", Fraction)])):
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
+
+    A product with a nonzero imaginary part is built from the parts' integer
+    numerators and denominators: two ``Fraction`` reductions over a common
+    denominator instead of four products and two sums of ``Fraction``."""
 
     __slots__ = ()
 
@@ -125,7 +129,11 @@ class CScalar(NamedTuple("CScalar", [("re", Fraction), ("im", Fraction)])):
             a, b, c, d = self.re, self.im, other.re, other.im
             if not b and not d:
                 return _cscalar(a * c, _F0)
-            return _cscalar(a * c - b * d, a * d + b * c)
+            an, ad, bn, bd = a.numerator, a.denominator, b.numerator, b.denominator
+            cn, cd, dn, dd = c.numerator, c.denominator, d.numerator, d.denominator
+            den = ad * bd * cd * dd
+            return _cscalar(Fraction(an * cn * bd * dd - bn * dn * ad * cd, den),
+                            Fraction(an * dn * bd * cd + bn * cn * ad * dd, den))
         if isinstance(other, (int, Fraction)):
             return _cscalar(self.re * other, self.im * other if self.im else _F0)
         return NotImplemented
@@ -149,7 +157,6 @@ def _cscalar(re: Fraction, im: Fraction) -> CScalar:
 
 CS_ZERO = CScalar()
 CS_ONE = CScalar(Fraction(1))
-CS_I = CScalar(Fraction(0), Fraction(1))
 
 
 def coeff_to_json(c: CScalar) -> list[int]:
@@ -221,7 +228,8 @@ class LinComb:
     dropped and the rest sorted by key, so equal sums are equal tuples; a
     merged term keeps the type of the first term of its key. A subclass also
     derives from a named tuple whose last field is ``terms``, after LinComb so
-    that its ``+`` and ``-`` win over tuple concatenation.
+    that its ``+`` and ``-`` win over tuple concatenation. ``scaled`` by a
+    nonzero scalar keeps the keys, so it keeps the term order too.
     """
 
     __slots__ = ()
@@ -229,17 +237,19 @@ class LinComb:
 
     @classmethod
     def canonical(cls, terms, *head):
-        """The sum of ``terms``; ``head`` fills the fields before ``terms``."""
+        """The sum of ``terms``; ``head`` fills the fields before ``terms``. A
+        term alone at its key with a CScalar coefficient is kept as it is."""
         acc: dict = {}
         for t in terms:
-            key = t[:-1]
+            key, c = t[:-1], t[-1]
             old = acc.get(key)
             if old is None:
-                acc[key] = [type(t), CScalar.of(t[-1])]
+                acc[key] = [t, c if type(c) is CScalar else CScalar.of(c)]
             else:
-                old[1] += t[-1]
-        items = sorted(acc.items(), key=itemgetter(0))
-        return cls(*head, tuple(tuple.__new__(kind, key + (c,)) for key, (kind, c) in items if c))
+                old[1] += c
+        items = sorted(acc.items(), key=itemgetter(0)) if len(acc) > 1 else acc.items()
+        return cls(*head, tuple([t if c is t[-1] else tuple.__new__(type(t), key + (c,))
+                                 for key, (t, c) in items if c]))
 
     @property
     def head(self) -> tuple:
@@ -267,9 +277,10 @@ class LinComb:
         return self.scaled(-1)
 
     def scaled(self, c):
+        """The sum times ``c``: no term vanishes or merges unless c = 0."""
         c = CScalar.of(c)
-        return self.canonical((tuple.__new__(type(t), t[:-1] + (c * t[-1],)) for t in self.terms),
-                              *self.head)
+        terms = [tuple.__new__(type(t), t[:-1] + (c * t[-1],)) for t in self.terms] if c else ()
+        return type(self)(*self.head, tuple(terms))
 
 
 class Sum(LinComb, NamedTuple("Sum", [("terms", tuple)])):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .scalars import CS_ONE, CS_ZERO, CScalar, rational, rational_from_str, rational_to_str
+from .scalars import CS_ZERO, CScalar, rational, rational_from_str, rational_to_str
 
 
 class StepFn(NamedTuple):
@@ -69,11 +69,6 @@ def make_step(breakpoints: Iterable, values: Iterable) -> StepFn:
             f"got {len(vals)}"
         )
     return canon_pieces(zip(bps, bps[1:], vals))
-
-
-def indicator(intervals: Iterable[tuple]) -> StepFn:
-    """Indicator function of a finite union of disjoint half-open intervals [a, b)."""
-    return canon_pieces((rational(a), rational(b), CS_ONE) for a, b in intervals)
 
 
 def evaluate(f: StepFn, t) -> CScalar:

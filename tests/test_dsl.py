@@ -1,25 +1,28 @@
 import json
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import any_fn_symbols, elements, step_fns
+from conftest import (any_fn_symbols, cscalars, elements, indicator, ref_bracket, ref_involution,
+                      ref_scaled, ref_sum, step_fns)
 from rhpwn.dsl import (
     AddNode,
     AtomNode,
     BracketNode,
     MAX_NESTING,
     ParseError,
+    ScaleNode,
     StarNode,
     evaluate,
     parse,
     render,
 )
-from rhpwn.lie import AlgebraKind, Element, basis, element_from_json, involution, zero
+from rhpwn.lie import (AlgebraKind, Element, basis, element_from_json, generator, involution,
+                       zero)
 from rhpwn.scalars import CScalar
 from rhpwn import stepfn
-from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, step_from_records
+from rhpwn.stepfn import FnSymbol, fn_symbol, step_from_records
 from fractions import Fraction
 
 RHPWN = AlgebraKind.RHPWN
@@ -69,8 +72,53 @@ def test_evaluate_linear_combinations():
 def test_kind_mixing_rejected():
     with pytest.raises(ValueError):
         evaluate(parse("[B[2,1], Bh[2,1]]"))
-    with pytest.raises(ValueError):
-        evaluate(parse("B[2,1] + Bh[2,1]"))
+    for text in ("B[2,1] + Bh[2,1]", "B[2,1] + B[1,2] - Bh[2,1] + B[3,0]", "Bh[2,1] - B[2,1]"):
+        with pytest.raises(ValueError, match="algebra kind mismatch"):
+            evaluate(parse(text))
+    # the addends evaluate in order: the mismatch comes before a later addend's error
+    with pytest.raises(ValueError, match="algebra kind mismatch"):
+        evaluate(parse("B[2,1] + Bh[2,1] + [B[2,1]@f, B[1,2]]"))
+
+
+@st.composite
+def _trees(draw, kind, labels, depth: int):
+    """A random AST of one kind: atoms with relaxed indices, brackets, '^*',
+    complex scale factors, and sums of two to four addends."""
+    roll = draw(st.integers(0, 4)) if depth else 0
+    if roll == 0:
+        n, k = draw(st.integers(-2, 6)), draw(st.integers(-5, 5))
+        return AtomNode(kind, n, k, None if labels is None else draw(labels))
+    a = draw(_trees(kind, labels, depth - 1))
+    if roll == 1:
+        return StarNode(a)
+    if roll == 2:
+        return ScaleNode(draw(st.one_of(cscalars, st.just(CScalar()))), a)
+    if roll == 3:
+        return BracketNode(a, draw(_trees(kind, labels, depth - 1)))
+    for _ in range(draw(st.integers(1, 3))):
+        a = AddNode(a, draw(_trees(kind, labels, depth - 1)))
+    return a
+
+
+def _ref_evaluate(ast):
+    if isinstance(ast, AtomNode):
+        return ref_sum(ast.kind, [(generator(ast.kind, ast.n, ast.k, ast.label, True), 1)])
+    if isinstance(ast, StarNode):
+        return ref_involution(_ref_evaluate(ast.a))
+    if isinstance(ast, ScaleNode):
+        return ref_scaled(_ref_evaluate(ast.a), ast.c)
+    a, b = _ref_evaluate(ast.a), _ref_evaluate(ast.b)
+    return ref_bracket(a, b) if isinstance(ast, BracketNode) else ref_sum(a.kind, a.terms + b.terms)
+
+
+@seed(20060819)
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_evaluate_matches_the_term_by_term_reference(data):
+    kind = data.draw(st.sampled_from(list(AlgebraKind)))
+    labels = data.draw(st.sampled_from([None, any_fn_symbols, step_fns()]))
+    ast = data.draw(_trees(kind, labels, 3))
+    assert evaluate(ast) == _ref_evaluate(ast)
 
 
 def test_render_examples():
@@ -114,6 +162,47 @@ def test_parse_error_diagnostics():
         parse("3")  # a bare scalar is not an element
     with pytest.raises(ParseError):
         parse("1/0*B[2,1]")
+
+
+# Messages and offsets of the tokenizer's diagnostics, pinned: a character no
+# token reads is reported where it stands, wherever it is on the line.
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("#B[2,1]", "at byte 0: unexpected character '#'"),
+        ("B[2,1] $ B[1,2]", "at byte 7: unexpected character '$'"),
+        ("B[2,1]^", "at byte 6: unexpected character '^'"),
+        ("B[2,1] ^ *B[1,2]", "at byte 7: unexpected character '^'"),
+        ("B[2,1].", "at byte 6: unexpected character '.'"),
+        ("B[2,1]@f\u00e9", "at byte 8: unexpected character '\u00e9'"),
+        ("B[2,\u0663]", "at byte 4: unexpected character '\u0663'"),
+        ("B[2,1]\u00a0+ B[1,2]", "at byte 6: unexpected character '\\xa0'"),
+        ("B[2,1]\u3000", "at byte 6: unexpected character '\\u3000'"),
+        ("B[2,1] +", "at byte 8: unexpected token '' (expected B, Bh, [, ()"),
+        ("B[2,1]]", "at byte 6: trailing input ']' (expected end of input)"),
+        ("B[2 1]", "at byte 4: unexpected token '1' (expected ,)"),
+        ("B[2,x]", "at byte 4: unexpected token 'x' (expected integer)"),
+        ("(1/0)*B[2,1]", "at byte 3: zero denominator"),
+        ("(i+i)*B[2,1]", "at byte 2: unexpected token '+' (expected *)"),
+        ("B[2,1]@step[0,1,1,0;1/2,2,1,0]", "at byte 11: overlapping pieces at 1/2"),
+        ("B[1,1]", "at byte 0: index (1, 1) outside the RHPWN family "
+                   "(pass --relaxed to admit it)"),
+    ],
+    ids=[
+        "bad-start", "bad-middle", "bad-end", "caret-alone", "dot", "non-ascii-letter",
+        "non-ascii-digit", "no-break-space", "ideographic-space", "eof", "trailing", "comma",
+        "integer", "zero-denominator", "complex-rollback", "overlap", "domain",
+    ],
+)
+def test_parse_error_messages_are_pinned(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert err.value.offset == int(message.split()[2].rstrip(":"))
+
+
+def test_ascii_whitespace_separates_tokens():
+    assert parse("\tB[2,1]\n+\r\x0bB[1,2]\x0c") == parse("B[2,1] + B[1,2]")
 
 
 def test_nesting_cap():

@@ -4,11 +4,12 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 import rhpwn.lie
-from conftest import cscalars, elements, fn_symbols, step_fns
+from conftest import (any_fn_symbols, cscalars, elements, fn_symbols, indicator, raw_terms,
+                      ref_bracket, ref_involution, ref_scaled, ref_sum, step_fns)
 from rhpwn.lie import (
     AlgebraKind,
     DomainError,
@@ -31,7 +32,7 @@ from rhpwn.lie import (
     zero,
 )
 from rhpwn.scalars import CScalar
-from rhpwn.stepfn import FnSymbol, fn_symbol, indicator, pointwise_product
+from rhpwn.stepfn import FnSymbol, fn_symbol, pointwise_product
 from rhpwn.wick import smear_bracket
 
 RHPWN = AlgebraKind.RHPWN
@@ -499,3 +500,58 @@ def test_relaxed_bracket_allows_escapes():
     result = bracket(x, y)  # lands at (1, 0), outside the certified family
     assert not result.certified
     assert in_domain(RHPWN, 1, 0) is False
+
+
+# -- the element algebra against term-by-term references ----------------------
+
+@st.composite
+def _sums(draw, count: int):
+    """``count`` relaxed elements of one kind, their labels all drawn from one
+    family (symbols, conjugated ones included, or step functions) or absent."""
+    kind = draw(st.sampled_from(list(AlgebraKind)))
+    labels = draw(st.sampled_from([None, any_fn_symbols, step_fns()]))
+    return kind, [element(kind, draw(raw_terms(kind, labels))) for _ in range(count)]
+
+
+@seed(20060816)
+@settings(max_examples=100, deadline=None)
+@given(_sums(2), st.one_of(st.just(CScalar()), cscalars, st.integers(-2, 2)))
+def test_element_algebra_matches_the_term_by_term_reference(sums, s):
+    kind, (x, y) = sums
+    assert bracket(x, y) == ref_bracket(x, y)
+    assert involution(x) == ref_involution(x)
+    assert x.scaled(s) == ref_scaled(x, s)
+    assert x + y == ref_sum(kind, x.terms + y.terms)
+    assert x - y == ref_sum(kind, x.terms + tuple((g, -c) for g, c in y.terms))
+    assert -x == ref_scaled(x, -1)
+
+
+@seed(20060817)
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_canonical_matches_the_reference_sum(data):
+    kind = data.draw(st.sampled_from(list(AlgebraKind)))
+    items = data.draw(raw_terms(kind, data.draw(st.sampled_from([None, any_fn_symbols]))))
+    x = element(kind, items)
+    assert x == ref_sum(kind, items)
+    assert all(type(c) is CScalar for _, c in x.terms)
+
+
+def test_sums_of_two_kinds_are_rejected():
+    x, y = basis(RHPWN, 2, 1), basis(WINF, 2, 1)
+    for combine in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: bracket(x, y)):
+        with pytest.raises(ValueError, match="algebra kind mismatch"):
+            combine()
+
+
+def test_a_labelled_with_an_unlabelled_bracket_is_a_type_error_first(monkeypatch):
+    # every target sent outside the family: a bracket of in-domain factors is a
+    # DomainError, unless a labelled and an unlabelled generator meet first
+    monkeypatch.setattr(rhpwn.lie, "structure", lambda kind, n, k, N, K: (1, 0, 0))
+    f, g = fn_symbol("f"), fn_symbol("g")
+    with pytest.raises(DomainError):
+        bracket(basis(RHPWN, 2, 1, f), basis(RHPWN, 1, 2, g))
+    with pytest.raises(TypeError):
+        bracket(basis(RHPWN, 2, 1, f), basis(RHPWN, 1, 2))
+    with pytest.raises(TypeError):
+        bracket(basis(RHPWN, 2, 1), basis(RHPWN, 1, 2, g) + basis(RHPWN, 3, 0, g))

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import any_fn_symbols, cscalars, fn_symbols, rationals, s0_step_fns, step_fns
+from conftest import (any_fn_symbols, cscalars, fn_symbols, indicator, rationals, s0_step_fns,
+                      step_fns)
 
 import rhpwn.sandwich
 from rhpwn import lie
@@ -28,7 +29,7 @@ from rhpwn.sandwich import (
     verify_theorem,
 )
 from rhpwn.scalars import CScalar, Sum, binom
-from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol, indicator, pointwise_product
+from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol, pointwise_product
 from rhpwn.wick import DeltaAtZeroError, SingularPartError
 
 lams = st.fractions(min_value=-6, max_value=6, max_denominator=8)

@@ -2,10 +2,10 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
-from conftest import cscalars, rationals
+from conftest import cscalars, indicator, rationals
 from rhpwn.dsl import evaluate as evaluate_dsl, parse, render
 from rhpwn.lie import AlgebraKind, element, generator
 from rhpwn.sandwich import EQTerm, eq_expr, eq_term
@@ -18,7 +18,7 @@ from rhpwn.scalars import (
     rational_to_str,
     theta,
 )
-from rhpwn.stepfn import evaluate, fn_sort_key, fn_symbol, indicator, make_step
+from rhpwn.stepfn import evaluate, fn_sort_key, fn_symbol, make_step
 from rhpwn.wick import WNTerm, wn_expr, wn_term
 
 
@@ -204,6 +204,28 @@ def test_arithmetic_matches_component_formulas(x, y):
     _assert_built_from(-x, -a, -b)
     _assert_built_from(x.conjugate(), a, -b)
     _assert_built_from(CScalar.of(y), c, d)
+
+
+# parts of every size: zero, negative, and large non-dyadic denominators
+_wide_parts = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(-10**6, 10**6, max_denominator=97),
+    st.fractions(max_denominator=10**12),
+)
+
+
+@seed(20060818)
+@settings(max_examples=200)
+@given(_wide_parts, _wide_parts, _wide_parts, _wide_parts)
+@example(Fraction(0), Fraction(3, 7), Fraction(0), Fraction(-5, 9))
+@example(Fraction(-2, 3), Fraction(0), Fraction(4, 11), Fraction(-1, 13))
+@example(Fraction(1, 10**9 + 7), Fraction(-3, 999983), Fraction(-999983, 10**9 + 9), Fraction(7, 3))
+@example(Fraction(3, 4), Fraction(-3, 4), Fraction(4, 3), Fraction(4, 3))
+def test_complex_products_are_the_fraction_formula(a, b, c, d):
+    x, y = CScalar(a, b), CScalar(c, d)
+    _assert_built_from(x * y, a * c - b * d, a * d + b * c)
+    _assert_built_from(y * x, a * c - b * d, a * d + b * c)
+    _assert_built_from(x * c, a * c, b * c)
 
 
 # -- the shared linear-combination core ---------------------------------------

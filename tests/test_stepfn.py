@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import rationals, s0_step_fns, step_fns
+from conftest import indicator, rationals, s0_step_fns, step_fns
 from rhpwn.scalars import CS_ONE, CS_ZERO, CScalar
 from rhpwn.stepfn import (
     FnSymbol,
@@ -12,7 +12,6 @@ from rhpwn.stepfn import (
     conjugate,
     evaluate,
     fn_symbol,
-    indicator,
     is_in_S0,
     make_step,
     pointwise_product,
