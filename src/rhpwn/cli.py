@@ -291,16 +291,16 @@ def star_check_cmd(kind, n_range, k_range, fmt) -> None:
 # -- verify-w -----------------------------------------------------------------
 
 # Largest grid verify-w checks, counted as product words and as weight digits.
-# A tuple (n, k, N, K) weighs a commutator of about n N words (it builds only
-# the few delta <= 1 ones), so a grid has (sum of n)^2 times (number of k)^2
+# A tuple (n, k, N, K) weighs a commutator of about n N words (it multiplies
+# out only three), so a grid has (sum of n)^2 times (number of k)^2
 # words; the acceptance grid, n 2..7 and k -4..4, has 59049. A word's weight
 # binom(n-1, j) binom(N-1, i) K^(n-1-j) k^(N-1-i) is at most about
 # (2 max |k|)^(2 (max n - 1)), and a grid's weight digits are its words times
 # the digits of that bound. The slowest runs the caps accept, on a 2-core VM
 # with CPython 3.11: many tuples of small words (n 2..2, k -70..70) take
-# about 2.5 s; one tuple of large weights (n = 18 with a 4300-digit k, the
-# most digits Python reads) about 0.1 s, as only its delta <= 1 weights are
-# multiplied out.
+# about 0.35 s; one tuple of large weights (n = 18 with a 4300-digit k, the
+# most digits Python reads) about 0.1 s past start-up, as only its delta <= 1
+# weights are multiplied out.
 MAX_VERIFY_WORDS = 80_000
 MAX_VERIFY_DIGITS = 50_000_000
 

@@ -22,25 +22,22 @@ the product of the two scalars, so the binomial exchange weights binom(p,j)
 x^(p-j) binom(q,i) y^(q-i) of both orders add up to one weight per pair of
 field powers. The kernel takes each factor's parts: label, doubled left
 exponent 2 lam, field power, doubled right exponent (ints for half-integer
-exponents). ``_products``, for ``multiply`` and ``commutator``, reads them
-off any words' blocks, with the scale (numerator, denominator) of the
-scalars' product; a generator word's parts k, n - 1, k are cached beside it,
-and n - 1 is its scalar's power of 1/2. Then x and y are +-k and +-K, so the
-weights are ints over one scale. Words keep their weights through
-``reduce``'s group sums; each word a caller sees gets one Fraction from the
-scale. Exponents are summed as ints 2 lam; one cache (``_half``) makes their
-Fractions, which reduced and generator words share. Given a bound on the delta
-power, only the weights up to it are formed; the nonzero ones above it are
-counted from the exchange rows' ratio classes. The realization check builds
-the delta <= 1 words, the only ones renormalization keeps, counts the
-singular rest and reduces the words at their weights, with the exponents
-(k + K) / 2 from its ints. It compares the one reduced word with c times the
-generator word at (n', k') as ints: equal keys and weight 2^(n'-1) =
-c 2^(n+N-2). A match reports the expected word, whose coefficient is the one
-Fraction the tuple builds; any other outcome is converted through the scale
-and compared as Fractions. Generator words and parts, exchange rows, their
-ratio classes and merged test functions are cached per process (bounded
-caches; a frozen word does not depend on the table).
+exponents), which ``_products`` reads off the words' blocks, with the scale
+(numerator, denominator) of the scalars' product. For generator words x and
+y are +-k and +-K, so the weights are ints over one scale. Words keep their
+weights through ``reduce``'s group sums; each word a caller sees gets one
+Fraction from the scale. Exponents are summed as ints 2 lam; one cache
+(``_half``) makes their Fractions, which reduced and generator words share.
+Given a bound on the delta power, only the weights up to it are formed; the
+nonzero ones above it are counted from the exchange rows' ratio classes.
+
+The realization check reads the same rows but builds no word for a tuple
+that passes: the delta-free weight and the two delta weights, the only ones
+renormalization keeps, decide it as ints, and the singular rest is counted
+as ``_kernel`` counts it. A tuple that fails builds and reduces the delta <= 1
+words. Generator words, exchange rows, their ratio classes and merged test
+functions are cached per process (bounded caches; a frozen word does not
+depend on the table).
 """
 
 from __future__ import annotations
@@ -126,13 +123,6 @@ def gen_to_word(n: int, k: int, label: str = "t", fn: Optional[AnyTestFn] = None
     return EQTerm(0, ((label, n - 1),), exp, exp, fns, _cscalar(Fraction(1, 2 ** (n - 1)), _F0))
 
 
-@lru_cache(maxsize=4096)
-def _generator(n: int, k: int, label: str, fn: AnyTestFn) -> tuple[EQTerm, tuple]:
-    """``gen_to_word(n, k, label, fn)`` and its ``_kernel`` parts: both exponents are
-    k / 2, doubled k, and the field power n - 1 is also its scalar's power of 1/2."""
-    return gen_to_word(n, k, label, fn), (label, k, n - 1, k)
-
-
 Direction = Literal["rightward", "leftward"]
 
 
@@ -158,6 +148,18 @@ def _ratio_classes(xs: tuple, ws: tuple) -> tuple[int, Counter]:
     classes = Counter(Fraction(x, w).as_integer_ratio() if w else (1, 0) if x else None
                       for x, w in zip(xs, ws))
     return classes.pop(None, 0), classes
+
+
+def _nonzero_weights(xs: tuple, ys: tuple, zs: tuple, ws: tuple) -> int:
+    """The number of nonzero weights x_u y_v - w_u z_v of four exchange rows: they
+    are 0 on rows and columns of a pair (0, 0), and where the classes of x_u : w_u
+    and z_v : y_v agree."""
+    zero_rows, rows = _ratio_classes(xs, ws)
+    zero_cols, cols = _ratio_classes(zs, ys)
+    count = (len(xs) - zero_rows) * (len(ys) - zero_cols)
+    for key, n in rows.items():
+        count -= n * cols.get(key, 0)
+    return count
 
 
 def exchange_E_past_Q(
@@ -277,15 +279,7 @@ def _kernel(a: EQTerm, pa: tuple, b: EQTerm, pb: tuple, base, scale: Optional[tu
                     field = ((la, u), (lb, v)) if a_first else ((lb, v), (la, u))
                 words.append(_new(EQTerm, (p + q - u - v, field, left_exp, right_exp,
                                            testfn, weight if scale else base * weight)))
-    over = 0
-    if fewest:
-        # x_u y_v - w_u z_v is 0 on rows and columns of a pair (0, 0), and
-        # where the classes of x_u : w_u and z_v : y_v agree.
-        zero_rows, rows = _ratio_classes(xs, ws)
-        zero_cols, cols = _ratio_classes(zs, ys)
-        over = (p + 1 - zero_rows) * (q + 1 - zero_cols) - len(words)
-        for key, n in rows.items():
-            over -= n * cols.get(key, 0)
+    over = _nonzero_weights(xs, ys, zs, ws) - len(words) if fewest else 0
     # Words differ in (delta power, field block) and share the rest: sorted, they are
     # in a Sum's order, and the sort never compares past the field block.
     words.sort()
@@ -320,16 +314,11 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
     return () if product is None else ((target, product),)
 
 
-def _doubled(exp: ParamMap):
-    """The sum of an exponential block's doubled exponents."""
+def _exp_at(exp: ParamMap, target: str) -> ParamMap:
+    """An exponential block's exponents summed at ``target``, as doubled ints where they can be."""
     twice = 0
     for _, v in exp:
         twice += _twice(v)
-    return twice
-
-
-def _exp_at(twice, target: str) -> ParamMap:
-    """The exponential block of exponent twice / 2 at ``target``."""
     return ((target, _half(twice) if type(twice) is int else twice / 2),) if twice else ()
 
 
@@ -339,7 +328,7 @@ class ReduceResult(NamedTuple):
     dropped_singular: int
 
 
-def reduce(e: Sum, scale: Optional[tuple] = None, twice: Optional[tuple] = None) -> ReduceResult:
+def reduce(e: Sum, scale: Optional[tuple] = None) -> ReduceResult:
     """Apply the delta renormalization and the vanishing-at-zero condition.
 
     Words with delta power 0 are returned as the residual (a
@@ -354,10 +343,9 @@ def reduce(e: Sum, scale: Optional[tuple] = None, twice: Optional[tuple] = None)
     of one product share them), the merged field power and the target label.
     Each group with a nonzero sum becomes one word with a coefficient, and
     equal blocks that are not identical merge in the canonical sort. A
-    group's exponents are summed for it, or read off ``twice``, the doubled
-    left and right sums a ``_kernel`` caller knows for every delta word of
-    ``e``; its test-function product is built once per block and process,
-    and whether a block vanishes at zero is asked once per call.
+    group's exponents are summed for it; its test-function product is built
+    once per block and process, and whether a block vanishes at zero is
+    asked once per call.
     """
     groups: dict = {}
     residual = []
@@ -399,9 +387,8 @@ def reduce(e: Sum, scale: Optional[tuple] = None, twice: Optional[tuple] = None)
         testfn = _merged_blocks(t.testfn, target)  # raises if the functions do not multiply
         if c:
             q_pow = ((target, power),) if power else ()
-            left, right = (_doubled(t.left_exp), _doubled(t.right_exp)) if twice is None else twice
-            reduced.append(_new(EQTerm, (0, q_pow, _exp_at(left, target), _exp_at(right, target),
-                                         testfn, c)))
+            left, right = _exp_at(t.left_exp, target), _exp_at(t.right_exp, target)
+            reduced.append(_new(EQTerm, (0, q_pow, left, right, testfn, c)))
     # A single word is canonical; so is the residual, a subsequence of a canonical sum.
     reduced = _scaled(_new(Sum, (tuple(reduced),)), scale)
     reduced = eq_expr(reduced.terms) if len(reduced.terms) > 1 else reduced
@@ -427,48 +414,58 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
                    f: Optional[AnyTestFn] = None) -> TheoremReport:
     """Check the w-infinity relation for the sandwich generators.
 
-    Builds the two generator words, expands the delta <= 1 words of their
-    commutator, reduces them, and compares structurally against c times the
-    generator word at (n', k'), carrying the test-function product g f, where
+    Compares the reduced commutator of the generator words at t and s with c
+    times the generator word at (n', k') at s, with test function g f, where
 
         [B^n_k, B^N_K] = c B^{n'}_{k'}
 
     is read from ``lie.structure`` (for the true table c = k (N-1) - K (n-1)
     and (n', k') = (n+N-2, k+K)), the table the Jacobi scans certify.
-    Passing requires the reduced expression to equal that word exactly (as
-    ints, at the weights) and the delta-free residual to vanish. A nonzero
-    bracket whose target leaves the family n' >= 2 has no sandwich word and
-    fails. The singular words (delta >= 2) all carry g and f: they are only
-    counted, and dropped when g or f vanishes at zero; otherwise the full
-    commutator is expanded and ``reduce`` raises SingularPartError on it.
+    Passing requires the reduced expression to equal that word exactly and
+    the delta-free residual to vanish. A nonzero bracket whose target leaves
+    the family n' >= 2 has no sandwich word and fails.
+
+    The commutator is read off ``_kernel``'s exchange rows (p = n - 1,
+    q = N - 1, +-k, +-K) before any word is built: the delta-free word has
+    weight w0, and the two delta words w1 and w2 merge at s into one word of
+    weight w1 + w2 at the scale 2^-(n+N-2), field power p + q - 1, exponents
+    (k + K) / 2 and test function g f. A tuple whose w0 is 0 and whose merged
+    word is the expected one (none when c is 0) passes on these ints, and
+    reports the expected word, whose coefficient is its one Fraction. Any
+    other tuple builds the delta <= 1 words and reduces them. The singular
+    words (delta >= 2) all carry g and f: they are only counted, and dropped
+    when g or f vanishes at zero; otherwise ``reduce`` raises
+    SingularPartError on the full commutator.
     """
     if n < 2 or N < 2:
         raise DomainError("realization indices need n, N >= 2")
     g, f = (_G if g is None else g), (_F if f is None else f)
-    a, pa = _generator(n, k, "t", g)
-    b, pb = _generator(N, K, "s", f)
-    scale = (1, 1 << (n + N - 2))  # the scalars 2^-(n-1) and 2^-(N-1)
-    comm, _, singular = _kernel(a, pa, b, pb, 1, scale, True, 1)
+    p, q = n - 1, N - 1
+    xs, ys = _exchange_row(p, -K), _exchange_row(q, k)
+    zs, ws = _exchange_row(q, -k), _exchange_row(p, K)
+    # the weights of Q_t^u Q_s^v delta^(p+q-u-v) at (u, v) = (p, q), (p - 1, q), (p, q - 1)
+    w0 = xs[p] * ys[q] - ws[p] * zs[q]
+    w1, w2 = xs[p - 1] * ys[q] - ws[p - 1] * zs[q], xs[p] * ys[q - 1] - ws[p] * zs[q - 1]
+    singular = _nonzero_weights(xs, ys, zs, ws) - (w0 != 0) - (w1 != 0) - (w2 != 0)
     if singular and not (fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f)):
-        reduce(commutator(a, b))  # raises SingularPartError on the singular words
-    # Weights: every delta word merges its exponents to (k + K) / 2 on both sides,
-    # at the smaller label "s", into at most one word.
-    reduced, residual, _ = reduce(comm, None, (k + K, k + K))
+        reduce(commutator(gen_to_word(n, k, "t", g), gen_to_word(N, K, "s", f)))  # raises
+    # reduce merges the test functions of a delta word even when w1 + w2 is 0
+    fns = _merged_blocks((("s", f), ("t", g)), "s") if w1 or w2 else ()
     expected_coeff, n2, k2 = lie.structure(lie.AlgebraKind.WINFINITY, n, k, N, K)
     in_family = n2 >= 2
-    expected, matched = EQ_ZERO, not reduced.terms
+    expected, word = EQ_ZERO, None
     if in_family and expected_coeff:
         word = gen_to_word(n2, k2, "s", _GF if g is _G and f is _F else fn_product(g, f))
-        # weight / den = c / 2^(n'-1), compared as ints (the scale's numerator is 1)
-        matched = (len(reduced.terms) == 1 and reduced.terms[0][:-1] == word[:-1]
-                   and reduced.terms[0][-1] << (n2 - 1) == expected_coeff * scale[1])
         expected = _new(Sum, ((_new(EQTerm, word[:-1] + (
             _cscalar(Fraction(expected_coeff, 1 << (n2 - 1)), _F0),)),),))
-    computed = expected
-    if not matched or residual.terms:
-        computed, residual = _scaled(reduced, scale), _scaled(residual, scale)
-    passed = (in_family or not expected_coeff) and not residual.terms and computed == expected
-    return _new(TheoremReport, (n, k, N, K, passed, expected_coeff, computed, residual, singular))
+    w = w1 + w2  # the merged word's weight: w / 2^(n+N-2) = c / 2^(n'-1) when n' = n + N - 2
+    if not w0 and (in_family or not expected_coeff) and (not w if word is None else (
+            n2 == n + N - 2 and k2 == k + K and fns == word.testfn and w == 2 * expected_coeff)):
+        return _new(TheoremReport, (n, k, N, K, True, expected_coeff, expected, EQ_ZERO, singular))
+    a, b = gen_to_word(n, k, "t", g), gen_to_word(N, K, "s", f)
+    reduced, residual, _ = reduce(*_products(a, b, True, 1)[:2])
+    passed = (in_family or not expected_coeff) and not residual.terms and reduced == expected
+    return _new(TheoremReport, (n, k, N, K, passed, expected_coeff, reduced, residual, singular))
 
 
 # -- JSON --------------------------------------------------------------------

@@ -510,14 +510,15 @@ def test_the_realization_path_hashes_no_fraction(monkeypatch):
 
 
 def test_a_warm_passing_tuple_reads_no_blocks_and_builds_one_fraction(monkeypatch):
-    # the generator words' parts come from the indices, the merged exponents
-    # from their doubles, and the reduced word is compared with the expected
-    # one as ints: the one Fraction built is the expected word's coefficient
-    grid = list(itertools.product(range(2, 6), range(-3, 4), repeat=2))
+    # a passing tuple is decided from the exchange rows' ints: it builds no word,
+    # and the one Fraction built is the expected word's coefficient (none when c = 0)
+    grid = list(itertools.product(range(2, 8), range(-4, 5), repeat=2))
+    assert any(lie.structure(lie.AlgebraKind.WINFINITY, *t)[0] == 0 for t in grid)
+    assert any(k + K == 0 and k for _, k, _, K in grid)
     for indices in grid:
         verify_theorem(*indices)
     calls = []
-    for name in ("_single_label_parts", "_twice"):
+    for name in ("_kernel", "reduce", "_single_label_parts", "_twice"):
         original = getattr(rhpwn.sandwich, name)
         monkeypatch.setattr(rhpwn.sandwich, name,
                             lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args))
@@ -623,6 +624,11 @@ def _theorem_tuples(draw):
 @example((3, 2, 4, -2), fn_symbol("g", in_S0=False), fn_symbol("f", in_S0=False))
 @example((3, 1, 3, 2), indicator([(-1, 1)]), indicator([(-1, 1)]))
 @example((2, 3, 5, 0), fn_symbol("g", in_S0=False), indicator([(1, 2)]))
+# c = 0 with delta words: their test functions are multiplied, and refused, all the same
+@example((4, 3, 4, 3), fn_symbol("g"), indicator([(1, 2)]))
+# weights of many digits: a 300-digit k, and a 300-digit K with k + K = 0
+@example((5, 10**299 + 7, 4, -3), fn_symbol("g"), fn_symbol("f"))
+@example((3, -(10**299 + 3), 6, 10**299 + 3), fn_symbol("g", in_S0=False), fn_symbol("f"))
 def test_verify_theorem_matches_the_full_reduction(indices, g, f):
     # Only the delta <= 1 words are built; the counted singular words must
     # give the same drop count, or the same SingularPartError.
@@ -659,10 +665,16 @@ _CORRUPTED_TABLES = {
 def test_corrupted_tables_give_the_full_reduction_on_the_acceptance_grid(monkeypatch, table):
     true_structure, corrupt = lie.structure, _CORRUPTED_TABLES[table]
     monkeypatch.setattr(lie, "structure", lambda *args: corrupt(*true_structure(*args)))
+    kernel, kernel_calls = rhpwn.sandwich._kernel, []
+    monkeypatch.setattr(rhpwn.sandwich, "_kernel",
+                        lambda *args: kernel_calls.append(args) or kernel(*args))
     g, f = fn_symbol("g"), fn_symbol("f")
     outcomes = set()
     for n, k, N, K in itertools.product(range(2, 8), range(-4, 5), repeat=2):
+        kernel_calls.clear()
         r = verify_theorem(n, k, N, K)
+        # a failing tuple builds its words; a passing one is decided on ints
+        assert len(kernel_calls) == (not r.passed), (n, k, N, K)
         fields = r.computed, r.l0_residual, r.dropped_singular, r.passed
         assert fields == _reference_theorem(n, k, N, K, g, f), (n, k, N, K)
         outcomes.add(r.passed)
