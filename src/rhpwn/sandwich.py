@@ -29,20 +29,18 @@ weights through ``reduce``'s group sums; each word a caller sees gets one
 Fraction from the scale. Exponents are summed as ints 2 lam; one cache
 (``_half``) makes their Fractions, which reduced and generator words share.
 Given a bound on the delta power, only the weights up to it are formed; the
-nonzero ones above it are counted from the exchange rows' ratio classes.
+nonzero ones above it are counted from a summary of each factor's two rows
+(``_row_pair``): paired entries share binom(m, u), so their ratio is a power
+of x : w, and the count builds no row.
 
-The realization check reads the same rows but builds no word for a tuple
-that passes: the delta-free weight and the two delta weights, the only ones
-renormalization keeps, decide it as ints, and the singular rest is counted
-as ``_kernel`` counts it. A tuple that fails builds and reduces the delta <= 1
-words. Generator words, exchange rows, their ratio classes and merged test
-functions are cached per process (bounded caches; a frozen word does not
-depend on the table).
+The realization check decides a passing tuple from two such summaries and
+builds no row and no word for it (``verify_theorem``). Generator words,
+exchange rows, row summaries and merged test functions are cached per
+process (bounded caches; a frozen word does not depend on the table).
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from collections.abc import Mapping
 from fractions import Fraction
 from functools import lru_cache
@@ -136,35 +134,39 @@ def _twice(lam: Fraction):
 @lru_cache(maxsize=4096)
 def _exchange_row(m: int, x) -> tuple:
     """binom(m, j) x^(m-j) for j = 0..m: the weights of Q^j delta^(m-j) when an
-    exponential E(lam) crosses Q^m, with x = 2 lam rightward and -2 lam leftward."""
-    return tuple(binom(m, j) * x ** (m - j) for j in range(m + 1))
+    exponential E(lam) crosses Q^m, with x = 2 lam rightward and -2 lam leftward;
+    all zeros for x None."""
+    return (0,) * (m + 1) if x is None else tuple(binom(m, j) * x ** (m - j) for j in range(m + 1))
 
 
 @lru_cache(maxsize=4096)
-def _ratio_classes(xs: tuple, ws: tuple) -> tuple[int, Counter]:
-    """(number of pairs (0, 0), number of pairs per ratio class) of the pairs
-    (xs[u], ws[u]). The class of x : w is the reduced ratio as (numerator,
-    denominator > 0), and (1, 0) for x : 0; int and Fraction rows agree."""
-    classes = Counter(Fraction(x, w).as_integer_ratio() if w else (1, 0) if x else None
-                      for x, w in zip(xs, ws))
-    return classes.pop(None, 0), classes
+def _row_pair(m: int, x, w) -> tuple:
+    """((x_m, w_m, x_(m-1), w_(m-1)), number of pairs other than (0, 0), number of pairs
+    per ratio class) of the pairs (x_u, w_u) of ``_exchange_row`` (m, x) and (m, w), built
+    without the rows. A class is a reduced ratio (numerator, denominator > 0), (1, 0) for
+    x_u : 0; both entries carry binom(m, u), so it is that of x^(m-u) : w^(m-u)."""
+    xm, wm = int(x is not None), int(w is not None)
+    x, w = x or 0, w or 0
+    classes = {(xm, wm): 1} if xm or wm else {}  # u = m: 1 : 1, 0 : 1 or 1 : 0
+    if x or w:
+        num, den = Fraction(x, w).as_integer_ratio() if w else (1, 0)
+        for e in range(1, m + 1):
+            key = num ** e, den ** e
+            classes[key] = classes.get(key, 0) + 1
+    return (xm, wm, m * x, m * w), sum(classes.values()), classes
 
 
-def _nonzero_weights(xs: tuple, ys: tuple, zs: tuple, ws: tuple) -> int:
-    """The number of nonzero weights x_u y_v - w_u z_v of four exchange rows: they
-    are 0 on rows and columns of a pair (0, 0), and where the classes of x_u : w_u
-    and z_v : y_v agree."""
-    zero_rows, rows = _ratio_classes(xs, ws)
-    zero_cols, cols = _ratio_classes(zs, ys)
-    count = (len(xs) - zero_rows) * (len(ys) - zero_cols)
-    for key, n in rows.items():
-        count -= n * cols.get(key, 0)
+def _nonzero_weights(rows: tuple, cols: tuple) -> int:
+    """The number of nonzero weights x_u y_v - w_u z_v, from the ``_row_pair`` of
+    the rows (x, w) and of the columns (z, y): they are 0 on rows and columns of
+    a pair (0, 0), and where the classes of x_u : w_u and z_v : y_v agree."""
+    count, col_classes = rows[1] * cols[1], cols[2]
+    for key, n in rows[2].items():
+        count -= n * col_classes.get(key, 0)
     return count
 
 
-def exchange_E_past_Q(
-    lam, src_label: str, m: int, dst_label: str, direction: Direction
-) -> Sum:
+def exchange_E_past_Q(lam, src_label: str, m: int, dst_label: str, direction: Direction) -> Sum:
     """Move one exponential factor across a field power at another label.
 
     rightward:  E_s(lam) Q_t^m
@@ -208,8 +210,7 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool, max_delta=None) -> tuple[Sum
     the scale off their scalars: p/q and r/s give (p r, q s)."""
     if a.delta_L or b.delta_L:
         raise ValueError("product factors must not carry delta powers")
-    pa = _single_label_parts(a)
-    pb = _single_label_parts(b)
+    pa, pb = _single_label_parts(a), _single_label_parts(b)
     if pa is None or pb is None:
         # One factor is a pure scalar: both orders concatenate to the same word.
         if minus_ba:
@@ -240,7 +241,7 @@ def _kernel(a: EQTerm, pa: tuple, b: EQTerm, pb: tuple, base, scale: Optional[tu
     is a half-integer, as in generator words. Only the weights of words kept,
     u + v >= p + q - ``max_delta``, are formed; with no bound, all. Each word
     holds its weight, times ``base`` when there is no scale. The nonzero
-    weights above the bound are counted from the rows' ratio classes.
+    weights above the bound are counted from the rows' ``_row_pair`` summaries.
     """
     la, twice_al, p, twice_ar = pa
     lb, twice_bl, q, twice_br = pb
@@ -250,12 +251,10 @@ def _kernel(a: EQTerm, pa: tuple, b: EQTerm, pb: tuple, base, scale: Optional[tu
         raise ValueError(f"negative power in a product factor: {p}, {q}")
     if not base:
         return EQ_ZERO, None, 0
-    # a b: Q^p keeps u at a's label, Q^q keeps v at b's label; b a likewise.
+    # a b: Q^p keeps u at a's label, Q^q keeps v at b's label; b a likewise, or None (zeros).
+    zx, wx = (-twice_al, twice_br) if minus_ba else (None, None)
     xs, ys = _exchange_row(p, -twice_bl), _exchange_row(q, twice_ar)
-    if minus_ba:
-        zs, ws = _exchange_row(q, -twice_al), _exchange_row(p, twice_br)
-    else:
-        zs, ws = (0,) * (q + 1), (0,) * (p + 1)
+    zs, ws = _exchange_row(q, zx), _exchange_row(p, wx)
     a_first = la < lb
     # Each factor's other blocks hold at most one entry, at its own label, so
     # joined in label order they are canonical.
@@ -279,7 +278,8 @@ def _kernel(a: EQTerm, pa: tuple, b: EQTerm, pb: tuple, base, scale: Optional[tu
                     field = ((la, u), (lb, v)) if a_first else ((lb, v), (la, u))
                 words.append(_new(EQTerm, (p + q - u - v, field, left_exp, right_exp,
                                            testfn, weight if scale else base * weight)))
-    over = _nonzero_weights(xs, ys, zs, ws) - len(words) if fewest else 0
+    over = (_nonzero_weights(_row_pair(p, -twice_bl, wx), _row_pair(q, zx, twice_ar))
+            - len(words) if fewest else 0)
     # Words differ in (delta power, field block) and share the rest: sorted, they are
     # in a Sum's order, and the sort never compares past the field block.
     words.sort()
@@ -425,28 +425,29 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
     the delta-free residual to vanish. A nonzero bracket whose target leaves
     the family n' >= 2 has no sandwich word and fails.
 
-    The commutator is read off ``_kernel``'s exchange rows (p = n - 1,
-    q = N - 1, +-k, +-K) before any word is built: the delta-free word has
-    weight w0, and the two delta words w1 and w2 merge at s into one word of
-    weight w1 + w2 at the scale 2^-(n+N-2), field power p + q - 1, exponents
-    (k + K) / 2 and test function g f. A tuple whose w0 is 0 and whose merged
-    word is the expected one (none when c is 0) passes on these ints, and
-    reports the expected word, whose coefficient is its one Fraction. Any
-    other tuple builds the delta <= 1 words and reduces them. The singular
-    words (delta >= 2) all carry g and f: they are only counted, and dropped
-    when g or f vanishes at zero; otherwise ``reduce`` raises
-    SingularPartError on the full commutator.
+    The commutator is read off the summaries ``_row_pair`` of ``_kernel``'s
+    exchange rows, (p, -K, K) and (q, -k, k) for p = n - 1 and q = N - 1,
+    before any row or word is built. Their top entries give the weight w0 of
+    the delta-free word and the weights w1 and w2 of the two delta words,
+    which merge at s into one word of weight w1 + w2 at the scale
+    2^-(n+N-2), field power p + q - 1, exponents (k + K) / 2 and test
+    function g f. A tuple whose w0 is 0 and whose merged word is the
+    expected one (none when c is 0) passes on these ints, and reports the
+    expected word, whose coefficient is its one Fraction. Any other tuple
+    builds the delta <= 1 words and reduces them. The singular words
+    (delta >= 2), counted from the summaries' ratio classes, all carry g and
+    f: they are dropped when g or f vanishes at zero; otherwise ``reduce``
+    raises SingularPartError on the full commutator.
     """
     if n < 2 or N < 2:
         raise DomainError("realization indices need n, N >= 2")
     g, f = (_G if g is None else g), (_F if f is None else f)
     p, q = n - 1, N - 1
-    xs, ys = _exchange_row(p, -K), _exchange_row(q, k)
-    zs, ws = _exchange_row(q, -k), _exchange_row(p, K)
-    # the weights of Q_t^u Q_s^v delta^(p+q-u-v) at (u, v) = (p, q), (p - 1, q), (p, q - 1)
-    w0 = xs[p] * ys[q] - ws[p] * zs[q]
-    w1, w2 = xs[p - 1] * ys[q] - ws[p - 1] * zs[q], xs[p] * ys[q - 1] - ws[p] * zs[q - 1]
-    singular = _nonzero_weights(xs, ys, zs, ws) - (w0 != 0) - (w1 != 0) - (w2 != 0)
+    rows, cols = _row_pair(p, -K, K), _row_pair(q, -k, k)
+    (xp, wp, xp1, wp1), (zq, yq, zq1, yq1) = rows[0], cols[0]
+    # x_u y_v - w_u z_v, the weights of Q_t^u Q_s^v delta^(p+q-u-v), at (p, q), (p-1, q), (p, q-1)
+    w0, w1, w2 = xp * yq - wp * zq, xp1 * yq - wp1 * zq, xp * yq1 - wp * zq1
+    singular = _nonzero_weights(rows, cols) - (w0 != 0) - (w1 != 0) - (w2 != 0)
     if singular and not (fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f)):
         reduce(commutator(gen_to_word(n, k, "t", g), gen_to_word(N, K, "s", f)))  # raises
     # reduce merges the test functions of a delta word even when w1 + w2 is 0

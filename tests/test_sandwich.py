@@ -1,5 +1,6 @@
 import functools
 import itertools
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,8 +16,9 @@ from rhpwn.lie import DomainError
 from rhpwn.sandwich import (
     _exchange_row,
     _merged_blocks,
+    _nonzero_weights,
     _products,
-    _ratio_classes,
+    _row_pair,
     _scaled,
     commutator,
     eq_expr,
@@ -76,7 +78,7 @@ def test_generator_words_are_built_once_per_process():
     # Both caches are bounded, and large enough for the 2916-tuple grid.
     assert gen_to_word.cache_info().maxsize >= 1024
     assert _merged_blocks.cache_info().maxsize >= 1024
-    for cache in (_exchange_row, _ratio_classes):
+    for cache in (_exchange_row, _row_pair):
         assert cache.cache_info().maxsize is not None
     for _ in range(2):  # a refused index is refused on every call
         with pytest.raises(DomainError):
@@ -155,6 +157,47 @@ def test_exchange_matches_the_binomial_formula(lam, m, direction):
         for j in range(m + 1)
     ]
     assert exchange_E_past_Q(lam, "s", m, "t", direction) == eq_expr(terms)
+
+
+def _reference_classes(xs: tuple, ws: tuple) -> tuple[int, Counter]:
+    """(number of pairs other than (0, 0), number of pairs per ratio class) of the
+    pairs (xs[u], ws[u]) of two built rows: the class of x : w is the reduced
+    ratio as (numerator, denominator > 0), and (1, 0) for x : 0."""
+    classes = Counter(Fraction(x, w).as_integer_ratio() if w else (1, 0) if x else None
+                      for x, w in zip(xs, ws))
+    classes.pop(None, 0)
+    return sum(classes.values()), classes
+
+
+# Row parameters: None (a product's row of zeros), 0, small and 300-digit ints
+# of both signs, Fractions
+_row_params = st.one_of(st.none(), st.just(0), st.integers(-4, 4),
+                        st.integers(-10**300, 10**300), rationals)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 12), _row_params, _row_params, st.integers(0, 12), _row_params, _row_params)
+# a generator's rows (p, -K, K) against (q, -k, k), of 300 digits
+@example(12, -(10**299 + 7), 10**299 + 7, 11, 10**299 + 7, -(10**299 + 7))
+# classes that meet off the top entries: (-2)^2 = 4^1, (1/3)^2 = (1/9)^1
+@example(4, -2, 1, 3, 4, 1)
+@example(5, Fraction(1, 3), 1, 2, 1, 9)
+# zeros: x = 0, w = 0, both, and the rows of zeros of a plain product
+@example(3, 0, 5, 4, 7, 0)
+@example(6, 0, 0, 2, None, 3)
+@example(4, -3, None, 5, None, 2)
+@example(0, None, None, 0, 1, None)
+def test_row_summaries_are_the_classes_of_the_built_rows(m, x, w, n, z, y):
+    # _row_pair builds no row: its classes are the built rows' classes, and the
+    # count of nonzero weights from two summaries is the count over the rows
+    xs, ws = _exchange_row(m, x), _exchange_row(m, w)
+    zs, ys = _exchange_row(n, z), _exchange_row(n, y)
+    tops, pairs, classes = _row_pair(m, x, w)
+    assert (pairs, classes) == _reference_classes(xs, ws)
+    assert tops == (xs[m], ws[m], xs[m - 1] if m else 0, ws[m - 1] if m else 0)
+    assert _row_pair(n, z, y)[1:] == _reference_classes(zs, ys)
+    brute = sum(xs[u] * ys[v] - ws[u] * zs[v] != 0 for u in range(m + 1) for v in range(n + 1))
+    assert _nonzero_weights(_row_pair(m, x, w), _row_pair(n, z, y)) == brute
 
 
 @settings(max_examples=60)
@@ -510,18 +553,21 @@ def test_the_realization_path_hashes_no_fraction(monkeypatch):
 
 
 def test_a_warm_passing_tuple_reads_no_blocks_and_builds_one_fraction(monkeypatch):
-    # a passing tuple is decided from the exchange rows' ints: it builds no word,
-    # and the one Fraction built is the expected word's coefficient (none when c = 0)
+    # a passing tuple is decided from the row summaries' ints: it builds no row,
+    # cold or warm, and no word, and the one Fraction built is the expected word's
+    # coefficient (none when c = 0)
     grid = list(itertools.product(range(2, 8), range(-4, 5), repeat=2))
     assert any(lie.structure(lie.AlgebraKind.WINFINITY, *t)[0] == 0 for t in grid)
     assert any(k + K == 0 and k for _, k, _, K in grid)
-    for indices in grid:
-        verify_theorem(*indices)
     calls = []
-    for name in ("_kernel", "reduce", "_single_label_parts", "_twice"):
+    for name in ("_kernel", "reduce", "_single_label_parts", "_twice", "_exchange_row"):
         original = getattr(rhpwn.sandwich, name)
         monkeypatch.setattr(rhpwn.sandwich, name,
                             lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args))
+    _row_pair.cache_clear()
+    for indices in grid:
+        assert verify_theorem(*indices).passed
+    assert calls == []
     built = []
     fraction_new = Fraction.__new__
 
@@ -629,6 +675,9 @@ def _theorem_tuples(draw):
 # weights of many digits: a 300-digit k, and a 300-digit K with k + K = 0
 @example((5, 10**299 + 7, 4, -3), fn_symbol("g"), fn_symbol("f"))
 @example((3, -(10**299 + 3), 6, 10**299 + 3), fn_symbol("g", in_S0=False), fn_symbol("f"))
+# n = 18 with a 300-digit k of either sign, the CI tuples' shape
+@example((18, 10**299 + 9, 18, 10**299 + 9), fn_symbol("g"), fn_symbol("f"))
+@example((18, -(10**299 + 9), 18, -(10**299 + 9)), fn_symbol("g"), fn_symbol("f"))
 def test_verify_theorem_matches_the_full_reduction(indices, g, f):
     # Only the delta <= 1 words are built; the counted singular words must
     # give the same drop count, or the same SingularPartError.
