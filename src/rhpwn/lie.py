@@ -55,10 +55,6 @@ class Generator(NamedTuple):
     k: int
     label: Optional[AnyTestFn] = None
 
-    @property
-    def in_domain(self) -> bool:
-        return in_domain(self.kind, self.n, self.k)
-
 
 def generator(
     kind: AlgebraKind,
@@ -68,7 +64,7 @@ def generator(
     relaxed: bool = False,
 ) -> Generator:
     """Validated constructor; relaxed=True admits out-of-domain indices for
-    exploratory use (such elements are not certified)."""
+    exploratory use."""
     if not relaxed and not in_domain(kind, n, k):
         raise DomainError(f"index ({n}, {k}) outside the {kind.value} family")
     return Generator(kind, n, k, label)
@@ -81,10 +77,6 @@ class Element(LinComb, NamedTuple("Element", [("kind", AlgebraKind), ("terms", t
     """
 
     __slots__ = ()
-
-    @property
-    def certified(self) -> bool:
-        return all(g.in_domain for g, _ in self.terms)
 
 
 def element(kind: AlgebraKind, items: Iterable[tuple[Generator, CScalar]]) -> Element:
@@ -160,15 +152,6 @@ def involution(x: Element) -> Element:
         out.append((Generator(kind, k, n, label) if rhpwn else Generator(kind, n, -k, label),
                     c.conjugate()))
     return Element.canonical(out, kind)
-
-
-def jacobi_defect(x: Element, y: Element, z: Element) -> Element:
-    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero certifies the Jacobi identity."""
-    return (
-        bracket(x, bracket(y, z))
-        + bracket(y, bracket(z, x))
-        + bracket(z, bracket(x, y))
-    )
 
 
 def star_compat_check(x: Element, y: Element) -> Element:
@@ -519,8 +502,7 @@ def element_to_json(x: Element) -> dict:
 
 def element_from_json(data: dict) -> Element:
     """Inverse of element_to_json. Generators are built relaxed, as the DSL
-    evaluator builds them, so relaxed output loads again; ``certified`` still
-    flags out-of-domain indices."""
+    evaluator builds them, so relaxed output loads again."""
     kind = AlgebraKind(data["kind"])
     items = []
     for rec in data["terms"]:

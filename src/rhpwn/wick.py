@@ -14,8 +14,8 @@ from collections.abc import Mapping
 from typing import Iterable, NamedTuple, Optional
 
 from . import lie
-from .scalars import (CS_ZERO, CScalar, DeltaAtZeroError, PowMap, SingularPartError, Sum, binom,
-                      canon_map, coeff_to_json, falling, power)
+from .scalars import (CS_ZERO, CScalar, DeltaAtZeroError, PowMap, Sum, binom, canon_map,
+                      coeff_to_json, falling, power)
 from .stepfn import (
     StepFn,
     AnyTestFn,

@@ -1,11 +1,13 @@
-"""Shared hypothesis strategies for the exact-algebra test suite, and
-term-by-term references for the element algebra."""
+"""Shared hypothesis strategies for the exact-algebra test suite,
+term-by-term references for the element algebra, and the element-level
+checks that only tests use."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from rhpwn.lie import AlgebraKind, Element, basis_indices, element, generator, structure
+from rhpwn.lie import (AlgebraKind, Element, basis_indices, bracket, element, generator,
+                       in_domain, structure)
 from rhpwn.scalars import CS_ONE, CS_ZERO, CScalar, rational
 from rhpwn.stepfn import (FnSymbol, StepFn, canon_pieces, fn_conjugate, fn_product, is_in_S0,
                           make_step)
@@ -127,3 +129,15 @@ def ref_involution(x: Element) -> Element:
         label = None if g.label is None else fn_conjugate(g.label)
         items.append((generator(x.kind, n, k, label, relaxed=True), CScalar(c.re, -c.im)))
     return ref_sum(x.kind, items)
+
+
+# -- element-level checks --
+
+def jacobi_defect(x: Element, y: Element, z: Element) -> Element:
+    """[x,[y,z]] + [y,[z,x]] + [z,[x,y]]; zero certifies the Jacobi identity."""
+    return bracket(x, bracket(y, z)) + bracket(y, bracket(z, x)) + bracket(z, bracket(x, y))
+
+
+def certified(x: Element) -> bool:
+    """Whether every generator of x lies in its family; a relaxed one may not."""
+    return all(in_domain(g.kind, g.n, g.k) for g, _ in x.terms)

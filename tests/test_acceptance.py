@@ -132,7 +132,8 @@ def _random_s0_step(rng: random.Random) -> StepFn:
 
 
 def test_criterion_7_epsilon_redundancy_and_s0_vanishing():
-    with criterion(7, "smeared regular coefficient is kN - Kn on [0,8]^4; singular scalars vanish on S0"):
+    with criterion(7, "smeared regular coefficient is kN - Kn on [0,8]^4; "
+                      "singular scalars vanish on S0"):
         g, f = fn_symbol("g"), fn_symbol("f")
         for n, k, N, K in itertools.product(range(9), repeat=4):
             d = smear_bracket(n, k, g, N, K, f)

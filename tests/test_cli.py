@@ -312,7 +312,8 @@ _NORMAL_ORDER_LATEX = (
     " + (6)\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,\\delta^{3}(s-t)\n"
 )
 _NORMAL_ORDER_LATEX_RENORMALIZED = (
-    "(18)\\,{b_s^{\\dagger}}^{1}\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,b_t^{1}\\,\\delta^{1}(s-t)\\,\\delta(s)"
+    "(18)\\,{b_s^{\\dagger}}^{1}\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,b_t^{1}"
+    "\\,\\delta^{1}(s-t)\\,\\delta(s)"
     " + (9)\\,{b_s^{\\dagger}}^{2}\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,b_t^{2}\\,\\delta^{1}(s-t)"
     " + (-2)\\,{b_s^{\\dagger}}^{3}\\,{b_t^{\\dagger}}^{1}\\,b_t^{3}\\,\\delta^{1}(s-t)"
     " + (6)\\,{b_t^{\\dagger}}^{2}\\,b_s^{1}\\,\\delta^{1}(s-t)\\,\\delta(s)\n"
@@ -943,7 +944,8 @@ _big_range = st.one_of(
 _index_or_big = st.integers(-1, 6).map(str) | _big
 
 _record_value = st.one_of(
-    st.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "2.5", "1e3", "1e10000000", "x", "", "9" * 4301]),
+    st.sampled_from(["0", "1", "-1/2", "3/4", "1/0", "2.5", "1e3", "1e10000000", "x", "",
+                     "9" * 4301]),
     st.integers(-3, 3),
     st.none(),
 )

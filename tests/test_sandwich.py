@@ -17,9 +17,7 @@ from rhpwn.sandwich import (
     _exchange_row,
     _merged_blocks,
     _nonzero_weights,
-    _products,
     _row_pair,
-    _scaled,
     commutator,
     eq_expr,
     eq_term,
@@ -30,9 +28,8 @@ from rhpwn.sandwich import (
     theorem_report_to_json,
     verify_theorem,
 )
-from rhpwn.scalars import CScalar, Sum, binom
+from rhpwn.scalars import CScalar, DeltaAtZeroError, SingularPartError, binom
 from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol, pointwise_product
-from rhpwn.wick import DeltaAtZeroError, SingularPartError
 
 lams = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
@@ -169,10 +166,8 @@ def _reference_classes(xs: tuple, ws: tuple) -> tuple[int, Counter]:
     return sum(classes.values()), classes
 
 
-# Row parameters: None (a product's row of zeros), 0, small and 300-digit ints
-# of both signs, Fractions
-_row_params = st.one_of(st.none(), st.just(0), st.integers(-4, 4),
-                        st.integers(-10**300, 10**300), rationals)
+# Row parameters: 0, small and 300-digit ints of both signs, Fractions
+_row_params = st.one_of(st.just(0), st.integers(-4, 4), st.integers(-10**300, 10**300), rationals)
 
 
 @settings(max_examples=300, deadline=None)
@@ -182,11 +177,10 @@ _row_params = st.one_of(st.none(), st.just(0), st.integers(-4, 4),
 # classes that meet off the top entries: (-2)^2 = 4^1, (1/3)^2 = (1/9)^1
 @example(4, -2, 1, 3, 4, 1)
 @example(5, Fraction(1, 3), 1, 2, 1, 9)
-# zeros: x = 0, w = 0, both, and the rows of zeros of a plain product
+# zeros: x = 0, w = 0, both, and rows of one entry
 @example(3, 0, 5, 4, 7, 0)
-@example(6, 0, 0, 2, None, 3)
-@example(4, -3, None, 5, None, 2)
-@example(0, None, None, 0, 1, None)
+@example(6, 0, 0, 2, 0, 3)
+@example(0, 0, 0, 0, 1, 0)
 def test_row_summaries_are_the_classes_of_the_built_rows(m, x, w, n, z, y):
     # _row_pair builds no row: its classes are the built rows' classes, and the
     # count of nonzero weights from two summaries is the count over the rows
@@ -305,8 +299,7 @@ def _reference_product(a, b, pa, pb):
     return eq_expr(terms)
 
 
-# Half-integer exponents take the integer-weight path of generator words,
-# other denominators the Fraction-weight path.
+# Exponents: 0, the half-integers of generator words, and other denominators.
 _exponents = st.one_of(
     st.just(Fraction(0)), st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
 )
@@ -560,10 +553,11 @@ def test_a_warm_passing_tuple_reads_no_blocks_and_builds_one_fraction(monkeypatc
     assert any(lie.structure(lie.AlgebraKind.WINFINITY, *t)[0] == 0 for t in grid)
     assert any(k + K == 0 and k for _, k, _, K in grid)
     calls = []
-    for name in ("_kernel", "reduce", "_single_label_parts", "_twice", "_exchange_row"):
+    for name in ("_products", "reduce", "_single_label_parts", "_exchange_row"):
         original = getattr(rhpwn.sandwich, name)
-        monkeypatch.setattr(rhpwn.sandwich, name,
-                            lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args))
+        monkeypatch.setattr(
+            rhpwn.sandwich, name,
+            lambda *args, _name=name, _fn=original: calls.append(_name) or _fn(*args))
     _row_pair.cache_clear()
     for indices in grid:
         assert verify_theorem(*indices).passed
@@ -689,20 +683,20 @@ def test_verify_theorem_matches_the_full_reduction(indices, g, f):
 
 
 def test_the_kernel_matches_the_full_reduction_on_the_acceptance_grid():
-    # Every tuple of verify-w --n 2..7 --k -4..4: the delta <= 1 words give
-    # the fields of the whole commutator's reduction, and the bounded product,
-    # with the first factor's label sorting after the second's, is canonical.
+    # Every tuple of verify-w --n 2..7 --k -4..4: the row summaries give the
+    # fields of the whole commutator's reduction, and the commutator, with the
+    # first factor's label sorting after the second's, is canonical.
     g, f = fn_symbol("g"), fn_symbol("f")
     for n, k, N, K in itertools.product(range(2, 8), range(-4, 5), repeat=2):
         r = verify_theorem(n, k, N, K)
         fields = r.computed, r.l0_residual, r.dropped_singular, r.passed
         assert fields == _reference_theorem(n, k, N, K, g, f), (n, k, N, K)
-        kept = _scaled(*_products(gen_to_word(n, k, "t"), gen_to_word(N, K, "s"), True, 1)[:2])
-        assert kept == eq_expr(kept.terms), (n, k, N, K)
+        comm = commutator(gen_to_word(n, k, "t"), gen_to_word(N, K, "s"))
+        assert comm == eq_expr(comm.terms), (n, k, N, K)
 
 
 # Tables that a corrupted lie.structure could give: every tuple they fail
-# goes through the Fraction path, which must report what the reference does.
+# reduces the whole commutator, which must report what the reference does.
 _CORRUPTED_TABLES = {
     "skewed": lambda c, n2, k2: (c + 1, n2, k2) if c % 2 else (c, n2, k2 + 1),
     "escaping": lambda c, n2, k2: (c, 1, k2),
@@ -714,61 +708,77 @@ _CORRUPTED_TABLES = {
 def test_corrupted_tables_give_the_full_reduction_on_the_acceptance_grid(monkeypatch, table):
     true_structure, corrupt = lie.structure, _CORRUPTED_TABLES[table]
     monkeypatch.setattr(lie, "structure", lambda *args: corrupt(*true_structure(*args)))
-    kernel, kernel_calls = rhpwn.sandwich._kernel, []
-    monkeypatch.setattr(rhpwn.sandwich, "_kernel",
-                        lambda *args: kernel_calls.append(args) or kernel(*args))
+    products, product_calls = rhpwn.sandwich._products, []
+    monkeypatch.setattr(rhpwn.sandwich, "_products",
+                        lambda *args: product_calls.append(args) or products(*args))
     g, f = fn_symbol("g"), fn_symbol("f")
     outcomes = set()
     for n, k, N, K in itertools.product(range(2, 8), range(-4, 5), repeat=2):
-        kernel_calls.clear()
+        product_calls.clear()
         r = verify_theorem(n, k, N, K)
         # a failing tuple builds its words; a passing one is decided on ints
-        assert len(kernel_calls) == (not r.passed), (n, k, N, K)
+        assert len(product_calls) == (not r.passed), (n, k, N, K)
         fields = r.computed, r.l0_residual, r.dropped_singular, r.passed
         assert fields == _reference_theorem(n, k, N, K, g, f), (n, k, N, K)
         outcomes.add(r.passed)
     assert outcomes == {True, False}
 
 
-@st.composite
-def _word_pairs(draw):
-    la, lb = draw(st.sampled_from([("s", "t"), ("t", "s"), ("u", "s")]))
-    return draw(_word_parts(la))[0], draw(_word_parts(lb))[0]
+_SMALL_GRID = list(itertools.product(range(2, 6), range(-3, 4), repeat=2))
 
 
-def _word(label, left, power, right):
-    return eq_term(Fraction(-3, 2), {label: left}, {label: power}, {label: right},
-                   testfn={label: fn_symbol("f")})
+@pytest.mark.parametrize("entry", ["w0", "w1"])
+def test_corrupted_rows_take_the_word_path(monkeypatch, entry):
+    # The first factor's rows (p, -K) and (p, K), p = n - 1, corrupted alike in
+    # the row summaries and in the rows that build words. Tops (2, 0) in place
+    # of (1, 1) make the delta-free weight w0 = 2 and keep both delta-1
+    # weights; x_(p-1) + 1 puts w1 off by one. No tuple may pass on ints: each
+    # builds its words and reports what the reference does with the same rows.
+    row, summary, products = (rhpwn.sandwich._exchange_row, rhpwn.sandwich._row_pair,
+                              rhpwn.sandwich._products)
+    corrupted, calls = {}, []
+
+    def corrupt_row(m, x):
+        return corrupted.get((m, x)) or row(m, x)
+
+    def corrupt_summary(m, x, w):
+        xs, ws = corrupt_row(m, x), corrupt_row(m, w)
+        return ((xs[m], ws[m], xs[m - 1], ws[m - 1]),) + summary(m, x, w)[1:]
+
+    monkeypatch.setattr(rhpwn.sandwich, "_exchange_row", corrupt_row)
+    monkeypatch.setattr(rhpwn.sandwich, "_row_pair", corrupt_summary)
+    monkeypatch.setattr(rhpwn.sandwich, "_products",
+                        lambda *args: calls.append(args) or products(*args))
+    g, f = fn_symbol("g"), fn_symbol("f")
+    for n, k, N, K in _SMALL_GRID:
+        if n == N or not K:  # other rows than (p, +-K) must stay as they are
+            continue
+        p = n - 1
+        xs, ws = list(row(p, -K)), list(row(p, K))
+        if entry == "w0":
+            xs[p], ws[p] = 2, 0
+        else:
+            xs[p - 1] += 1
+        corrupted.clear()
+        corrupted.update({(p, -K): tuple(xs), (p, K): tuple(ws)})
+        calls.clear()
+        r = verify_theorem(n, k, N, K)
+        assert len(calls) == 1 and not r.passed, (n, k, N, K)
+        reduced, residual, _, passed = _reference_theorem(n, k, N, K, g, f)
+        assert (r.computed, r.l0_residual, r.passed) == (reduced, residual, passed), (n, k, N, K)
 
 
-_f = fn_symbol("f")
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(-1, 13), _word_pairs())
-# k = 0 or K = 0: a word without exponentials crosses with rows (0, ..., 0, 1), so
-# all pairs but one are (0, 0) and whole rows or columns of weights vanish
-@example(1, (gen_to_word(4, 0, "t", _f), gen_to_word(5, 3, "s", _f)))
-@example(2, (gen_to_word(5, -3, "t", _f), gen_to_word(3, 0, "s", _f)))
-# k + K = 0, and equal classes x : w = z : y = +-1 on every row and column
-@example(1, (gen_to_word(3, 2, "t", _f), gen_to_word(4, -2, "s", _f)))
-@example(0, (gen_to_word(6, 1, "t", _f), gen_to_word(6, 1, "s", _f)))
-# negative ratios (-1/2)^j at u's rows
-@example(2, (_word("u", Fraction(1, 2), 4, Fraction(-1, 2)), _word("s", 1, 5, 2)))
-# int rows at t against Fraction rows at s with equal classes +-1
-@example(1, (_word("t", Fraction(1, 2), 3, Fraction(1, 2)),
-             _word("s", Fraction(1, 3), 4, Fraction(1, 3))))
-# a 300-digit exponent
-@example(1, (gen_to_word(5, 10**300 + 7, "t", _f), gen_to_word(4, -(10**299), "s", _f)))
-def test_bounded_products_keep_the_low_delta_words(bound, words):
-    a, b = words
-    for x, y in ((a, b), (b, a)):
-        for minus_ba, full in ((False, multiply(x, y)), (True, commutator(x, y))):
-            kept, scale, over = _products(x, y, minus_ba, max_delta=bound)
-            assert _scaled(kept, scale) == Sum(tuple(t for t in full.terms if t.delta_L <= bound))
-            assert over == sum(t.delta_L > bound for t in full.terms)
-            words, scale, over = _products(x, y, minus_ba)
-            assert (_scaled(words, scale), over) == (full, 0)
+def test_a_wrong_merged_test_function_fails_the_tuple(monkeypatch):
+    # Delta words merged with a test function other than g f: every tuple whose
+    # bracket is nonzero must fail, on ints and on words alike.
+    h = fn_symbol("h")
+    monkeypatch.setattr(rhpwn.sandwich, "_merged_blocks", lambda fns, target: ((target, h),))
+    g, f = fn_symbol("g"), fn_symbol("f")
+    for indices in _SMALL_GRID:
+        r = verify_theorem(*indices)
+        assert r.passed == (r.expected_coeff == 0), indices
+        fields = r.computed, r.l0_residual, r.dropped_singular, r.passed
+        assert fields == _reference_theorem(*indices, g, f), indices
 
 
 def test_dropped_singular_count_has_a_closed_form():
@@ -798,10 +808,11 @@ def _fraction_typed(e):
 @example((4, 0, 3, 5), CScalar(Fraction(1, 3)), Fraction(0))  # k = 0
 @example((3, -5, 6, 0), CScalar(Fraction(2), Fraction(-1, 2)), Fraction(1, 2))  # K = 0
 @example((5, 4, 3, -4), CScalar(Fraction(-7, 2)), Fraction(5, 6))  # k + K = 0
+@example((5, 10**300 + 7, 4, -(10**299)), CScalar(Fraction(1, 3)), Fraction(1, 3))  # 300 digits
 def test_the_integer_weights_give_the_full_expansion(indices, c, shift):
-    # verify_theorem sums the weights of generator words as ints; words with a
-    # complex coefficient or exponents off the half-integers go through the
-    # same functions, with CScalar or Fraction weights
+    # verify_theorem reads the weights of generator words as ints; the products
+    # of generator words, and of words with a complex coefficient or exponents
+    # off the half-integers, are the term-by-term expansion
     n, k, N, K = indices
     g, f = fn_symbol("g"), fn_symbol("f")  # both vanish at zero
     a, b = gen_to_word(n, k, "t", g), gen_to_word(N, K, "s", f)
@@ -819,8 +830,8 @@ def test_the_integer_weights_give_the_full_expansion(indices, c, shift):
         product, comm = multiply(u, v), commutator(u, v)
         assert product == ab and comm == ab - ba
         assert _fraction_typed(product) and _fraction_typed(comm)
-        for minus_ba, expanded in ((False, ab), (True, ab - ba)):
-            reduced, residual, dropped = reduce(*_products(u, v, minus_ba)[:2])
+        for built, expanded in ((product, ab), (comm, ab - ba)):
+            reduced, residual, dropped = reduce(built)
             assert (reduced, residual, dropped) == reduce(expanded) == _reference_reduce(expanded)
             assert _fraction_typed(reduced) and _fraction_typed(residual)
 

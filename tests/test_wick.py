@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 import rhpwn.wick
 from conftest import cscalars, s0_step_fns
 from rhpwn.oracle import _safe_columns, build
-from rhpwn.scalars import CS_ZERO, CScalar, falling, theta
+from rhpwn.scalars import CS_ZERO, CScalar, DeltaAtZeroError, falling, theta
 from rhpwn.stepfn import fn_symbol
 from rhpwn.wick import (
-    DeltaAtZeroError,
     collapse_single_mode,
     monomial_commutator,
     renormalize,
