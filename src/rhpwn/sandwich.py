@@ -206,8 +206,6 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> Sum:
     lb, bl, q, br = pb
     if la == lb:
         raise DeltaAtZeroError("same-label product would create delta(0)")
-    if p < 0 or q < 0:
-        raise ValueError(f"negative power in a product factor: {p}, {q}")
     if not base:
         return EQ_ZERO
     # a b: Q^p keeps u at a's label, Q^q keeps v at b's label; b a likewise, or rows of zeros.
@@ -216,32 +214,20 @@ def _products(a: EQTerm, b: EQTerm, minus_ba: bool) -> Sum:
         zs, ws = _exchange_row(q, -2 * al), _exchange_row(p, 2 * br)
     else:
         zs, ws = (0,) * (q + 1), (0,) * (p + 1)
-    a_first = la < lb
     # Each factor's other blocks hold at most one entry, at its own label, so
     # joined in label order they are canonical.
-    first, second = (a, b) if a_first else (b, a)
+    first, second = (a, b) if la < lb else (b, a)
     left_exp = first.left_exp + second.left_exp
     right_exp, testfn = first.right_exp + second.right_exp, first.testfn + second.testfn
-
     words = []
     for u in range(p + 1):
-        x, w = xs[u], ws[u]
         for v in range(q + 1):
-            weight = x * ys[v] - w * zs[v]
+            weight = xs[u] * ys[v] - ws[u] * zs[v]
             if weight:
-                # {la: u, lb: v} in canonical form: sorted by label, zeros dropped.
-                if not u:
-                    field = ((lb, v),) if v else ()
-                elif not v:
-                    field = ((la, u),)
-                else:
-                    field = ((la, u), (lb, v)) if a_first else ((lb, v), (la, u))
-                words.append(_new(EQTerm, (p + q - u - v, field, left_exp, right_exp,
-                                           testfn, base * weight)))
-    # Words differ in (delta power, field block) and share the rest: sorted, they are
-    # in a Sum's order, and the sort never compares past the field block.
-    words.sort()
-    return _new(Sum, (tuple(words),))
+                field = tuple(sorted(pair for pair in ((la, u), (lb, v)) if pair[1]))
+                words.append(EQTerm(p + q - u - v, field, left_exp, right_exp, testfn,
+                                    base * weight))
+    return Sum.canonical(words)
 
 
 def multiply(a: EQTerm, b: EQTerm) -> Sum:
@@ -263,9 +249,9 @@ def _merged_blocks(testfn: FnMap, target: str) -> FnMap:
     return () if product is None else ((target, product),)
 
 
-def _exp_at(exp: ParamMap, target: str) -> ParamMap:
-    """An exponential block's exponents summed at ``target``."""
-    total = sum(v for _, v in exp)
+def _exp_at(block: tuple, target: str) -> tuple:
+    """A field-power or exponential block's values summed at ``target``."""
+    total = sum(v for _, v in block)
     return ((target, total),) if total else ()
 
 
@@ -278,66 +264,38 @@ class ReduceResult(NamedTuple):
 def reduce(e: Sum) -> ReduceResult:
     """Apply the delta renormalization and the vanishing-at-zero condition.
 
-    Words with delta power 0 are returned as the residual (a
-    commutator of sandwich words must cancel them pairwise). Words with
-    delta power >= 2 renormalize to delta(s) delta(t-s), hence carry the
-    factor g(0) f(0): they are dropped and counted when some test function
-    of the word is known to vanish at zero, and raise SingularPartError
-    otherwise. Words with delta power 1 have their labels identified at the
-    smallest one and their blocks merged additively: their coefficients are
-    summed per group, keyed by the identity of the exponential and
-    test-function blocks (the words of one product share them), the merged
-    field power and the target label. Each group with a nonzero sum becomes
-    one word, and equal blocks that are not identical merge in the canonical
-    sort. A group's exponents are summed for it; its test-function product is
-    built once per block and process, and whether a block vanishes at zero
-    is asked once per call.
+    Words with delta power 0 are the residual (a commutator of sandwich words
+    must cancel them pairwise). Words with delta power >= 2 renormalize to
+    delta(s) delta(t-s), hence carry the factor g(0) f(0): they are dropped
+    and counted when some test function of the word vanishes at zero, and
+    raise SingularPartError otherwise. A word with delta power 1 is merged on
+    its own: its labels are identified at the smallest one, where its field
+    powers and its exponents are summed and its test functions multiplied.
+    One canonical sum then adds up the merged words.
     """
-    groups: dict = {}
-    residual = []
-    singular = []
+    merging, residual, singular = [], [], []
     for t in e.terms:
-        delta_L, q_pow, left_exp, right_exp, testfn, c = t
-        if delta_L == 1:
-            target = None  # the smallest label, the least of the blocks' first ones
-            for block in (left_exp, q_pow, right_exp, testfn):
-                if block and (target is None or block[0][0] < target):
-                    target = block[0][0]
-            if target is None:
+        if t.delta_L == 1:
+            labels = [block[0][0] for block in t[1:5] if block]  # each block's first label
+            if not labels:
                 raise ValueError("a delta word needs a label to merge at")
-            power = 0
-            for _, e in q_pow:
-                power += e
-            key = (id(left_exp), id(right_exp), id(testfn), power, target)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [t, c]  # t holds the blocks
-            else:
-                group[1] += c
-        elif delta_L == 0:
-            residual.append(t)
-        else:
+            merging.append((t, min(labels)))
+        elif t.delta_L:
             singular.append(t)
-    if singular:
-        fn_blocks = {t.testfn for t in singular}
-        vanishes = {fns: any(fn_vanishes_at_zero(fn) for _, fn in fns) for fns in fn_blocks}
-        offenders = [t for t in singular if not vanishes[t.testfn]]
-        if offenders:
-            raise SingularPartError(
-                f"{len(offenders)} singular term(s) do not vanish: "
-                "test functions must vanish at zero",
-                offenders,
-            )
-    reduced = []
-    for (_, _, _, power, target), (t, c) in groups.items():
-        testfn = _merged_blocks(t.testfn, target)  # raises if the functions do not multiply
-        if c:
-            q_pow = ((target, power),) if power else ()
-            left, right = _exp_at(t.left_exp, target), _exp_at(t.right_exp, target)
-            reduced.append(_new(EQTerm, (0, q_pow, left, right, testfn, c)))
-    # A single word is canonical; so is the residual, a subsequence of a canonical sum.
-    reduced = eq_expr(reduced) if len(reduced) > 1 else _new(Sum, (tuple(reduced),))
-    return _new(ReduceResult, (reduced, _new(Sum, (tuple(residual),)), len(singular)))
+        else:
+            residual.append(t)
+    offenders = [t for t in singular if not any(fn_vanishes_at_zero(fn) for _, fn in t.testfn)]
+    if offenders:
+        raise SingularPartError(
+            f"{len(offenders)} singular term(s) do not vanish: "
+            "test functions must vanish at zero",
+            offenders,
+        )
+    merged = [EQTerm(0, _exp_at(t.q_pow, target), _exp_at(t.left_exp, target),
+                     _exp_at(t.right_exp, target), _merged_blocks(t.testfn, target), t.coeff)
+              for t, target in merging]
+    # The residual, a subsequence of a canonical sum, is canonical.
+    return ReduceResult(Sum.canonical(merged), Sum(tuple(residual)), len(singular))
 
 
 class TheoremReport(NamedTuple):

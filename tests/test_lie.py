@@ -538,7 +538,8 @@ def test_canonical_matches_the_reference_sum(data):
 
 def test_sums_of_two_kinds_are_rejected():
     x, y = basis(RHPWN, 2, 1), basis(WINF, 2, 1)
-    for combine in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: bracket(x, y)):
+    for combine in (lambda: x + y, lambda: x - y, lambda: y + x, lambda: bracket(x, y),
+                    lambda: element(RHPWN, [(generator(WINF, 2, 1), CScalar.of(1))])):
         with pytest.raises(ValueError, match="algebra kind mismatch"):
             combine()
 

@@ -155,6 +155,8 @@ def test_check_exchange_seed_examples(m, D):
 def test_check_exchange_seed_guard():
     with pytest.raises(ValueError):
         check_exchange_seed(6, 8)
+    with pytest.raises(ValueError, match="power must be nonnegative"):
+        check_exchange_seed(-1)
 
 
 def _path_ok(c, steps, D):

@@ -260,12 +260,19 @@ def test_multiply_rejects_bad_inputs():
         multiply(a, gen_to_word(2, 2, "t"))
     with pytest.raises(ValueError):
         multiply(eq_term(1, {}, {"t": 1}, {}, delta_L=1), a)
+    with pytest.raises(ValueError, match="single-label sandwich words"):
+        multiply(eq_term(1, {}, {"t": 1, "s": 1}, {}), gen_to_word(2, 1, "u"))
 
 
 def test_eq_term_rejects_two_test_functions_at_one_label():
-    # multiply and eq_expr_to_json rely on one test function per label
+    # multiply and eq_expr_to_json rely on one test function per label; a
+    # negative delta or field power is no word either
     with pytest.raises(ValueError):
         eq_term(1, {"s": 1}, {"s": 1}, {}, testfn=[("s", fn_symbol("f")), ("s", fn_symbol("g"))])
+    with pytest.raises(ValueError, match="delta exponent must be nonnegative"):
+        eq_term(1, {}, {"t": 1}, {}, delta_L=-1)
+    with pytest.raises(ValueError, match="negative power -1 at label 't'"):
+        eq_term(1, {}, {"t": -1}, {})
 
 
 def _reference_product(a, b, pa, pb):
@@ -464,8 +471,8 @@ def test_reduce_matches_the_word_by_word_merge(labels, data):
 
 
 def test_reduce_merges_equal_blocks_that_are_not_identical():
-    # reduce groups delta-1 words by the identity of their blocks; blocks
-    # built apart are equal but not identical, and still merge
+    # delta-1 words whose blocks are equal but built apart, so not identical,
+    # still merge into one word
     def word(coeff, q_pow):
         exp = {"t": Fraction(1, 3), "s": Fraction(5, 2)}
         return eq_term(coeff, exp, q_pow, exp, delta_L=1, testfn={"t": fn_symbol("g")})
@@ -481,8 +488,25 @@ def test_reduce_merges_equal_blocks_that_are_not_identical():
 
 
 def test_reduce_refuses_a_delta_word_without_a_label():
-    with pytest.raises(ValueError, match="a delta word needs a label"):
-        reduce(eq_expr([eq_term(1, delta_L=1)]))
+    # the label refusal comes before the singular words are looked at
+    singular = eq_term(1, {}, {"t": 1}, {}, delta_L=3, testfn={"t": fn_symbol("g", in_S0=False)})
+    for words in ([eq_term(1, delta_L=1)], [eq_term(1, delta_L=1), singular]):
+        with pytest.raises(ValueError, match="a delta word needs a label"):
+            reduce(eq_expr(words))
+
+
+def test_reduce_refuses_unmultipliable_test_functions_after_the_singular_words():
+    # a delta-1 pair that cancels once merged still multiplies its test
+    # functions, a symbol and a step function here; a singular word that does
+    # not vanish at zero is refused first
+    fns = {"t": fn_symbol("g"), "s": indicator([(1, 3)])}
+    pair = [eq_term(2, {}, {"t": 1, "s": 1}, {}, delta_L=1, testfn=fns),
+            eq_term(-2, {}, {"s": 2}, {}, delta_L=1, testfn=fns)]
+    with pytest.raises(TypeError, match="cannot multiply an abstract symbol"):
+        reduce(eq_expr(pair))
+    singular = eq_term(1, {}, {"t": 1}, {}, delta_L=3, testfn={"t": fn_symbol("g", in_S0=False)})
+    with pytest.raises(SingularPartError):
+        reduce(eq_expr(pair + [singular]))
 
 
 def test_reduce_drops_singular_and_keeps_residual():

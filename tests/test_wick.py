@@ -54,6 +54,14 @@ def test_identical_labels_rejected():
         wn_term(1, {}, {}, ("t", "t"), 1)
     with pytest.raises(ValueError):
         monomial_commutator(-1, 0, 0, 0)
+    with pytest.raises(ValueError, match="negative power -1 at label 't'"):
+        wn_term(1, {"t": -1})
+    with pytest.raises(ValueError, match="delta exponent must be nonnegative"):
+        wn_term(1, {}, {}, ("t", "s"), -1)
+    with pytest.raises(ValueError, match="a positive delta exponent needs a label pair"):
+        wn_term(1, {"t": 1}, {}, None, 1)
+    with pytest.raises(ValueError, match="cannot coexist with point-evaluation markers"):
+        wn_term(1, {}, {}, ("t", "s"), 2, point_evals=("s",))
 
 
 def test_antisymmetry_grid():
