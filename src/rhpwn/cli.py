@@ -419,8 +419,7 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         # A theta or a step-function value past Python's integer-to-string limit
         # is refused before any output.
         testfn = _testfn_text(d.regular_testfn)
-        singular = [(s, str(s.theta), "unknown" if s.scalar is None else str(s.scalar))
-                    for s in d.singular]
+        singular = [(s, str(s.theta), str(s.scalar)) for s in d.singular]
     rn, rk = d.regular_index
 
     def text():
@@ -438,8 +437,7 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         ],
         _latex_table(
             ["L", "\\theta_L", "n", "k", "g(0)f(0)"],
-            ((s.L, theta, *s.index, "?" if s.scalar is None else scalar)
-             for s, theta, scalar in singular),
+            ((s.L, theta, *s.index, scalar) for s, theta, scalar in singular),
         ),
     )
     regular = {"coeff": d.regular_coeff, "n": rn, "k": rk}
@@ -447,7 +445,7 @@ def smear_cmd(n, k, nn, kk, g_path, f_path, fmt) -> None:
         "regular": {**regular, "testfn": fn_to_json(d.regular_testfn)},
         "singular": [
             {"L": s.L, "theta": s.theta, "n": s.index[0], "k": s.index[1],
-             "scalar": None if s.scalar is None else coeff_to_json(s.scalar)}
+             "scalar": coeff_to_json(s.scalar)}
             for s in d.singular
         ],
     })

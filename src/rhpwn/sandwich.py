@@ -24,12 +24,13 @@ pair of field powers, and each word's coefficient is its weight times the
 scalars' product.
 
 The realization check decides a passing tuple from a summary of each
-factor's two exchange rows (``_row_pair``): paired entries share binom(m, u),
-so their ratio is a power of x : w, and the weights and the count of nonzero
-ones are read off the summaries without building a row or a word
-(``verify_theorem``). A failing tuple reduces the whole commutator. Generator
-words, exchange rows, row summaries and merged test functions are cached per
-process (bounded caches; a frozen word does not depend on the table).
+factor's two exchange rows (``_row_pair``): the rows are mirrored, so paired
+entries differ only by the sign (-1)^(m-u), and the weights and the count of
+nonzero ones (pairs of opposite parity) are read off the summaries without
+building a row or a word (``verify_theorem``). A failing tuple reduces the
+whole commutator. Generator words, exchange rows, row summaries and merged
+test functions are cached per process (bounded caches; a frozen word does not
+depend on the table).
 """
 
 from __future__ import annotations
@@ -119,28 +120,11 @@ def _exchange_row(m: int, x) -> tuple:
 
 
 @lru_cache(maxsize=4096)
-def _row_pair(m: int, x: int, w: int) -> tuple:
-    """((x_m, w_m, x_(m-1), w_(m-1)), number of pairs other than (0, 0), number of pairs
-    per ratio class) of the pairs (x_u, w_u) of ``_exchange_row`` (m, x) and (m, w), built
-    without the rows. A class is a reduced ratio (numerator, denominator > 0), (1, 0) for
-    x_u : 0; both entries carry binom(m, u), so it is that of x^(m-u) : w^(m-u)."""
-    classes = {(1, 1): 1}  # u = m: 1 : 1
-    if x or w:
-        num, den = Fraction(x, w).as_integer_ratio() if w else (1, 0)
-        for e in range(1, m + 1):
-            key = num ** e, den ** e
-            classes[key] = classes.get(key, 0) + 1
-    return (1, 1, m * x, m * w), sum(classes.values()), classes
-
-
-def _nonzero_weights(rows: tuple, cols: tuple) -> int:
-    """The number of nonzero weights x_u y_v - w_u z_v, from the ``_row_pair`` of
-    the rows (x, w) and of the columns (z, y): they are 0 on rows and columns of
-    a pair (0, 0), and where the classes of x_u : w_u and z_v : y_v agree."""
-    count, col_classes = rows[1] * cols[1], cols[2]
-    for key, n in rows[2].items():
-        count -= n * col_classes.get(key, 0)
-    return count
+def _row_pair(m: int, x: int) -> tuple:
+    """((x_m, w_m, x_(m-1), w_(m-1)), even, odd) of the mirrored rows x_u and w_u of
+    ``_exchange_row`` (m, -x) and (m, x), built without the rows: x_u = (-1)^(m-u) w_u,
+    and even and odd count the nonzero pairs at an even and an odd m - u."""
+    return (1, 1, -m * x, m * x), m // 2 + 1 if x else 1, (m + 1) // 2 if x else 0
 
 
 def exchange_E_past_Q(lam, src_label: str, m: int, dst_label: str, direction: Direction) -> Sum:
@@ -327,8 +311,8 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
     the delta-free residual to vanish. A nonzero bracket whose target leaves
     the family n' >= 2 has no sandwich word and fails.
 
-    The commutator is read off the summaries ``_row_pair`` of its exchange
-    rows, (p, -K, K) and (q, -k, k) for p = n - 1 and q = N - 1, before any
+    The commutator is read off the summaries ``_row_pair`` of its mirrored
+    exchange rows, (p, K) and (q, k) for p = n - 1 and q = N - 1, before any
     row or word is built. Their top entries give the weight w0 of the
     delta-free word and the weights w1 and w2 of the two delta words, which
     merge at s into one word of coefficient (w1 + w2) / 2^(n+N-2), field
@@ -337,7 +321,7 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
     0) passes on these ints, and reports the expected word, whose
     coefficient is its one Fraction. Any other tuple reduces the whole
     commutator. The singular words (delta >= 2), counted from the summaries'
-    ratio classes, all carry g and f: they are dropped when g or f vanishes
+    parity counts, all carry g and f: they are dropped when g or f vanishes
     at zero; otherwise ``reduce`` raises SingularPartError on the full
     commutator.
     """
@@ -345,11 +329,13 @@ def verify_theorem(n: int, k: int, N: int, K: int, g: Optional[AnyTestFn] = None
         raise DomainError("realization indices need n, N >= 2")
     g, f = (_G if g is None else g), (_F if f is None else f)
     p, q = n - 1, N - 1
-    rows, cols = _row_pair(p, -K, K), _row_pair(q, -k, k)
-    (xp, wp, xp1, wp1), (zq, yq, zq1, yq1) = rows[0], cols[0]
+    (xp, wp, xp1, wp1), r_even, r_odd = _row_pair(p, K)
+    (zq, yq, zq1, yq1), c_even, c_odd = _row_pair(q, k)
     # x_u y_v - w_u z_v, the weights of Q_t^u Q_s^v delta^(p+q-u-v), at (p, q), (p-1, q), (p, q-1)
     w0, w1, w2 = xp * yq - wp * zq, xp1 * yq - wp1 * zq, xp * yq1 - wp * zq1
-    singular = _nonzero_weights(rows, cols) - (w0 != 0) - (w1 != 0) - (w2 != 0)
+    # x_u y_v - w_u z_v = w_u y_v ((-1)^(p-u) - (-1)^(q-v)): nonzero where p - u and q - v
+    # differ in parity, which w0 at (p, q) never does
+    singular = r_even * c_odd + r_odd * c_even - (w1 != 0) - (w2 != 0)
     if singular and not (fn_vanishes_at_zero(g) or fn_vanishes_at_zero(f)):
         reduce(commutator(gen_to_word(n, k, "t", g), gen_to_word(N, K, "s", f)))  # raises
     # reduce merges the test functions of a delta word even when w1 + w2 is 0

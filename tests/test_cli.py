@@ -261,6 +261,13 @@ def test_smear_abstract_symbols(runner):
     )
     assert result.exit_code == 0
     assert "testfn=f*g" in result.output
+    # the json report's singular records, whose bytes the CI workflow pins too
+    result = runner.invoke(main, _SMEAR + ["--format", "json"])
+    assert result.exit_code == 0
+    assert result.stdout == _json_bytes({
+        "regular": {"coeff": 3, "k": 2, "n": 2, "testfn": {"fn": ["f", "g"], "in_S0": True}},
+        "singular": [{"L": 2, "k": 1, "n": 1, "scalar": [0, 1, 0, 1], "theta": 2}],
+    })
 
 
 def test_smear_non_s0_function_reports_scalar(runner, tmp_path):
@@ -275,6 +282,13 @@ def test_smear_non_s0_function_reports_scalar(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "scalar=1" in result.output
+    result = runner.invoke(main, _SMEAR + ["--g", str(p), "--f", str(p), "--format", "json"])
+    assert result.exit_code == 0
+    step = {"from": "-1", "im": "0", "re": "1", "to": "1"}
+    assert result.stdout == _json_bytes({
+        "regular": {"coeff": 3, "k": 2, "n": 2, "testfn": {"step": [step]}},
+        "singular": [{"L": 2, "k": 1, "n": 1, "scalar": [1, 1, 0, 1], "theta": 2}],
+    })
 
 
 def test_normal_order_text_and_json(runner):

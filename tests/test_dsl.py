@@ -78,6 +78,10 @@ def test_kind_mixing_rejected():
     # the addends evaluate in order: the mismatch comes before a later addend's error
     with pytest.raises(ValueError, match="algebra kind mismatch"):
         evaluate(parse("B[2,1] + Bh[2,1] + [B[2,1]@f, B[1,2]]"))
+    # text, or text inside a node, is not a parsed tree
+    for ast in ("B[2,1]", StarNode("B[2,1]")):
+        with pytest.raises(TypeError, match=r"not a DSL node: 'B\[2,1\]'"):
+            evaluate(ast)
 
 
 @st.composite
