@@ -310,52 +310,124 @@ def _antisymmetric(size: int, tables: tuple) -> bool:
     )
 
 
-def _failing_orbits(size: int, tables: tuple):
-    """Yield the six id triples of each permutation orbit whose Jacobi
-    residual is nonzero, from ``_structure_tables`` of ``size`` basis indices
-    that are antisymmetric on the grid (``_antisymmetric``).
+def _star_order(kind: AlgebraKind, pairs: list) -> tuple[list, int]:
+    """``pairs`` listed N (p < p*), F (p = p*), then N* in N's order, and
+    |N|; a grid not closed under * keeps its order, with |N| = 0. The index
+    p* is that of ``involution``; a scan's soundness rests on
+    ``_star_compatible``, not on this order."""
+    rhpwn = kind is AlgebraKind.RHPWN
+    star = {(n, k): (k, n) if rhpwn else (n, -k) for n, k in pairs}
+    if not all(q in star for q in star.values()):
+        return pairs, 0
+    low = [p for p in pairs if p < star[p]]
+    return low + [p for p in pairs if p == star[p]] + [star[p] for p in low], len(low)
+
+
+def _star_ids(size: int, half: int) -> list:
+    """The id of each id's *-image, on a basis listed by ``_star_order`` with |N| = ``half``."""
+    return [*range(size - half, size), *range(half, size - half), *range(half)]
+
+
+def _star_compatible(size: int, half: int, tables: tuple) -> bool:
+    """Whether [y*, z*] = -[y, z]* on ``_structure_tables`` of a basis listed
+    by ``_star_order``: row y* read at the columns z* negates row y, on the
+    inner table and, for each [y, z] and [y*, z*], on their targets' outer
+    rows, whose target ids at nonzero coefficients map one-to-one. It reads
+    a row at a time and compares entries, deriving none."""
+    inner_c, inner_row, outer_c, outer_k = tables
+    mid = size - half
+
+    def starred(table, offset):
+        """The row at ``offset`` read at the columns z*, z in order."""
+        return (table[offset + mid : offset + size] + table[offset + half : offset + mid]
+                + table[offset : offset + half])
+
+    # * is an involution on the ids, so rows y and y* check each other, as do
+    # the outer rows at r and r': each pair is read once, and its links are
+    # taken both ways. Ids linked as a function are then linked one-to-one.
+    rows, keys = set(), set()
+    for y, y_star in enumerate(_star_ids(size, half)[:mid]):
+        here, there = y * size, y_star * size
+        if starred(inner_c, there) != [-c for c in inner_c[here : here + size]]:
+            return False
+        rows.update(zip(inner_row[here : here + size], starred(inner_row, there)))
+    for here, there in {(min(link), max(link)) for link in rows}:
+        coeffs = outer_c[here : here + size]
+        if starred(outer_c, there) != [-c for c in coeffs]:
+            return False
+        keys.update(zip(itertools.compress(outer_k[here : here + size], coeffs),
+                        itertools.compress(starred(outer_k, there), coeffs)))
+    keys |= {(image, key) for key, image in keys}
+    return len(keys) == len(dict(keys))
+
+
+def _failing_orbits(size: int, half: int, tables: tuple):
+    """Yield the id triples of each orbit of permutations and the *-map whose
+    Jacobi residual is nonzero, from ``_structure_tables`` of ``size`` basis
+    indices listed by ``_star_order`` with |N| = ``half``, antisymmetric on
+    the grid (``_antisymmetric``) and, unless half = 0, *-compatible
+    (``_star_compatible``).
 
     The rotations of (a, b, c) sum the same three terms [x, [y, z]]. A
     transposition negates each term: [b, [a, c]] = -[b, [c, a]] and so on, by
     the outer bracket's linearity in its second argument. So J(b, a, c) =
-    -J(a, b, c): the residual alternates, vanishes on repeated ids, and the
-    triples a < b < c stand for all six permutations each, about size**3 / 6
-    triples. Each (a, b) row is walked over c with [b, c] and [c, [a, b]]
-    read from contiguous slices and [c, a] from a strided one.
+    -J(a, b, c): the residual alternates, vanishes on repeated ids, and a
+    3-set a < b < c stands for its six triples. As [y*, z*] = -[y, z]*,
+    J(a*, b*, c*) = J(a, b, c)*, the same coefficients at the image targets:
+    a 3-set fails exactly when its image does. One 3-set of each orbit
+    {S, S*} is walked, about size**3 / 12 (size**3 / 6 when half = 0):
+
+    - a, b in N: every c > b;
+    - a in N, b in F: c in F past b, or c >= a* in N*;
+    - a in F: b and c in F.
+
+    A failing 3-set yields its six triples, and its image's six when that is
+    another 3-set. Each (a, b) row is walked over one or two spans of c with
+    [b, c] and [c, [a, b]] read from contiguous slices and [c, a] from a
+    strided one.
     """
     inner_c, inner_row, outer_c, outer_k = tables
-    for a in range(size):
-        for b in range(a + 1, size):
-            lo = b + 1
-            ab, bc, ca = a * size + b, b * size, lo * size + a
+    mid, star_ids = size - half, _star_ids(size, half)  # a* = a + mid for a in N
+    for a in range(mid):
+        for b in range(a + 1, mid):
+            spans = ((b + 1, size if b < half else mid),)
+            if a < half <= b:
+                spans += ((a + mid, size),)
+            ab = a * size + b
             c_ab, r_ab = inner_c[ab], inner_row[ab]
-            row = zip(
-                inner_c[bc + lo : bc + size], inner_row[bc + lo : bc + size],
-                inner_c[ca::size], inner_row[ca::size],
-                outer_c[r_ab + lo : r_ab + size], outer_k[r_ab + lo : r_ab + size],
-            )
-            for c, (c_bc, r_bc, c_ca, r_ca, c3, k3) in enumerate(row, lo):
-                o1, o2 = r_bc + a, r_ca + b
-                v1, v2, v3 = c_bc * outer_c[o1], c_ca * outer_c[o2], c_ab * c3
-                k1, k2 = outer_k[o1], outer_k[o2]
-                # Sum terms with equal targets; a vanishing term adds 0 wherever it lands.
-                if k1 == k2 == k3:
-                    failed = v1 + v2 + v3
-                elif k1 == k2:
-                    failed = v1 + v2 or v3
-                elif k1 == k3:
-                    failed = v1 + v3 or v2
-                elif k2 == k3:
-                    failed = v2 + v3 or v1
-                else:
-                    failed = v1 or v2 or v3
-                if failed:
-                    yield (a, b, c), (b, c, a), (c, a, b), (b, a, c), (a, c, b), (c, b, a)
+            for lo, hi in spans:
+                bc, ca = b * size, lo * size + a
+                row = zip(
+                    inner_c[bc + lo : bc + hi], inner_row[bc + lo : bc + hi],
+                    inner_c[ca : hi * size : size], inner_row[ca : hi * size : size],
+                    outer_c[r_ab + lo : r_ab + hi], outer_k[r_ab + lo : r_ab + hi],
+                )
+                for c, (c_bc, r_bc, c_ca, r_ca, c3, k3) in enumerate(row, lo):
+                    o1, o2 = r_bc + a, r_ca + b
+                    v1, v2, v3 = c_bc * outer_c[o1], c_ca * outer_c[o2], c_ab * c3
+                    k1, k2 = outer_k[o1], outer_k[o2]
+                    # Sum terms with equal targets; a vanishing term adds 0 wherever it lands.
+                    if k1 == k2 == k3:
+                        failed = v1 + v2 + v3
+                    elif k1 == k2:
+                        failed = v1 + v2 or v3
+                    elif k1 == k3:
+                        failed = v1 + v3 or v2
+                    elif k2 == k3:
+                        failed = v2 + v3 or v1
+                    else:
+                        failed = v1 or v2 or v3
+                    if failed:
+                        orbit = list(itertools.permutations((a, b, c)))
+                        if a < half and (b < half or c != a + mid):
+                            orbit += itertools.permutations(map(star_ids.__getitem__, (a, b, c)))
+                        yield orbit
 
 
 # Largest grid an exhaustive jacobi_scan or a pair scan accepts. At the cap, on
 # a 2-core VM with CPython 3.11: jacobi on w-infinity n 2..21 x k -12..12 takes
-# 9.2-13.6 s, star-check on Witt k -249..250 14.2-22.9 s, and closure 0.4 s.
+# 5.1-8.3 s (its tables 2.4 million entries, about 37 MB), star-check on Witt
+# k -249..250 14.2-22.9 s, and closure 0.4 s.
 MAX_SCAN_INDICES = 500
 
 
@@ -371,15 +443,19 @@ def jacobi_scan(
     Exhaustive over the in-domain grid by default; with sample=N a fixed-seed
     random sample of N triples is drawn instead (the seed is recorded in the
     report). Both modes read the structure-constant table bracket() uses.
-    The exhaustive scan builds ``_structure_tables`` over the whole grid
-    once, about 10 * size**2 list entries. On a table antisymmetric on the
-    grid, as both true tables are, it walks the triples a < b < c, about
-    size**3 / 6 (``_failing_orbits``); a failing orbit counts its six triples.
-    A grid of more than ``MAX_SCAN_INDICES`` basis indices (at the cap about
-    2.4 million table entries and 40 MB, and 2.1e7 orbits on a true table)
-    raises ValueError before any work. The kept failures are the first
-    ``_FAILURE_CAP`` failing triples in lexicographic order, with residuals
-    from ``_jacobi_residual``. Any other table, and a sample, ask
+    The exhaustive scan builds ``_structure_tables`` once, about 10 * size**2
+    list entries, over the grid listed by ``_star_order``. The algebras are
+    *-Lie, [x, y]* = [y*, x*], so J(x*, y*, z*) = J(x, y, z)*: a triple fails
+    exactly when its *-image does. On a table antisymmetric on the grid, as
+    both true tables are, ``_failing_orbits`` walks one 3-set per orbit of
+    permutations and the *-map, about size**3 / 12, when the grid is closed
+    under * and the tables are *-compatible (``_star_compatible``), else one
+    per orbit of permutations, about size**3 / 6. A failing orbit counts its
+    triples. A grid of more than ``MAX_SCAN_INDICES`` basis indices (at the
+    cap about 2.4 million table entries and 37 MB, and 1.0e7 3-sets on a
+    true table) raises ValueError before any work. The kept failures are the
+    first ``_FAILURE_CAP`` failing triples in lexicographic order, with
+    residuals from ``_jacobi_residual``. Any other table, and a sample, ask
     ``_jacobi_residual`` of one triple at a time: every triple in order, or
     N triples drawn by index from a grid never listed, so a sample's cost
     grows with N alone.
@@ -390,17 +466,19 @@ def jacobi_scan(
                                "; sample it instead")
         size = len(pairs)
         checked = size**3
-        tables = _structure_tables(kind, pairs)
+        order, half = _star_order(kind, pairs)
+        tables = _structure_tables(kind, order)
         if _antisymmetric(size, tables):
+            if half and not _star_compatible(size, half, tables):
+                half = 0
 
             def failing_triples():
                 nonlocal failure_count
-                for orbit in _failing_orbits(size, tables):
+                for orbit in _failing_orbits(size, half, tables):
                     failure_count += len(orbit)
-                    yield from orbit
+                    yield from ((order[a], order[b], order[c]) for a, b, c in orbit)
 
-            for a, b, c in heapq.nsmallest(_FAILURE_CAP, failing_triples()):
-                t = pairs[a], pairs[b], pairs[c]
+            for t in heapq.nsmallest(_FAILURE_CAP, failing_triples()):
                 failures.append((*t, _jacobi_residual(kind, *t)))
         else:
             triples = itertools.product(pairs, repeat=3)

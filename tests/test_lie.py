@@ -65,6 +65,11 @@ def test_bracket_kind_mismatch():
 
 def test_involution_examples():
     assert involution(basis(WINF, 3, 2)) == basis(WINF, 3, -2)
+    # the scans list a grid by the same index map
+    for kind, n_range, k_range in [(RHPWN, (0, 3), (0, 3)), (WINF, (2, 3), (-2, 2))]:
+        order, half = rhpwn.lie._star_order(kind, basis_indices(kind, n_range, k_range))
+        images = [involution(basis(kind, *p)) for p in order]
+        assert images == [basis(kind, *order[i]) for i in rhpwn.lie._star_ids(len(order), half)]
     f = fn_symbol("f")
     assert involution(basis(RHPWN, 2, 1, f)) == basis(
         RHPWN, 1, 2, FnSymbol(("~f",), True)
@@ -254,14 +259,17 @@ def test_scan_path_agrees_with_element_path(data):
 
 def _corrupted_structure(mode, modulus, residue):
     """The true table with the brackets [B^n_k, B^N_K] whose indices hit a
-    residue class skewed (c + 1), escaping (n' -> -n') or zeroed (c = 0), or,
-    in mode "swap", doubled (2c) where n + k + N + K hits it: a class closed
-    under swapping the two generators, so that table stays antisymmetric."""
+    residue class skewed (c + 1), escaping (n' -> -n') or zeroed (c = 0), or
+    doubled (2c): in mode "swap" where n + k + N + K hits it, a class closed
+    under swapping the two generators, so that table stays antisymmetric; in
+    mode "star" where n² + k² + N² + K² hits it, a class also closed under
+    each kind's *-map, so that table stays *-compatible as well."""
 
     def table(kind, n, k, N, K):
         c, n2, k2 = structure(kind, n, k, N, K)
-        if mode == "swap":
-            if (n + k + N + K) % modulus == residue:
+        if mode in ("swap", "star"):
+            key = n + k + N + K if mode == "swap" else n * n + k * k + N * N + K * K
+            if key % modulus == residue:
                 c *= 2
         elif (n + 2 * k + 3 * N + 5 * K) % modulus == residue:
             if mode == "skew":
@@ -297,14 +305,19 @@ def _assert_orbit_walk_agrees(kind, n_range, k_range):
 @settings(deadline=None)
 @given(st.data())
 def test_orbit_walk_agrees_with_the_walk_over_every_triple(data):
-    kind = data.draw(st.sampled_from([RHPWN, WINF]))
+    kind = data.draw(st.sampled_from([RHPWN, WINF, WITT]))
     n0 = data.draw(st.integers(0, 3) if kind is RHPWN else st.integers(1, 4))
-    k0 = data.draw(st.integers(0, 3) if kind is RHPWN else st.integers(-3, 2))
-    n_range = (n0, n0 + data.draw(st.integers(0, 1)))
-    k_range = (k0, k0 + data.draw(st.integers(0, 3)))
+    n_range = (n0, n0 + data.draw(st.integers(0, 2 if kind is WITT else 1)))
+    if data.draw(st.booleans()):
+        # a grid closed under the *-map: (n, k) -> (k, n), or (n, k) -> (n, -k)
+        j = data.draw(st.integers(0, 2))
+        k_range = n_range if kind is RHPWN else (-j, j)
+    else:
+        k0 = data.draw(st.integers(0, 3) if kind is RHPWN else st.integers(-3, 2))
+        k_range = (k0, k0 + data.draw(st.integers(0, 3)))
     modulus = data.draw(st.integers(1, 4))
     corrupt = _corrupted_structure(
-        data.draw(st.sampled_from(["skew", "escape", "zero", "swap"])),
+        data.draw(st.sampled_from(["skew", "escape", "zero", "swap", "star"])),
         modulus,
         data.draw(st.integers(0, modulus - 1)),
     )
@@ -337,9 +350,102 @@ def test_orbit_walk_keeps_rotations_among_the_first_failures(monkeypatch):
     "kind, n_range, k_range", [(RHPWN, (0, 6), (0, 6)), (WINF, (2, 8), (-6, 6))]
 )
 def test_true_tables_are_antisymmetric_on_the_acceptance_grids(kind, n_range, k_range):
-    # so criteria 2 and 3 walk only the triples a < b < c
-    pairs = basis_indices(kind, n_range, k_range)
-    assert rhpwn.lie._antisymmetric(len(pairs), rhpwn.lie._structure_tables(kind, pairs))
+    # and *-compatible, so criteria 2 and 3 walk one 3-set per orbit of
+    # permutations and the *-map
+    order, half = rhpwn.lie._star_order(kind, basis_indices(kind, n_range, k_range))
+    tables = rhpwn.lie._structure_tables(kind, order)
+    assert rhpwn.lie._antisymmetric(len(order), tables)
+    assert half and rhpwn.lie._star_compatible(len(order), half, tables)
+
+
+@pytest.mark.parametrize(
+    "kind, n_range, k_range, half, walked",
+    [
+        (WINF, (2, 8), (-6, 6), 42, 60907),
+        (RHPWN, (0, 6), (0, 6), 19, 6223),
+        (WITT, (2, 2), (-3, 3), 3, 19),
+        (WINF, (2, 5), (0, 0), 0, 4),  # every index its own image
+        (WINF, (2, 5), (-3, 2), 0, 2024),  # not closed under *: every a < b < c
+        (RHPWN, (0, 1), (0, 1), 0, 0),  # empty
+    ],
+)
+def test_star_walk_visits_one_3_set_per_orbit(kind, n_range, k_range, half, walked):
+    # On tables where every 3-set fails, the orbits walked are the 3-sets
+    # visited, and together they list each triple of distinct ids once.
+    order, got = rhpwn.lie._star_order(kind, basis_indices(kind, n_range, k_range))
+    size = len(order)
+    assert sorted(order) == basis_indices(kind, n_range, k_range) and got == half
+    failing = [1] * size * size, [0] * size * size, [1] * size, [0] * size
+    orbits = list(rhpwn.lie._failing_orbits(size, half, failing))
+    assert len(orbits) == walked
+    triples = [t for orbit in orbits for t in orbit]
+    assert sorted(triples) == list(itertools.permutations(range(size), 3))
+
+
+@pytest.mark.parametrize(
+    "kind, n_range, k_range",
+    [
+        (WINF, (2, 4), (-2, 2)),
+        (RHPWN, (0, 3), (0, 3)),
+        (WITT, (2, 2), (-4, 4)),
+        (WINF, (2, 5), (0, 0)),
+        (RHPWN, (0, 1), (0, 1)),
+    ],
+)
+def test_star_walk_agrees_on_star_compatible_failing_tables(monkeypatch, kind, n_range, k_range):
+    # doubled brackets on a *-invariant class keep the tables antisymmetric
+    # and *-compatible, so the scan walks one 3-set per orbit of both, and Jacobi breaks
+    monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure("star", 3, 0))
+    order, half = rhpwn.lie._star_order(kind, basis_indices(kind, n_range, k_range))
+    assert rhpwn.lie._star_compatible(len(order), half, rhpwn.lie._structure_tables(kind, order))
+    report = _assert_orbit_walk_agrees(kind, n_range, k_range)
+    assert report.failure_count > 100 if half else report.failure_count == 0
+
+
+@pytest.mark.parametrize("mode, k_range", [("swap", (-2, 2)), ("star", (-3, 1))])
+def test_star_walk_falls_back_to_every_a_b_c(monkeypatch, mode, k_range):
+    # a table that is antisymmetric but not *-compatible, and a grid not
+    # closed under *, take the walk over every a < b < c
+    monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure(mode, 3, 1))
+    order, half = rhpwn.lie._star_order(WINF, basis_indices(WINF, (2, 4), k_range))
+    tables = rhpwn.lie._structure_tables(WINF, order)
+    assert rhpwn.lie._antisymmetric(len(order), tables)
+    assert not (half and rhpwn.lie._star_compatible(len(order), half, tables))
+    assert _assert_orbit_walk_agrees(WINF, (2, 4), k_range).failure_count > 100
+
+
+def test_star_check_compares_coefficients_and_maps_ids_one_to_one():
+    order, half = rhpwn.lie._star_order(WINF, basis_indices(WINF, (2, 4), (-2, 2)))
+    size = len(order)
+    inner_c, inner_row, outer_c, outer_k = rhpwn.lie._structure_tables(WINF, order)
+    assert rhpwn.lie._star_compatible(size, half, (inner_c, inner_row, outer_c, outer_k))
+    # [y, z] and [z, y] doubled, [y*, z*] kept: still antisymmetric
+    y, z = 0, half
+    doubled = inner_c[:]
+    doubled[y * size + z] *= 2
+    doubled[z * size + y] *= 2
+    assert rhpwn.lie._antisymmetric(size, (doubled, inner_row))
+    assert not rhpwn.lie._star_compatible(size, half, (doubled, inner_row, outer_c, outer_k))
+    # one outer row doubled: [x, t] no longer negates [x*, t*]
+    row = inner_row[y * size + z]
+    outer = outer_c[:]
+    outer[row : row + size] = [2 * c for c in outer_c[row : row + size]]
+    assert not rhpwn.lie._star_compatible(size, half, (inner_c, inner_row, outer, outer_k))
+    # one target given a fresh id in either outer row of the pair [y, z],
+    # [y*, z*]: equal targets no longer share an id, so ids do not map one-to-one
+    row_star = inner_row[(size - half) * size + z]
+    for r in (row, row_star):
+        key = next(outer_k[r + x] for x in range(size) if outer_c[r + x])
+        fresh = outer_k[:]
+        fresh[r : r + size] = [len(outer_k) if k == key else k for k in outer_k[r : r + size]]
+        assert not rhpwn.lie._star_compatible(size, half, (inner_c, inner_row, outer_c, fresh))
+    # a bracket of two self-adjoint indices, (2, 0) and (3, 0), made nonzero:
+    # [f, f'] = -[f, f']* forces it to vanish
+    f, f2 = half, half + 1
+    skewed = inner_c[:]
+    skewed[f * size + f2], skewed[f2 * size + f] = 1, -1
+    assert rhpwn.lie._antisymmetric(size, (skewed, inner_row))
+    assert not rhpwn.lie._star_compatible(size, half, (skewed, inner_row, outer_c, outer_k))
 
 
 def _reference_tables(kind, pairs):
