@@ -10,7 +10,6 @@ from __future__ import annotations
 import enum
 import heapq
 import itertools
-import operator
 import random
 from itertools import repeat
 from typing import Iterable, NamedTuple, Optional
@@ -243,70 +242,57 @@ def _jacobi_residual(kind: AlgebraKind, p1: tuple, p2: tuple, p3: tuple) -> tupl
     return ()
 
 
-def _bracket_rows(kind: AlgebraKind, pairs: list):
-    """Rows [y, z] over the basis ``pairs``: ``structure`` mapped over its coordinate lists."""
-    ns, ks = [n for n, _ in pairs], [k for _, k in pairs]
-    return (map(structure, repeat(kind), repeat(n), repeat(k), ns, ks) for n, k in pairs)
+def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list]:
+    """The bracket table of ``structure`` over the basis ``pairs``, built once
+    per exhaustive scan, as two lists ``coeffs`` and ``links`` of rows of
+    size = len(pairs) entries. Entry r + x holds [x, u] for the target u at
+    row offset r: ``coeffs[r + x]`` is its coefficient and ``links[r + x]``
+    the row offset of its target, 0 where the coefficient vanishes.
 
+    - Row 0 is all zeros: a vanishing bracket points there, so it
+      contributes nothing downstream.
+    - Basis index j, ``pairs[j]``, is at row (j + 1) * size, so [y, z] is
+      entry (z + 1) * size + y.
+    - Each other target of a grid bracket is on the next row, in the order
+      the grid rows reach it.
+    - A target reached only from those rows gets an offset past the table:
+      the orbit walk compares it with other offsets but never reads its row.
 
-def _structure_tables(kind: AlgebraKind, pairs: list) -> tuple[list, list, list, list]:
-    """Flat tables of ``structure`` over the basis ``pairs``, read once per
-    exhaustive scan. The inner table is read from ``_bracket_rows``; an outer
-    row is column j of it when its target is basis index j, else ``structure``
-    mapped over the grid's coordinate lists.
-
-    Basis index i is ``pairs[i]``. Each distinct target t of an inner bracket
-    gets a row offset r = (t's id) * len(pairs), id 1 upward; with e = y*size + z:
-
-    - ``inner_c[e]`` is the coefficient of [y, z] and ``inner_row[e]`` the
-      row offset of its target;
-    - ``outer_c[r + x]`` is the coefficient of [x, t] and ``outer_k[r + x]``
-      an integer id of its target, equal ids for equal targets (a miss, or
-      id 0, falls through ``dict.get`` to ``setdefault``, which keeps it).
-
-    Row 0 is all zeros and is where a vanishing inner bracket points, so it
-    contributes nothing downstream. Equal offsets and ids share one int.
-    The orbit walk compares target ids only, so the targets themselves are
-    not kept. It reads [y, z] for fixed y as the contiguous slice
-    ``inner_c[y*size:(y+1)*size]`` and [z, x] for fixed x as the strided
-    slice ``inner_c[x::size]``, so no transposed copy is kept: the tables
-    stay at about 10 * size**2 entries.
+    One dict ``rows`` gives each target its offset, so equal targets share
+    one int, and the targets themselves are not kept. The walk reads [x, u]
+    for fixed u as a contiguous slice and [y, z] for fixed y as the strided
+    slice ``coeffs[size + y :: size]``, so no transposed copy is kept. Each
+    list has 3.2 * size (RHPWN (0..6)^2) to 3.8 * size (w-infinity at the
+    ``MAX_SCAN_INDICES`` cap) rows of size entries.
     """
     size = len(pairs)
-    rows: dict[tuple[int, int], int] = {}
-    inner_c, inner_row = [0] * (size * size), [0] * (size * size)
-    for e, (c, n2, k2) in enumerate(itertools.chain.from_iterable(_bracket_rows(kind, pairs))):
-        if c:
-            inner_c[e] = c
-            inner_row[e] = rows.get((n2, k2)) or rows.setdefault((n2, k2), (len(rows) + 1) * size)
-    index = {p: i for i, p in enumerate(pairs)}
-    target_at = {0: (0, 0), **{offset: target for target, offset in rows.items()}}
     ns, ks = [n for n, _ in pairs], [k for _, k in pairs]
-    keys: dict[tuple[int, int], int] = {}
-    outer_c, outer_k = [0] * (size * (len(rows) + 1)), [0] * (size * (len(rows) + 1))
-    for target, offset in rows.items():
-        j = index.get(target)
-        if j is None:
-            row = map(structure, repeat(kind), ns, ks, repeat(target[0]), repeat(target[1]))
-        else:
-            row = map(operator.add, zip(inner_c[j::size]),
-                      map(target_at.__getitem__, inner_row[j::size]))
-        for e, (c, n2, k2) in enumerate(row, offset):
-            if c:
-                outer_c[e] = c
-                outer_k[e] = keys.get((n2, k2)) or keys.setdefault((n2, k2), len(keys))
-    return inner_c, inner_row, outer_c, outer_k
+    rows = {p: (j + 1) * size for j, p in enumerate(pairs)}
+    coeffs, links = [0] * size, [0] * size
+    for grid in True, False:  # the grid rows, then the rows of the targets they reach
+        targets = pairs if grid else list(rows)[size:]
+        offset = len(coeffs)
+        coeffs += [0] * (len(targets) * size)  # grown once per phase: no reallocation per row
+        links += [0] * (len(targets) * size)
+        for n, k in targets:
+            row = list(map(structure, repeat(kind), ns, ks, repeat(n), repeat(k)))
+            coeffs[offset : offset + size] = [c for c, _, _ in row]
+            links[offset : offset + size] = [
+                c and rows.setdefault((n2, k2), (len(rows) + 1) * size) for c, n2, k2 in row]
+            offset += size
+    return coeffs, links
 
 
-def _antisymmetric(size: int, tables: tuple) -> bool:
-    """Whether [y, z] = -[z, y] on the grid of ``_structure_tables``: row y
-    of ``inner_c`` negates its column y, and ``inner_row`` equals its
-    transpose (both rows are 0 where the coefficient vanishes)."""
-    inner_c, inner_row = tables[:2]
+def _antisymmetric(size: int, table: tuple) -> bool:
+    """Whether [y, z] = -[z, y] on the grid of ``_structure_tables``: grid
+    row j, [x, j] for each x, negates the strided column of [j, x], and the
+    links of both are equal (0 where the coefficient vanishes)."""
+    coeffs, links = table
+    end = (size + 1) * size
     return all(
-        inner_c[y * size : (y + 1) * size] == [-c for c in inner_c[y::size]]
-        and inner_row[y * size : (y + 1) * size] == inner_row[y::size]
-        for y in range(size)
+        coeffs[(j + 1) * size : (j + 2) * size] == [-c for c in coeffs[size + j : end : size]]
+        and links[(j + 1) * size : (j + 2) * size] == links[size + j : end : size]
+        for j in range(size)
     )
 
 
@@ -328,40 +314,41 @@ def _star_ids(size: int, half: int) -> list:
     return [*range(size - half, size), *range(half, size - half), *range(half)]
 
 
-def _star_compatible(size: int, half: int, tables: tuple) -> bool:
+def _star_compatible(size: int, half: int, table: tuple) -> bool:
     """Whether [y*, z*] = -[y, z]* on ``_structure_tables`` of a basis listed
-    by ``_star_order``: row y* read at the columns z* negates row y, on the
-    inner table and, for each [y, z] and [y*, z*], on their targets' outer
-    rows, whose target ids at nonzero coefficients map one-to-one. It reads
+    by ``_star_order``: the row of each grid index j*, read at the columns
+    x*, negates the row of j, and then so does each pair of rows linked by
+    their entries, the image target's row against the target's. The links
+    at nonzero coefficients of every row compared map one-to-one. It reads
     a row at a time and compares entries, deriving none."""
-    inner_c, inner_row, outer_c, outer_k = tables
+    coeffs, links = table
     mid = size - half
 
-    def starred(table, offset):
+    def starred(entries, offset):
         """The row at ``offset`` read at the columns z*, z in order."""
-        return (table[offset + mid : offset + size] + table[offset + half : offset + mid]
-                + table[offset : offset + half])
+        return (entries[offset + mid : offset + size] + entries[offset + half : offset + mid]
+                + entries[offset : offset + half])
 
-    # * is an involution on the ids, so rows y and y* check each other, as do
-    # the outer rows at r and r': each pair is read once, and its links are
-    # taken both ways. Ids linked as a function are then linked one-to-one.
-    rows, keys = set(), set()
-    for y, y_star in enumerate(_star_ids(size, half)[:mid]):
-        here, there = y * size, y_star * size
-        if starred(inner_c, there) != [-c for c in inner_c[here : here + size]]:
-            return False
-        rows.update(zip(inner_row[here : here + size], starred(inner_row, there)))
-    for here, there in {(min(link), max(link)) for link in rows}:
-        coeffs = outer_c[here : here + size]
-        if starred(outer_c, there) != [-c for c in coeffs]:
-            return False
-        keys.update(zip(itertools.compress(outer_k[here : here + size], coeffs),
-                        itertools.compress(starred(outer_k, there), coeffs)))
-    keys |= {(image, key) for key, image in keys}
-    return len(keys) == len(dict(keys))
+    def negates(here, there):
+        """Whether row ``there`` read at the columns z* negates row ``here``;
+        their links at the nonzero coefficients go into ``linked`` as pairs."""
+        row = coeffs[here : here + size]
+        linked.update(zip(itertools.compress(links[here : here + size], row),
+                          itertools.compress(starred(links, there), row)))
+        return starred(coeffs, there) == [-c for c in row]
+
+    # * is an involution, so rows j and j* check each other, as do the rows of a
+    # link, each pair read once; offsets linked as a function are linked one-to-one.
+    linked: set = set()
+    grid = enumerate(_star_ids(size, half)[:mid])
+    if not (all(negates((j + 1) * size, (j_star + 1) * size) for j, j_star in grid)
+            and all(negates(*pair) for pair in {(min(link), max(link)) for link in linked})):
+        return False
+    linked |= {(image, offset) for offset, image in linked}
+    return len(linked) == len(dict(linked))
 
 
-def _failing_orbits(size: int, half: int, tables: tuple):
+def _failing_orbits(size: int, half: int, table: tuple):
     """Yield the id triples of each orbit of permutations and the *-map whose
     Jacobi residual is nonzero, from ``_structure_tables`` of ``size`` basis
     indices listed by ``_star_order`` with |N| = ``half``, antisymmetric on
@@ -383,29 +370,29 @@ def _failing_orbits(size: int, half: int, tables: tuple):
 
     A failing 3-set yields its six triples, and its image's six when that is
     another 3-set. Each (a, b) row is walked over one or two spans of c with
-    [b, c] and [c, [a, b]] read from contiguous slices and [c, a] from a
+    [c, a] and [c, [a, b]] read from contiguous slices and [b, c] from a
     strided one.
     """
-    inner_c, inner_row, outer_c, outer_k = tables
+    coeffs, links = table
     mid, star_ids = size - half, _star_ids(size, half)  # a* = a + mid for a in N
     for a in range(mid):
         for b in range(a + 1, mid):
             spans = ((b + 1, size if b < half else mid),)
             if a < half <= b:
                 spans += ((a + mid, size),)
-            ab = a * size + b
-            c_ab, r_ab = inner_c[ab], inner_row[ab]
+            ab = (b + 1) * size + a
+            c_ab, r_ab = coeffs[ab], links[ab]
             for lo, hi in spans:
-                bc, ca = b * size, lo * size + a
+                bc, ca, stop = (lo + 1) * size + b, (a + 1) * size, (hi + 1) * size
                 row = zip(
-                    inner_c[bc + lo : bc + hi], inner_row[bc + lo : bc + hi],
-                    inner_c[ca : hi * size : size], inner_row[ca : hi * size : size],
-                    outer_c[r_ab + lo : r_ab + hi], outer_k[r_ab + lo : r_ab + hi],
+                    coeffs[bc:stop:size], links[bc:stop:size],
+                    coeffs[ca + lo : ca + hi], links[ca + lo : ca + hi],
+                    coeffs[r_ab + lo : r_ab + hi], links[r_ab + lo : r_ab + hi],
                 )
                 for c, (c_bc, r_bc, c_ca, r_ca, c3, k3) in enumerate(row, lo):
                     o1, o2 = r_bc + a, r_ca + b
-                    v1, v2, v3 = c_bc * outer_c[o1], c_ca * outer_c[o2], c_ab * c3
-                    k1, k2 = outer_k[o1], outer_k[o2]
+                    v1, v2, v3 = c_bc * coeffs[o1], c_ca * coeffs[o2], c_ab * c3
+                    k1, k2 = links[o1], links[o2]
                     # Sum terms with equal targets; a vanishing term adds 0 wherever it lands.
                     if k1 == k2 == k3:
                         failed = v1 + v2 + v3
@@ -426,8 +413,8 @@ def _failing_orbits(size: int, half: int, tables: tuple):
 
 # Largest grid an exhaustive jacobi_scan or a pair scan accepts. At the cap, on
 # a 2-core VM with CPython 3.11: jacobi on w-infinity n 2..21 x k -12..12 takes
-# 5.1-8.3 s (its tables 2.4 million entries, about 37 MB), star-check on Witt
-# k -249..250 14.2-22.9 s, and closure 0.4 s.
+# 5.0-6.5 s (its table 1.9 million list entries, about 36 MB), star-check on
+# Witt k -249..250 14.2-22.9 s, and closure 0.2 s.
 MAX_SCAN_INDICES = 500
 
 
@@ -443,17 +430,18 @@ def jacobi_scan(
     Exhaustive over the in-domain grid by default; with sample=N a fixed-seed
     random sample of N triples is drawn instead (the seed is recorded in the
     report). Both modes read the structure-constant table bracket() uses.
-    The exhaustive scan builds ``_structure_tables`` once, about 10 * size**2
-    list entries, over the grid listed by ``_star_order``. The algebras are
-    *-Lie, [x, y]* = [y*, x*], so J(x*, y*, z*) = J(x, y, z)*: a triple fails
-    exactly when its *-image does. On a table antisymmetric on the grid, as
-    both true tables are, ``_failing_orbits`` walks one 3-set per orbit of
-    permutations and the *-map, about size**3 / 12, when the grid is closed
-    under * and the tables are *-compatible (``_star_compatible``), else one
-    per orbit of permutations, about size**3 / 6. A failing orbit counts its
-    triples. A grid of more than ``MAX_SCAN_INDICES`` basis indices (at the
-    cap about 2.4 million table entries and 37 MB, and 1.0e7 3-sets on a
-    true table) raises ValueError before any work. The kept failures are the
+    The exhaustive scan builds ``_structure_tables`` once, two lists of
+    about 3.5 * size**2 entries each, over the grid listed by
+    ``_star_order``. The algebras are *-Lie, [x, y]* = [y*, x*], so
+    J(x*, y*, z*) = J(x, y, z)*: a triple fails exactly when its *-image
+    does. On a table antisymmetric on the grid, as both true tables are,
+    ``_failing_orbits`` walks one 3-set per orbit of permutations and the
+    *-map, about size**3 / 12, when the grid is closed under * and the
+    table is *-compatible (``_star_compatible``), else one per orbit of
+    permutations, about size**3 / 6. A failing orbit counts its triples.
+    A grid of more than ``MAX_SCAN_INDICES`` basis indices (at the cap
+    about 1.9 million table entries and 36 MB, and 1.0e7 3-sets on a true
+    table) raises ValueError before any work. The kept failures are the
     first ``_FAILURE_CAP`` failing triples in lexicographic order, with
     residuals from ``_jacobi_residual``. Any other table, and a sample, ask
     ``_jacobi_residual`` of one triple at a time: every triple in order, or
@@ -467,14 +455,14 @@ def jacobi_scan(
         size = len(pairs)
         checked = size**3
         order, half = _star_order(kind, pairs)
-        tables = _structure_tables(kind, order)
-        if _antisymmetric(size, tables):
-            if half and not _star_compatible(size, half, tables):
+        table = _structure_tables(kind, order)
+        if _antisymmetric(size, table):
+            if half and not _star_compatible(size, half, table):
                 half = 0
 
             def failing_triples():
                 nonlocal failure_count
-                for orbit in _failing_orbits(size, half, tables):
+                for orbit in _failing_orbits(size, half, table):
                     failure_count += len(orbit)
                     yield from ((order[a], order[b], order[c]) for a, b, c in orbit)
 
@@ -530,15 +518,17 @@ def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairRepo
     """Verify every bracket with a nonzero structure constant lands in-domain.
     A failure's detail is the bracket's (c, n', k').
 
-    It asks ``in_domain`` once per distinct target of ``_bracket_rows`` and
+    It asks ``in_domain`` once per distinct target of the rows [p, q] and
     lists a row's pairs only when one escapes. It guards against a corrupted
     table: the true one can only pass, as the scan keeps in-domain indices and
     each family is closed under its bracket (a nonzero RHPWN bracket lands at
     n', k' >= 0 with n' + k' >= 4, a w-infinity one at n' >= 2, a Witt one at n' = 2)."""
 
     def failing(pairs):
+        ns, ks = [n for n, _ in pairs], [k for _, k in pairs]
         seen, escaped = set(), set()
-        for p, row in zip(pairs, map(list, _bracket_rows(kind, pairs))):
+        for p in pairs:
+            row = list(map(structure, repeat(kind), repeat(p[0]), repeat(p[1]), ns, ks))
             targets = {(n2, k2) for c, n2, k2 in row if c}
             escaped.update(t for t in targets - seen if not in_domain(kind, *t))
             seen |= targets

@@ -21,7 +21,8 @@ from rhpwn.dsl import parse as dsl_parse
 from rhpwn.dsl import render as dsl_render
 from rhpwn.lie import AlgebraKind, basis, basis_indices, involution, star_compat_check
 from rhpwn.oracle import check_eq1, check_exchange_seed
-from rhpwn.sandwich import eq_expr, eq_term, exchange_E_past_Q
+from rhpwn.sandwich import (_F, _G, commutator, eq_expr, eq_term, exchange_E_past_Q,
+                            gen_to_word, reduce, verify_theorem)
 from rhpwn.scalars import CScalar, binom, falling, theta
 from rhpwn.stepfn import StepFn, fn_symbol, is_in_S0, make_step
 from rhpwn.wick import smear_bracket
@@ -55,6 +56,16 @@ def test_criterion_1_realization_grid():
         assert not any("FAIL" in line for line in lines)
         assert elapsed < 60.0, f"grid took {elapsed:.1f}s"
         print(f"  (grid ran in {elapsed:.1f}s)")
+
+
+def test_the_realization_grid_agrees_with_the_word_calculus():
+    # Criterion 1 decides a passing tuple on ints read off the exchange rows'
+    # summaries; the word path, reduce(commutator(a, b)), must give the same
+    # reduced sum, residual and singular count on every tuple of its grid.
+    for n, k, N, K in itertools.product(range(2, 8), range(-4, 5), repeat=2):
+        report = verify_theorem(n, k, N, K)
+        words = reduce(commutator(gen_to_word(n, k, "t", _G), gen_to_word(N, K, "s", _F)))
+        assert (report.computed, report.l0_residual, report.dropped_singular) == words, (n, k, N, K)
 
 
 def test_criterion_2_jacobi_rhpwn():

@@ -375,7 +375,7 @@ def test_star_walk_visits_one_3_set_per_orbit(kind, n_range, k_range, half, walk
     order, got = rhpwn.lie._star_order(kind, basis_indices(kind, n_range, k_range))
     size = len(order)
     assert sorted(order) == basis_indices(kind, n_range, k_range) and got == half
-    failing = [1] * size * size, [0] * size * size, [1] * size, [0] * size
+    failing = [1] * (size + 1) * size, [0] * (size + 1) * size
     orbits = list(rhpwn.lie._failing_orbits(size, half, failing))
     assert len(orbits) == walked
     triples = [t for orbit in orbits for t in orbit]
@@ -416,57 +416,60 @@ def test_star_walk_falls_back_to_every_a_b_c(monkeypatch, mode, k_range):
 
 def test_star_check_compares_coefficients_and_maps_ids_one_to_one():
     order, half = rhpwn.lie._star_order(WINF, basis_indices(WINF, (2, 4), (-2, 2)))
-    size = len(order)
-    inner_c, inner_row, outer_c, outer_k = rhpwn.lie._structure_tables(WINF, order)
-    assert rhpwn.lie._star_compatible(size, half, (inner_c, inner_row, outer_c, outer_k))
+    size, mid = len(order), len(order) - half
+    coeffs, links = rhpwn.lie._structure_tables(WINF, order)
+    assert rhpwn.lie._star_compatible(size, half, (coeffs, links))
     # [y, z] and [z, y] doubled, [y*, z*] kept: still antisymmetric
     y, z = 0, half
-    doubled = inner_c[:]
-    doubled[y * size + z] *= 2
-    doubled[z * size + y] *= 2
-    assert rhpwn.lie._antisymmetric(size, (doubled, inner_row))
-    assert not rhpwn.lie._star_compatible(size, half, (doubled, inner_row, outer_c, outer_k))
-    # one outer row doubled: [x, t] no longer negates [x*, t*]
-    row = inner_row[y * size + z]
-    outer = outer_c[:]
-    outer[row : row + size] = [2 * c for c in outer_c[row : row + size]]
-    assert not rhpwn.lie._star_compatible(size, half, (inner_c, inner_row, outer, outer_k))
-    # one target given a fresh id in either outer row of the pair [y, z],
-    # [y*, z*]: equal targets no longer share an id, so ids do not map one-to-one
-    row_star = inner_row[(size - half) * size + z]
+    doubled = coeffs[:]
+    doubled[(z + 1) * size + y] *= 2
+    doubled[(y + 1) * size + z] *= 2
+    assert rhpwn.lie._antisymmetric(size, (doubled, links))
+    assert not rhpwn.lie._star_compatible(size, half, (doubled, links))
+    # the row of the target t = (2, -3) of [y, z] = [(2, -2), (2, -1)], past
+    # the grid, doubled: [x, t] no longer negates [x*, t*]
+    y, z = 0, 1
+    assert (order[y], order[z]) == ((2, -2), (2, -1))
+    row, row_star = links[(z + 1) * size + y], links[(z + mid + 1) * size + y + mid]
+    assert min(row, row_star) >= (size + 1) * size
+    target_row = coeffs[:]
+    target_row[row : row + size] = [2 * c for c in coeffs[row : row + size]]
+    assert not rhpwn.lie._star_compatible(size, half, (target_row, links))
+    # a target that other brackets reach too given a fresh offset in either
+    # row of the pair t, t*: equal targets no longer share an offset, so
+    # offsets do not map one-to-one
     for r in (row, row_star):
-        key = next(outer_k[r + x] for x in range(size) if outer_c[r + x])
-        fresh = outer_k[:]
-        fresh[r : r + size] = [len(outer_k) if k == key else k for k in outer_k[r : r + size]]
-        assert not rhpwn.lie._star_compatible(size, half, (inner_c, inner_row, outer_c, fresh))
+        e = next(e for e in range(r, r + size) if coeffs[e] and links.count(links[e]) > 1)
+        fresh = links[:]
+        fresh[e] = max(links) + 1
+        assert not rhpwn.lie._star_compatible(size, half, (coeffs, fresh))
     # a bracket of two self-adjoint indices, (2, 0) and (3, 0), made nonzero:
     # [f, f'] = -[f, f']* forces it to vanish
     f, f2 = half, half + 1
-    skewed = inner_c[:]
-    skewed[f * size + f2], skewed[f2 * size + f] = 1, -1
-    assert rhpwn.lie._antisymmetric(size, (skewed, inner_row))
-    assert not rhpwn.lie._star_compatible(size, half, (skewed, inner_row, outer_c, outer_k))
+    assert (order[f], order[f2]) == ((2, 0), (3, 0))
+    skewed = coeffs[:]
+    skewed[(f2 + 1) * size + f], skewed[(f + 1) * size + f2] = 1, -1
+    assert rhpwn.lie._antisymmetric(size, (skewed, links))
+    assert not rhpwn.lie._star_compatible(size, half, (skewed, links))
 
 
 def _reference_tables(kind, pairs):
-    """``_structure_tables`` built one entry at a time."""
+    """``_structure_tables`` built one entry at a time: grid row j holds [x, pairs[j]],
+    the grid brackets' other targets follow in the order the grid rows reach them,
+    and a target reached only from those rows is given the next offset past the table."""
     size = len(pairs)
-    rows = {}
-    inner_c, inner_row = [0] * (size * size), [0] * (size * size)
-    for e, (y, z) in enumerate(itertools.product(pairs, repeat=2)):
-        c, n2, k2 = rhpwn.lie.structure(kind, *y, *z)
+    rows = {p: (j + 1) * size for j, p in enumerate(pairs)}
+    for u, x in itertools.product(pairs, repeat=2):
+        c, n2, k2 = rhpwn.lie.structure(kind, *x, *u)
         if c:
-            inner_c[e] = c
-            inner_row[e] = rows.setdefault((n2, k2), (len(rows) + 1) * size)
-    keys = {}
-    outer_c, outer_k = [0] * (size * (len(rows) + 1)), [0] * (size * (len(rows) + 1))
-    for target, row in rows.items():
-        for x, (n, k) in enumerate(pairs):
-            c, n2, k2 = rhpwn.lie.structure(kind, n, k, *target)
-            if c:
-                outer_c[row + x] = c
-                outer_k[row + x] = keys.setdefault((n2, k2), len(keys))
-    return inner_c, inner_row, outer_c, outer_k
+            rows.setdefault((n2, k2), (len(rows) + 1) * size)
+    coeffs, links = [0] * size, [0] * size
+    for u in list(rows):
+        for x in pairs:
+            c, n2, k2 = rhpwn.lie.structure(kind, *x, *u)
+            coeffs.append(c)
+            links.append(rows.setdefault((n2, k2), (len(rows) + 1) * size) if c else 0)
+    return coeffs, links
 
 
 @pytest.mark.parametrize("mode", [None, "skew", "escape", "zero", "swap"])
@@ -486,8 +489,7 @@ def test_structure_tables_match_the_entry_by_entry_build(monkeypatch, kind, n_ra
 )
 def test_structure_tables_call_structure_once_per_entry(monkeypatch, kind, n_range, k_range,
                                                         calls):
-    # the inner table takes size**2 calls; an outer row whose target is a
-    # grid index is read from the inner table's column, the rest take a call each
+    # the grid rows take size**2 calls, and each other target's row size calls
     asked = []
 
     def counted(*args):
@@ -497,6 +499,19 @@ def test_structure_tables_call_structure_once_per_entry(monkeypatch, kind, n_ran
     monkeypatch.setattr(rhpwn.lie, "structure", counted)
     rhpwn.lie._structure_tables(kind, basis_indices(kind, n_range, k_range))
     assert len(asked) == len(set(asked)) == calls
+
+
+def test_escaped_targets_are_not_antisymmetric(monkeypatch):
+    # escaping targets keep each [y, z] = -[z, y] in coefficient, not in
+    # target, so their links differ and the scan asks every triple
+    monkeypatch.setattr(rhpwn.lie, "structure", _corrupted_structure("escape", 3, 1))
+    pairs = basis_indices(WINF, (2, 4), (-2, 2))
+    size = len(pairs)
+    coeffs, links = rhpwn.lie._structure_tables(WINF, pairs)
+    grid = range(size, (size + 1) * size)
+    assert all(coeffs[e] == -coeffs[(e % size + 1) * size + e // size - 1] for e in grid)
+    assert not rhpwn.lie._antisymmetric(size, (coeffs, links))
+    _assert_orbit_walk_agrees(WINF, (2, 4), (-2, 2))
 
 
 def test_swapped_corruption_walks_a_b_c_increasing(monkeypatch):

@@ -15,11 +15,7 @@ KEPT = {
     "scalars.count_to_str": "names a grid size past Python's integer-to-string limit",
     "scalars.SingularPartError.__init__": "a singular part that does not vanish at zero",
     # names the benchmark's tracer and micro-benchmarks call (perfbench/spans.py, micro.py)
-    "sandwich.commutator": "TARGETS name; a failing tuple reduces the whole commutator",
-    "sandwich.reduce": "TARGETS name; a failing tuple reduces the whole commutator",
     "sandwich.EQTerm.word_key": "sandwich.word_key_hash_ns",
-    # the word path of a realization tuple that fails
-    "sandwich._exp_at": "reduce merges a delta word's exponentials",
     # step-function labels written in DSL text, and their conjugate (~)
     "dsl._Parser._parse_step": "bracket 'B[2,1]@step[...]', a CI step and tests/test_dsl.py",
     "stepfn.conjugate": "~ on a step label",
