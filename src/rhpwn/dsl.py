@@ -25,18 +25,24 @@ parenthesized, e.g.
 read as an expression. 'a - b' reads as 'a + (-1)*b'. Tokens are ASCII: a
 non-ASCII digit or space is an unexpected character. Brackets and groups nest
 at most MAX_NESTING deep; a deeper '[' or '(' is a ParseError.
+
+The tree takes the grammar's shape: an expr of two or more terms is one
+SumNode; a term's scalar factors, and the -1 of a leading or subtracted term,
+multiply into one ScaleNode; an odd run of '^*' is one StarNode and an even run
+none; an atom is a lie.Generator; a group is the tree of its expr.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from fractions import Fraction
 from typing import NamedTuple, Optional, Union
 
 from . import lie
-from .lie import AlgebraKind, Element, element_to_json
-from .scalars import _F0, CScalar, _cscalar
+from .lie import AlgebraKind, Element, Generator, element_to_json
+from .scalars import _F0, CS_ONE, CScalar, _cscalar
 from .stepfn import AnyTestFn, FnSymbol, StepFn, canon_pieces
 
 
@@ -74,13 +80,6 @@ def _tokenize(text: str) -> tuple[list[str], list[str]]:
 
 # -- AST ----------------------------------------------------------------------
 
-class AtomNode(NamedTuple):
-    kind: AlgebraKind
-    n: int
-    k: int
-    label: Optional[AnyTestFn]
-
-
 class BracketNode(NamedTuple):
     a: "DslExpr"
     b: "DslExpr"
@@ -95,18 +94,17 @@ class ScaleNode(NamedTuple):
     a: "DslExpr"
 
 
-class AddNode(NamedTuple):
-    a: "DslExpr"
-    b: "DslExpr"
+class SumNode(NamedTuple):
+    terms: tuple["DslExpr", ...]
 
 
-DslExpr = Union[AtomNode, BracketNode, StarNode, ScaleNode, AddNode]
+DslExpr = Union[Generator, BracketNode, StarNode, ScaleNode, SumNode]
 
 _ATOM_KINDS = {"B": AlgebraKind.RHPWN, "Bh": AlgebraKind.WINFINITY}
-_MINUS_ONE = CScalar(-1)
 
 # Deepest nesting of '[' and '(' the recursive-descent parser accepts: each
-# level costs it four Python frames, well inside the default recursion limit.
+# level costs it, and evaluate, at most four Python frames, well inside the
+# default recursion limit.
 MAX_NESTING = 100
 
 
@@ -140,21 +138,15 @@ class _Parser:
     # expr := ['-'] term (('+'|'-') term)*
     def parse_expr(self) -> DslExpr:
         kinds = self.kinds
-        if kinds[self.pos] == "-":
-            self.pos += 1
-            node: DslExpr = ScaleNode(_MINUS_ONE, self.parse_term())
-        else:
-            node = self.parse_term()
+        terms = [self.parse_term(self._parse_sign())]
         while kinds[self.pos] in ("+", "-"):
-            op = kinds[self.pos]
             self.pos += 1
-            rhs = self.parse_term()
-            node = AddNode(node, rhs if op == "+" else ScaleNode(_MINUS_ONE, rhs))
-        return node
+            terms.append(self.parse_term(-1 if kinds[self.pos - 1] == "-" else 1))
+        return terms[0] if len(terms) == 1 else SumNode(tuple(terms))
 
-    # term := (scalar '*')* postfixed
-    def parse_term(self) -> DslExpr:
-        kinds, scalars = self.kinds, []
+    # term := (scalar '*')* postfixed, times ``sign``
+    def parse_term(self, sign: int) -> DslExpr:
+        kinds, scalars = self.kinds, [] if sign > 0 else [CScalar(-1)]
         while True:
             kind = kinds[self.pos]
             if kind == "int" or self._is_i(self.pos):
@@ -172,16 +164,14 @@ class _Parser:
                 break
             self.expect("*", ("*",))
         node = self.parse_postfixed()
-        for c in reversed(scalars):
-            node = ScaleNode(c, node)
-        return node
+        return ScaleNode(math.prod(scalars, start=CS_ONE), node) if scalars else node
 
     def parse_postfixed(self) -> DslExpr:
         node = self.parse_primary()
+        start = self.pos
         while self.kinds[self.pos] == "starpost":
             self.pos += 1
-            node = StarNode(node)
-        return node
+        return StarNode(node) if (self.pos - start) % 2 else node  # '^*' is an involution
 
     def parse_primary(self) -> DslExpr:
         kind = self.kinds[self.pos]
@@ -204,7 +194,7 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def parse_atom(self) -> AtomNode:
+    def parse_atom(self) -> Generator:
         at = self.pos
         kind = _ATOM_KINDS[self.texts[at]]
         self.pos += 1
@@ -220,7 +210,7 @@ class _Parser:
         if not self.relaxed and not lie.in_domain(kind, n, k):
             raise self.error(at, f"index ({n}, {k}) outside the {kind.value} family "
                              "(pass --relaxed to admit it)")
-        return AtomNode(kind, n, k, label)
+        return Generator(kind, n, k, label)
 
     def _parse_sign(self) -> int:
         if self.kinds[self.pos] == "-":
@@ -330,38 +320,28 @@ def parse(text: str, relaxed: bool = False) -> DslExpr:
 
 
 def evaluate(ast: DslExpr) -> Element:
-    """Evaluate an AST to a canonical algebra element.
-
-    Sums, scalar factors and '^*' chains grow one AST level per term, so they
-    are walked in loops; only brackets and groups recurse, and the parser
-    caps their nesting.
-    """
-    if isinstance(ast, AtomNode):
-        return lie.basis(ast.kind, ast.n, ast.k, ast.label, relaxed=True)
+    """Evaluate a tree to a canonical algebra element, recursing into each
+    node's children. A parsed tree has at most four nodes per level of '[' or
+    '(' (a sum, a scale, a star, and a bracket or the group's tree), and that
+    nesting is capped at MAX_NESTING: it recurses about 4 * MAX_NESTING frames deep."""
+    if isinstance(ast, Generator):
+        return Element(ast.kind, ((ast, CS_ONE),))
     if isinstance(ast, BracketNode):
         return lie.bracket(evaluate(ast.a), evaluate(ast.b))
-    if isinstance(ast, AddNode):
-        addends = []
-        while isinstance(ast, AddNode):
-            addends.append(ast.b)
-            ast = ast.a
-        first = evaluate(ast)
-        terms = list(first.terms)
-        for b in reversed(addends):
-            x = evaluate(b)
-            if x.kind is not first.kind:
+    if isinstance(ast, StarNode):
+        return lie.involution(evaluate(ast.a))
+    if isinstance(ast, ScaleNode):
+        return evaluate(ast.a).scaled(ast.c)
+    if isinstance(ast, SumNode):
+        first, *rest = ast.terms
+        x = evaluate(first)
+        terms = list(x.terms)
+        for term in rest:
+            y = evaluate(term)
+            if y.kind is not x.kind:
                 raise ValueError("algebra kind mismatch")
-            terms += x.terms
-        return Element.canonical(terms, first.kind)
-    if isinstance(ast, (StarNode, ScaleNode)):
-        unary = []
-        while isinstance(ast, (StarNode, ScaleNode)):
-            unary.append(ast)
-            ast = ast.a
-        x = evaluate(ast)
-        for node in reversed(unary):
-            x = lie.involution(x) if isinstance(node, StarNode) else x.scaled(node.c)
-        return x
+            terms += y.terms
+        return Element.canonical(terms, x.kind)
     raise TypeError(f"not a DSL node: {ast!r}")
 
 

@@ -319,8 +319,8 @@ def _star_compatible(size: int, half: int, table: tuple) -> bool:
     by ``_star_order``: the row of each grid index j*, read at the columns
     x*, negates the row of j, and then so does each pair of rows linked by
     their entries, the image target's row against the target's. The links
-    at nonzero coefficients of every row compared map one-to-one. It reads
-    a row at a time and compares entries, deriving none."""
+    of every row compared map one-to-one, 0 (no target) to 0. It reads a
+    row at a time and compares entries, deriving none."""
     coeffs, links = table
     mid = size - half
 
@@ -331,11 +331,9 @@ def _star_compatible(size: int, half: int, table: tuple) -> bool:
 
     def negates(here, there):
         """Whether row ``there`` read at the columns z* negates row ``here``;
-        their links at the nonzero coefficients go into ``linked`` as pairs."""
-        row = coeffs[here : here + size]
-        linked.update(zip(itertools.compress(links[here : here + size], row),
-                          itertools.compress(starred(links, there), row)))
-        return starred(coeffs, there) == [-c for c in row]
+        their links go into ``linked`` as pairs."""
+        linked.update(zip(links[here : here + size], starred(links, there)))
+        return starred(coeffs, there) == [-c for c in coeffs[here : here + size]]
 
     # * is an involution, so rows j and j* check each other, as do the rows of a
     # link, each pair read once; offsets linked as a function are linked one-to-one.
@@ -402,8 +400,8 @@ def _failing_orbits(size: int, half: int, table: tuple):
                         failed = v1 + v3 or v2
                     elif k2 == k3:
                         failed = v2 + v3 or v1
-                    else:
-                        failed = v1 or v2 or v3
+                    else:  # at most one of three distinct links is 0: two terms are nonzero
+                        failed = True
                     if failed:
                         orbit = list(itertools.permutations((a, b, c)))
                         if a < half and (b < half or c != a + mid):

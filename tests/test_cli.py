@@ -642,6 +642,18 @@ def test_bracket_nested_to_the_cap_evaluates(runner):
     assert result.exit_code == 0 and result.output == "Bh[2,1]\n"
 
 
+def test_bracket_nests_a_sign_a_scale_and_a_star_per_level_to_the_cap(runner):
+    # -(2*(x)^*) = -2 x^*, nested 100 levels deep (MAX_NESTING), then inside
+    # [Bh[2,0], .] 99 levels deep; '--' lets the line start with '-'
+    assert rhpwn.dsl.MAX_NESTING == 100
+    line = "-(2*(" * 50 + "Bh[2,1]" + ")^*)" * 50
+    result = runner.invoke(main, ["bracket", "--", line])
+    assert result.exit_code == 0 and result.output == "1125899906842624*Bh[2,1]\n"
+    line = "[Bh[2,0], -(2*(" * 33 + "Bh[2,1]" + ")^*)]" * 33
+    result = runner.invoke(main, ["bracket", "--", line])
+    assert result.exit_code == 0 and result.output == "-8589934592*Bh[2,-1]\n"
+
+
 def test_unknown_option_exits_2(runner):
     result = runner.invoke(main, ["bracket", "--nope"])
     assert result.exit_code == 2

@@ -7,19 +7,18 @@ from hypothesis import strategies as st
 from conftest import (any_fn_symbols, cscalars, elements, indicator, ref_bracket, ref_involution,
                       ref_scaled, ref_sum, step_fns)
 from rhpwn.dsl import (
-    AddNode,
-    AtomNode,
     BracketNode,
     MAX_NESTING,
     ParseError,
     ScaleNode,
     StarNode,
+    SumNode,
     evaluate,
     parse,
     render,
 )
-from rhpwn.lie import (AlgebraKind, Element, basis, element_from_json, generator, involution,
-                       zero)
+from rhpwn.lie import (AlgebraKind, Element, Generator, basis, element_from_json, generator,
+                       involution, zero)
 from rhpwn.scalars import CScalar
 from rhpwn import stepfn
 from rhpwn.stepfn import FnSymbol, fn_symbol, step_from_records
@@ -32,8 +31,27 @@ WINF = AlgebraKind.WINFINITY
 def test_parse_bracket_node():
     ast = parse("[B[2,1], B[1,2]]")
     assert isinstance(ast, BracketNode)
-    assert ast.a == AtomNode(RHPWN, 2, 1, None)
-    assert ast.b == AtomNode(RHPWN, 1, 2, None)
+    assert ast.a == Generator(RHPWN, 2, 1, None)
+    assert ast.b == Generator(RHPWN, 1, 2, None)
+
+
+def test_a_term_parses_to_one_scale_and_at_most_one_star():
+    # the scalar factors and the sign multiply; '^*' twice is the identity
+    b21 = Generator(RHPWN, 2, 1, None)
+    assert parse("-2*3*B[2,1]^*^*^*") == ScaleNode(CScalar(-6), StarNode(b21))
+    assert parse("B[2,1]^*^*") == parse("B[2,1]") == b21
+    assert parse("(1/2)*i*(B[2,1])^*") == ScaleNode(CScalar(0, Fraction(1, 2)), StarNode(b21))
+
+
+def test_a_sum_parses_to_one_node_of_all_its_terms():
+    b21, b12, b30 = (Generator(RHPWN, n, k, None) for n, k in ((2, 1), (1, 2), (3, 0)))
+    assert parse("-B[2,1] + 2*B[1,2] - B[3,0]^* - (B[2,1] + B[1,2])") == SumNode((
+        ScaleNode(CScalar(-1), b21),
+        ScaleNode(CScalar(2), b12),
+        ScaleNode(CScalar(-1), StarNode(b30)),
+        ScaleNode(CScalar(-1), SumNode((b21, b12))),
+    ))
+    assert parse("[B[2,1] + B[1,2], B[3,0]]") == BracketNode(SumNode((b21, b12)), b30)
 
 
 def test_parse_involution_postfix():
@@ -86,12 +104,12 @@ def test_kind_mixing_rejected():
 
 @st.composite
 def _trees(draw, kind, labels, depth: int):
-    """A random AST of one kind: atoms with relaxed indices, brackets, '^*',
-    complex scale factors, and sums of two to four addends."""
+    """A random AST of one kind: generators with relaxed indices, brackets,
+    '^*', complex scale factors, and sums of two to four terms."""
     roll = draw(st.integers(0, 4)) if depth else 0
     if roll == 0:
         n, k = draw(st.integers(-2, 6)), draw(st.integers(-5, 5))
-        return AtomNode(kind, n, k, None if labels is None else draw(labels))
+        return Generator(kind, n, k, None if labels is None else draw(labels))
     a = draw(_trees(kind, labels, depth - 1))
     if roll == 1:
         return StarNode(a)
@@ -99,20 +117,21 @@ def _trees(draw, kind, labels, depth: int):
         return ScaleNode(draw(st.one_of(cscalars, st.just(CScalar()))), a)
     if roll == 3:
         return BracketNode(a, draw(_trees(kind, labels, depth - 1)))
-    for _ in range(draw(st.integers(1, 3))):
-        a = AddNode(a, draw(_trees(kind, labels, depth - 1)))
-    return a
+    rest = [draw(_trees(kind, labels, depth - 1)) for _ in range(draw(st.integers(1, 3)))]
+    return SumNode((a, *rest))
 
 
 def _ref_evaluate(ast):
-    if isinstance(ast, AtomNode):
+    if isinstance(ast, Generator):
         return ref_sum(ast.kind, [(generator(ast.kind, ast.n, ast.k, ast.label, True), 1)])
     if isinstance(ast, StarNode):
         return ref_involution(_ref_evaluate(ast.a))
     if isinstance(ast, ScaleNode):
         return ref_scaled(_ref_evaluate(ast.a), ast.c)
-    a, b = _ref_evaluate(ast.a), _ref_evaluate(ast.b)
-    return ref_bracket(a, b) if isinstance(ast, BracketNode) else ref_sum(a.kind, a.terms + b.terms)
+    if isinstance(ast, BracketNode):
+        return ref_bracket(_ref_evaluate(ast.a), _ref_evaluate(ast.b))
+    terms = [_ref_evaluate(term) for term in ast.terms]
+    return ref_sum(terms[0].kind, [t for x in terms for t in x.terms])
 
 
 @seed(20060819)
@@ -239,7 +258,8 @@ def test_nesting_cap():
 
 
 def test_long_flat_chains_evaluate():
-    # sums, scalar factors and '^*' chains nest the AST one level per term
+    # a sum is one SumNode of its terms, a term's scalar factors one ScaleNode
+    # and a run of '^*' at most one StarNode: no chain nests the tree
     n = 3000
     b21 = parse("B[2,1]")
     assert evaluate(parse(" + ".join(["B[2,1]"] * n))) == evaluate(b21).scaled(n)
@@ -316,8 +336,8 @@ def test_text_round_trip_with_step_labels(x):
 
 
 def test_parenthesized_expressions_and_scalars():
-    assert parse("(B[2,1] + B[1,2])") == AddNode(
-        AtomNode(RHPWN, 2, 1, None), AtomNode(RHPWN, 1, 2, None)
+    assert parse("(B[2,1] + B[1,2])") == SumNode(
+        (Generator(RHPWN, 2, 1, None), Generator(RHPWN, 1, 2, None))
     )
     b21, b12 = basis(RHPWN, 2, 1), basis(RHPWN, 1, 2)
     assert evaluate(parse("(B[2,1] - B[1,2])^*")) == involution(b21 - b12)

@@ -302,6 +302,7 @@ def _assert_orbit_walk_agrees(kind, n_range, k_range):
     return report
 
 
+@seed(20060820)
 @settings(deadline=None)
 @given(st.data())
 def test_orbit_walk_agrees_with_the_walk_over_every_triple(data):
@@ -537,6 +538,7 @@ def _reference_closure(kind, n_range, k_range):
     return len(failures), failures[: rhpwn.lie._FAILURE_CAP]
 
 
+@seed(20060821)
 @settings(deadline=None)
 @given(st.data())
 def test_closure_agrees_with_the_walk_over_every_pair(data):
