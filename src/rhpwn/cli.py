@@ -4,12 +4,13 @@ Exit codes: 0 all checks passed, 1 a verification failed, 2 usage or parse
 error. All output is deterministic: identical invocations produce identical
 bytes.
 
-Every report goes through ``_render``. A command gives it text lines, latex
-lines, a function that builds the JSON payload, and a predicate, asked once
-the output is written, that says whether a check failed. Text and latex lines
-are written as they are produced, to one stdout stream flushed once per report
-and before any ``error:`` line; JSON is one sorted document. A rejected input
-ends in ``_rejected_input``: one ``error:`` line on stderr and exit 2.
+Every report but ``bracket``'s, which writes one line per expression, goes
+through ``_render``. A command gives it text lines, latex lines, a function
+that builds the JSON payload, and a predicate, asked once the output is
+written, that says whether a check failed. Text and latex lines are written as
+they are produced, to one stdout stream flushed once per report and before any
+``error:`` line; JSON is one sorted document. A rejected input ends in
+``_rejected_input``: one ``error:`` line on stderr and exit 2.
 
 Only the batch checks' engines (``lie``, ``oracle``, ``sandwich`` and the
 ``scalars`` and ``stepfn`` they use) load with this module. The expression
@@ -115,6 +116,8 @@ def _rejected_input(context: str = ""):
         yield
     except (ValueError, TypeError, KeyError, OSError) as exc:
         click.get_text_stream("stdout").flush()
+        if "for integer string conversion;" in str(exc):  # int to str; str to int has ": value"
+            exc = f"an output number has more than {sys.get_int_max_str_digits()} digits"
         click.echo(f"error: {context}{exc}", err=True)
         raise SystemExit(2)
 

@@ -209,6 +209,12 @@ def _checked_basis(kind: AlgebraKind, n_range: Range, k_range: Range, what: str,
 _FAILURE_CAP = 100
 
 
+def _collect(failed) -> tuple[int, tuple]:
+    """How many failures the iterator ``failed`` yields, and the first ``_FAILURE_CAP``."""
+    kept = tuple(itertools.islice(failed, _FAILURE_CAP))
+    return len(kept) + sum(1 for _ in failed), kept
+
+
 class JacobiReport(NamedTuple):
     kind: AlgebraKind
     n_range: Range
@@ -446,7 +452,7 @@ def jacobi_scan(
     N triples drawn by index from a grid never listed, so a sample's cost
     grows with N alone.
     """
-    failure_count, failures, triples = 0, [], ()
+    failure_count, triples = 0, None
     if sample is None:
         pairs = _checked_basis(kind, n_range, k_range, "an exhaustive Jacobi scan",
                                "; sample it instead")
@@ -464,8 +470,8 @@ def jacobi_scan(
                     failure_count += len(orbit)
                     yield from ((order[a], order[b], order[c]) for a, b, c in orbit)
 
-            for t in heapq.nsmallest(_FAILURE_CAP, failing_triples()):
-                failures.append((*t, _jacobi_residual(kind, *t)))
+            failures = tuple((*t, _jacobi_residual(kind, *t))
+                             for t in heapq.nsmallest(_FAILURE_CAP, failing_triples()))
         else:
             triples = itertools.product(pairs, repeat=3)
     else:
@@ -475,15 +481,12 @@ def jacobi_scan(
         rng = random.Random(seed)
         # the draws of rng.choice on basis_indices, without listing them
         triples = ([_basis_at(runs, rng.randrange(size)) for _ in range(3)] for _ in range(checked))
-    for p1, p2, p3 in triples:
-        residual = _jacobi_residual(kind, p1, p2, p3)
-        if residual:
-            failure_count += 1
-            if len(failures) < _FAILURE_CAP:
-                failures.append((p1, p2, p3, residual))
+    if triples is not None:
+        failure_count, failures = _collect(
+            (*t, residual) for t in triples if (residual := _jacobi_residual(kind, *t)))
     sampled = sample is not None
     return JacobiReport(kind, tuple(n_range), tuple(k_range), checked, failure_count,
-                        tuple(failures), sampled, seed if sampled else None)
+                        failures, sampled, seed if sampled else None)
 
 
 class PairReport(NamedTuple):
@@ -506,10 +509,8 @@ def _pair_scan(kind: AlgebraKind, n_range: Range, k_range: Range, failing) -> Pa
     ``itertools.product`` order over the basis ``pairs``. A grid of more than
     ``MAX_SCAN_INDICES`` basis indices raises ValueError before any pair."""
     pairs = _checked_basis(kind, n_range, k_range, "a pair scan")
-    failed = failing(pairs)
-    failures = tuple(itertools.islice(failed, _FAILURE_CAP))
     return PairReport(kind, tuple(n_range), tuple(k_range), len(pairs) ** 2,
-                      len(failures) + sum(1 for _ in failed), failures)
+                      *_collect(failing(pairs)))
 
 
 def closure_check(kind: AlgebraKind, n_range: Range, k_range: Range) -> PairReport:

@@ -168,15 +168,11 @@ def coeff_from_json(v: list) -> CScalar:
     return CScalar(Fraction(v[0], v[1]), Fraction(v[2], v[3]))
 
 
-def rational_to_str(x: Fraction) -> str:
-    """The string form of a rational in records: "p/q", or "p" when q = 1."""
-    return str(x)
-
-
 def rational_from_str(v) -> Fraction:
-    """Inverse of rational_to_str. A JSON number or a decimal string, as
-    hand-written records hold, reads as the decimal it prints as; a decimal
-    exponent past 4300 (Python's int-to-string digit limit) is refused first."""
+    """Inverse of ``str`` of a Fraction: "p/q", or "p" when q = 1. A JSON number
+    or a decimal string, as hand-written records hold, reads as the decimal it
+    prints as; a decimal exponent past 4300 (Python's int-to-string digit
+    limit) is refused first."""
     text = str(v)
     exponent = re.search(r"[eE][-+]?(\d+(?:_\d+)*)", text)
     if exponent and int(exponent[1]) > 4300:

@@ -11,7 +11,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, Union
 
-from .scalars import CS_ZERO, CScalar, rational, rational_from_str, rational_to_str
+from .scalars import CS_ZERO, CScalar, rational, rational_from_str
 
 
 class StepFn(NamedTuple):
@@ -80,16 +80,6 @@ def evaluate(f: StepFn, t) -> CScalar:
     return CS_ZERO
 
 
-def pointwise_product(f: StepFn, g: StepFn) -> StepFn:
-    """f(t) g(t) on each piece between consecutive endpoints of f and g."""
-    pts = sorted({p for h in (f, g) for a, b, _ in h.pieces for p in (a, b)})
-    return canon_pieces((a, b, evaluate(f, a) * evaluate(g, a)) for a, b in zip(pts, pts[1:]))
-
-
-def conjugate(f: StepFn) -> StepFn:
-    return StepFn(tuple((a, b, v.conjugate()) for a, b, v in f.pieces))
-
-
 def is_in_S0(f: StepFn) -> bool:
     """Whether f belongs to the subspace vanishing at zero, f(0) = 0."""
     return not evaluate(f, 0)
@@ -99,15 +89,8 @@ def is_in_S0(f: StepFn) -> bool:
 
 def step_to_records(f: StepFn) -> list[dict]:
     """Serialize as [{"from": "a/b", "to": "c/d", "re": "p/q", "im": "r/s"}]."""
-    return [
-        {
-            "from": rational_to_str(a),
-            "to": rational_to_str(b),
-            "re": rational_to_str(v.re),
-            "im": rational_to_str(v.im),
-        }
-        for a, b, v in f.pieces
-    ]
+    return [{"from": str(a), "to": str(b), "re": str(v.re), "im": str(v.im)}
+            for a, b, v in f.pieces]
 
 
 def step_from_records(records: Iterable[dict]) -> StepFn:
@@ -149,21 +132,21 @@ AnyTestFn = Union[FnSymbol, StepFn]
 
 
 def fn_product(x: AnyTestFn, y: AnyTestFn) -> AnyTestFn:
-    """Pointwise product, formal for symbols and exact for step functions."""
+    """Pointwise product, formal for symbols and exact for step functions:
+    x(t) y(t) on each piece between consecutive endpoints of x and y."""
     if isinstance(x, FnSymbol) and isinstance(y, FnSymbol):
         return FnSymbol(tuple(sorted(x.factors + y.factors)), x.in_S0 or y.in_S0)
     if isinstance(x, StepFn) and isinstance(y, StepFn):
-        return pointwise_product(x, y)
+        pts = sorted({p for h in (x, y) for a, b, _ in h.pieces for p in (a, b)})
+        return canon_pieces((a, b, evaluate(x, a) * evaluate(y, a)) for a, b in zip(pts, pts[1:]))
     raise TypeError("cannot multiply an abstract symbol with a concrete step function")
 
 
 def fn_conjugate(x: AnyTestFn) -> AnyTestFn:
     if isinstance(x, FnSymbol):
-        toggled = tuple(
-            f[1:] if f.startswith("~") else "~" + f for f in x.factors
-        )
+        toggled = tuple(f[1:] if f.startswith("~") else "~" + f for f in x.factors)
         return FnSymbol(tuple(sorted(toggled)), x.in_S0)
-    return conjugate(x)
+    return StepFn(tuple((a, b, v.conjugate()) for a, b, v in x.pieces))
 
 
 def fn_vanishes_at_zero(x: AnyTestFn) -> bool:

@@ -538,6 +538,28 @@ def test_a_number_past_the_string_limit_exits_2(runner, argv, fmt):
     assert result.stdout == ""
 
 
+def test_an_output_number_past_the_string_limit_is_named(runner, tmp_path, monkeypatch):
+    named = "error: an output number has more than 4300 digits\n"
+    result = runner.invoke(main, ["bracket", f"[Bh[3,{_NINES}], Bh[4,-1]]"])
+    assert (result.exit_code, result.stdout, result.stderr) == (2, "", named)
+    # inside every cap: the rows before the first theta past the limit are written
+    result = runner.invoke(main, ["theta", "--L", "1001..1001", "--n", "0..0", "--k",
+                                  "2600..2649", "--N", "4000..4000", "--K", "0..0"])
+    assert (result.exit_code, result.stderr) == (2, named)
+    assert result.stdout.count("\n") == 15  # k = 2600..2614, their bytes pinned below
+    assert hashlib.sha256(result.stdout_bytes).hexdigest() == (
+        "04ee61b0fdb2c40a02fe73add31bc52b951642ca5fcf08c0ec23df7104f5bd33")
+    # reading an integer past the limit keeps Python's message, which names its digits
+    (tmp_path / "g.json").write_text(json.dumps([{"from": "0", "to": "1", "re": "9" * 5000}]))
+    monkeypatch.chdir(tmp_path)
+    result = runner.invoke(main, _SMEAR + ["--g", "g.json"])
+    assert (result.exit_code, result.stdout) == (2, "")
+    assert result.stderr == (
+        "error: bad step-function file: Exceeds the limit (4300 digits) for integer string "
+        "conversion: value has 5000 digits; use sys.set_int_max_str_digits() to increase "
+        "the limit\n")
+
+
 # The environment of a new interpreter that imports this rhpwn.
 _SRC_ENV = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(rhpwn.cli.__file__))}
 

@@ -32,7 +32,7 @@ from rhpwn.lie import (
     zero,
 )
 from rhpwn.scalars import CScalar
-from rhpwn.stepfn import FnSymbol, fn_symbol, pointwise_product
+from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol
 from rhpwn.wick import smear_bracket
 
 RHPWN = AlgebraKind.RHPWN
@@ -149,7 +149,7 @@ def test_labeled_bracket_multiplies_testfns():
     assert result == basis(RHPWN, 2, 2, FnSymbol(("f", "g"), True)).scaled(3)
     chi_a, chi_b = indicator([(1, 3)]), indicator([(2, 4)])
     concrete = bracket(basis(RHPWN, 1, 2, chi_a), basis(RHPWN, 2, 1, chi_b))
-    assert concrete == basis(RHPWN, 2, 2, pointwise_product(chi_a, chi_b)).scaled(3)
+    assert concrete == basis(RHPWN, 2, 2, fn_product(chi_a, chi_b)).scaled(3)
     with pytest.raises(TypeError):
         bracket(basis(RHPWN, 1, 2, f), basis(RHPWN, 2, 1))
     with pytest.raises(TypeError):
@@ -345,6 +345,20 @@ def test_orbit_walk_keeps_rotations_among_the_first_failures(monkeypatch):
     kept = [tuple(ids[p] for p in f[:3]) for f in report.failures]
     # kept triples that are not their orbit's representative (a <= b, a < c)
     assert [t for t in kept if t[0] > min(t[1:]) or t[0] == t[2] != t[1]]
+
+
+def test_orbit_walk_fails_3_sets_whose_three_terms_land_apart(monkeypatch):
+    # Targets shifted by n N mod 3, symmetric in the two generators, keep the
+    # table antisymmetric but move the terms of a 3-set to three distinct
+    # targets, where two nonzero terms cannot cancel: 169 3-sets of this grid.
+    def shifted(kind, n, k, N, K):
+        c, n2, k2 = structure(kind, n, k, N, K)
+        return c, n2, k2 + n * N % 3
+
+    monkeypatch.setattr(rhpwn.lie, "structure", shifted)
+    pairs = basis_indices(WINF, (2, 5), (-2, 2))
+    assert rhpwn.lie._antisymmetric(len(pairs), rhpwn.lie._structure_tables(WINF, pairs))
+    assert _assert_orbit_walk_agrees(WINF, (2, 5), (-2, 2)).failure_count == 5844
 
 
 @pytest.mark.parametrize(

@@ -16,9 +16,8 @@ KEPT = {
     "scalars.SingularPartError.__init__": "a singular part that does not vanish at zero",
     # names the benchmark's tracer and micro-benchmarks call (perfbench/spans.py, micro.py)
     "sandwich.EQTerm.word_key": "sandwich.word_key_hash_ns",
-    # step-function labels written in DSL text, and their conjugate (~)
+    # step-function labels written in DSL text
     "dsl._Parser._parse_step": "bracket 'B[2,1]@step[...]', a CI step and tests/test_dsl.py",
-    "stepfn.conjugate": "~ on a step label",
     # test-only APIs: the scalar algebra in tests/
     "scalars.CScalar.__sub__": "scalar algebra",
     "scalars.CScalar.__rsub__": "scalar algebra",

@@ -26,7 +26,7 @@ from rhpwn.sandwich import (
     verify_theorem,
 )
 from rhpwn.scalars import CScalar, DeltaAtZeroError, SingularPartError, binom
-from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol, pointwise_product
+from rhpwn.stepfn import FnSymbol, fn_product, fn_symbol
 
 lams = st.fractions(min_value=-6, max_value=6, max_denominator=8)
 
@@ -392,7 +392,7 @@ def test_reduce_merges_each_block_set_on_its_own():
     merged = [
         eq_term(7, both, {"s": 5}, both, testfn=fg),
         eq_term(-2, both, {"s": 1}, both, testfn=fg),
-        eq_term(5, both, {"s": 1}, both, testfn={"s": pointwise_product(g, f)}),
+        eq_term(5, both, {"s": 1}, both, testfn={"s": fn_product(g, f)}),
         eq_term(6, both, {"s": 1}, {"s": -third}, testfn=fg),
         eq_term(8, {"s": -third}, {"s": 1}, both, testfn=fg),
         eq_term(3, {"a": third + half}, {"a": 1}, {"a": third + half},

@@ -15,7 +15,6 @@ from rhpwn.scalars import (
     epsilon,
     falling,
     rational_from_str,
-    rational_to_str,
     theta,
 )
 from rhpwn.stepfn import evaluate, fn_sort_key, fn_symbol, make_step
@@ -120,7 +119,7 @@ def test_coercion_and_str():
 @given(rationals)
 def test_rational_string_codec(x):
     # the one string form of rationals in step-function records and exponents
-    s = rational_to_str(x)
+    s = str(x)
     assert s == (f"{x.numerator}" if x.denominator == 1 else f"{x.numerator}/{x.denominator}")
     assert rational_from_str(s) == x
 

@@ -9,12 +9,10 @@ from rhpwn.scalars import CS_ONE, CS_ZERO, CScalar
 from rhpwn.stepfn import (
     FnSymbol,
     ZERO_FN,
-    conjugate,
     evaluate,
     fn_symbol,
     is_in_S0,
     make_step,
-    pointwise_product,
     step_from_records,
     step_to_records,
     fn_conjugate,
@@ -55,16 +53,16 @@ def test_indicator_right_continuity():
 
 
 def test_pointwise_product_examples():
-    assert pointwise_product(chi(0, 2), chi(1, 3)) == chi(1, 2)
+    assert fn_product(chi(0, 2), chi(1, 3)) == chi(1, 2)
     f = make_step([0, 2], [CScalar(Fraction(2), Fraction(1))])
-    assert pointwise_product(f, ZERO_FN) == ZERO_FN
+    assert fn_product(f, ZERO_FN) == ZERO_FN
 
 
 def test_conjugate_examples():
     f = make_step([0, 1], [CScalar(Fraction(3), Fraction(2))])
-    assert conjugate(f) == make_step([0, 1], [CScalar(Fraction(3), Fraction(-2))])
-    assert conjugate(conjugate(f)) == f
-    assert conjugate(chi(1, 2)) == chi(1, 2)
+    assert fn_conjugate(f) == make_step([0, 1], [CScalar(Fraction(3), Fraction(-2))])
+    assert fn_conjugate(fn_conjugate(f)) == f
+    assert fn_conjugate(chi(1, 2)) == chi(1, 2)
 
 
 def test_evaluate_examples():
@@ -81,21 +79,19 @@ def test_is_in_S0_examples():
 
 @given(step_fns(), step_fns(), step_fns())
 def test_product_commutative_associative(f, g, h):
-    assert pointwise_product(f, g) == pointwise_product(g, f)
-    assert pointwise_product(pointwise_product(f, g), h) == pointwise_product(
-        f, pointwise_product(g, h)
-    )
+    assert fn_product(f, g) == fn_product(g, f)
+    assert fn_product(fn_product(f, g), h) == fn_product(f, fn_product(g, h))
 
 
 @given(step_fns(), step_fns(), rationals)
 def test_evaluate_is_ring_homomorphism(f, g, t):
-    assert evaluate(pointwise_product(f, g), t) == evaluate(f, t) * evaluate(g, t)
+    assert evaluate(fn_product(f, g), t) == evaluate(f, t) * evaluate(g, t)
 
 
 @given(s0_step_fns(), s0_step_fns())
 def test_s0_closure(f, g):
-    assert is_in_S0(pointwise_product(f, g))
-    assert is_in_S0(conjugate(f))
+    assert is_in_S0(fn_product(f, g))
+    assert is_in_S0(fn_conjugate(f))
 
 
 @given(step_fns())
